@@ -18,11 +18,14 @@ posterior   beta-process conjugate update and posterior resampling
 verify      densities, partial sums, quadrature moments, KS/chi-square
 cli         command-line front end (simulate / truncation-table /
             posterior / verify)
+
+``verify`` and its re-exported names load on first access, so that
+importing the package (and the CLI) does not import scipy.
 """
 
 __version__ = "0.1.0"
 
-from . import beta, gamma, measures, posterior, streams, truncation, verify
+from . import beta, gamma, measures, posterior, streams, truncation
 from .beta import (
     BetaProcessParams,
     BetaRound,
@@ -88,22 +91,36 @@ from .truncation import (
     stick_breaking_bounds,
     stick_breaking_report,
 )
-from .verify import (
-    ChiSquareResult,
-    GateReport,
-    KSResult,
-    MomentSummary,
-    PartialSum,
-    VerificationReport,
-    chi_square_gof,
-    decomposition_density_partial_sum,
-    generalized_gamma_gate,
-    ks_distance,
-    levy_density,
-    make_report,
-    moment_oracle,
-    monte_carlo_moments,
+
+_VERIFY_NAMES = frozenset(
+    {
+        "ChiSquareResult",
+        "GateReport",
+        "KSResult",
+        "MomentSummary",
+        "PartialSum",
+        "VerificationReport",
+        "chi_square_gof",
+        "decomposition_density_partial_sum",
+        "generalized_gamma_gate",
+        "ks_distance",
+        "levy_density",
+        "make_report",
+        "moment_oracle",
+        "monte_carlo_moments",
+    }
 )
+
+
+def __getattr__(name):
+    # PEP 562: import verify (and with it scipy) only when it is asked for.
+    if name == "verify" or name in _VERIFY_NAMES:
+        from importlib import import_module
+
+        verify = import_module(".verify", __name__)
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # round_mean_and_variance exists in both beta and gamma flavors; use the
 # module-qualified names to keep the pair unambiguous.

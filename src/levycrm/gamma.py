@@ -199,28 +199,31 @@ def _simulate_grid(
     mass = params.total_base_mass * (2.0 if signed else 1.0)
     rates = _rates_grid(mass, K, H)
 
+    # Where exp(-rate) rounds to 1, the Poisson inversion returns 0 for every
+    # uniform (none exceeds 1), so those cells need no key and no cipher.
+    ii, jj = np.nonzero(np.exp(-rates) < 1.0)
     ks = np.arange(1, K + 1, dtype=np.uint64)
     hs = np.arange(1, H + 1, dtype=np.uint64)
     k0s, k1s = stream.child_keys(ks)
-    g0, g1 = _absorb_arr(k0s[:, None], k1s[:, None], hs[None, :])
+    g0, g1 = _absorb_arr(k0s[ii], k1s[ii], hs[jj])
+    live_rates = rates[ii, jj]
 
-    easy = rates <= _POISSON_CHUNK
-    counts = np.zeros(rates.shape, dtype=np.int64)
-    counts[easy] = batch_poisson(rates[easy], g0[easy], g1[easy])
+    easy = live_rates <= _POISSON_CHUNK
+    counts = np.zeros(live_rates.shape, dtype=np.int64)
+    counts[easy] = batch_poisson(live_rates[easy], g0[easy], g1[easy])
 
     out = PointMeasure(params.domain, [])
-    hard = np.argwhere(~easy)
     hard_cursors = {}
-    for i, j in hard:
-        cur = StreamCursor(int(g0[i, j]), int(g1[i, j]))
-        counts[i, j] = cur.poisson(rates[i, j])
-        hard_cursors[(i, j)] = cur
-    for i, j in np.argwhere(counts > 0):
-        cur = hard_cursors.get((i, j))
+    for c in np.flatnonzero(~easy):
+        cur = StreamCursor(int(g0[c]), int(g1[c]))
+        counts[c] = cur.poisson(live_rates[c])
+        hard_cursors[c] = cur
+    for c in np.flatnonzero(counts > 0):
+        cur = hard_cursors.get(c)
         if cur is None:
-            cur = StreamCursor(int(g0[i, j]), int(g1[i, j]), pos=1)
+            cur = StreamCursor(int(g0[c]), int(g1[c]), pos=1)
         out = out + _emit_subround(
-            params, int(ks[i]), int(hs[j]), int(counts[i, j]), cur, signed
+            params, int(ii[c]) + 1, int(jj[c]) + 1, int(counts[c]), cur, signed
         )
     return out
 

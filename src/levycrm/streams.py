@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.random import Philox
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -96,7 +97,10 @@ def _mulhilo(a, b):
 
 
 def _philox4x64(key0, key1, c0, c1, c2, c3):
-    """Philox4x64-10 block function, vectorized over counters.
+    """Philox4x64-10 block function, vectorized over keys and counters.
+
+    Serves the across-keys fan-out (``batch_words``, ``batch_uniforms``),
+    where one C generator per key would cost far more than these array ops.
 
     All inputs are uint64 arrays (or scalars) broadcast to a common shape;
     returns the four output words.
@@ -132,15 +136,18 @@ def _stream_words(k0: int, k1: int, start: int, n: int) -> np.ndarray:
     """Words ``start .. start+n-1`` of the stream keyed by (k0, k1).
 
     Word ``i`` is word ``i % 4`` of the Philox block with counter ``i // 4``.
+    numpy's C Philox computes the same cipher; it increments its counter
+    before each block, so it starts one block back.  The key goes in as a
+    uint64 array: numpy does not keep Python ints of 2**63 or more intact.
     """
     if n <= 0:
         return np.empty(0, dtype=np.uint64)
     b0 = start >> 2
     b1 = (start + n - 1) >> 2
-    blocks = np.arange(b0, b1 + 1, dtype=np.uint64)
-    z = np.uint64(0)
-    x0, x1, x2, x3 = _philox4x64(np.uint64(k0), np.uint64(k1), blocks, z, z, z)
-    words = np.stack([x0, x1, x2, x3], axis=1).reshape(-1)
+    bitgen = Philox(
+        key=np.array([k0, k1], dtype=np.uint64), counter=(b0 - 1) % 2**256
+    )
+    words = bitgen.random_raw(4 * (b1 - b0 + 1))
     off = start - 4 * b0
     return words[off:off + n]
 

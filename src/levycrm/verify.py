@@ -6,6 +6,10 @@ component densities, adaptive quadrature for moments, and classical
 goodness-of-fit statistics.  Agreement between these oracles and the
 library is evidence, not tautology.
 
+Only ``scipy.special`` loads with this module; ``scipy.stats`` and
+``scipy.integrate`` (about a second to import) load inside the functions
+that use them.
+
 Density conventions.  All densities are per unit base mass (the
 location-marginal factor is handled separately by callers working with
 inhomogeneous parameters):
@@ -27,7 +31,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import special
 
 from .measures import DomainError, OracleError
 
@@ -85,6 +89,7 @@ def levy_density(family: str, params: dict, jump: float) -> float:
     returning 0 or inf: callers probing the support edge are always
     making a mistake worth surfacing.
     """
+    from scipy import stats
     x = float(jump)
     if family == "beta":
         c = _req(params, "c")
@@ -154,6 +159,7 @@ def decomposition_density_partial_sum(
     Terms are evaluated directly from their printed weight x pdf forms;
     no simulation machinery or library round code is involved.
     """
+    from scipy import stats
     x = float(jump)
     if family == "beta":
         c = _req(params, "c")
@@ -272,6 +278,7 @@ def _generalized_partial(theta, s, p, K, H, corrected):
 
 
 def _quad(fn, lo, hi):
+    from scipy import integrate
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
@@ -433,6 +440,7 @@ def chi_square_gof(
     counts, probs, significance: float = CHI2_SIGNIFICANCE
 ) -> ChiSquareResult:
     """Pearson chi-square against given cell probabilities."""
+    from scipy import stats
     obs = np.asarray(counts, dtype=np.float64)
     p = np.asarray(probs, dtype=np.float64)
     if obs.shape != p.shape or obs.ndim != 1 or obs.size < 2:

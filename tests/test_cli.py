@@ -7,10 +7,15 @@ checks parse the emitted JSONL/CSV rather than trusting internals.
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import levycrm
 from levycrm import posterior, truncation
 from levycrm.cli import main
 
@@ -292,6 +297,44 @@ def test_verify_single_checks(tmp_path):
     row = jsonl_rows(data)[1]
     assert row["name"] == "gamma-marginal-ks"
     assert row["computed"] < row["tolerance"]
+
+
+def _fresh_python(code):
+    # a new interpreter, so modules that other tests imported do not count
+    env = dict(os.environ)
+    src = str(Path(levycrm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_cli_import_does_not_load_scipy():
+    res = _fresh_python("import levycrm.cli, sys; assert 'scipy' not in sys.modules")
+    assert res.returncode == 0, res.stderr
+
+
+def test_verify_names_resolve_on_access():
+    res = _fresh_python(
+        "import sys, levycrm\n"
+        "ks = levycrm.ks_distance\n"
+        "from levycrm import verify\n"
+        "assert ks is verify.ks_distance and levycrm.verify is verify\n"
+        "assert levycrm.KSResult is verify.KSResult\n"
+        "assert 'scipy.stats' not in sys.modules\n"
+        "assert not hasattr(levycrm, 'no_such_name')\n"
+    )
+    assert res.returncode == 0, res.stderr
+
+
+def test_gamma_marginal_statistic_is_pinned(tmp_path):
+    # the Gamma(2, 1) reference CDF moved from scipy.stats to scipy.special;
+    # the statistic must not move by a bit
+    code, data = run(tmp_path, "vk.jsonl", [
+        "verify", "--check", "gamma-marginal", "--replicas", "80", "--seed", "1",
+    ])
+    assert code == 0
+    assert b'"computed": 0.09181446402655602,' in data
 
 
 def test_verify_failure_and_bad_check(tmp_path, capsys):

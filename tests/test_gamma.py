@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 
 from levycrm import gamma, verify
-from levycrm.streams import RandomStream
+from levycrm.streams import RandomStream, _poisson_invert, _words_to_uniform
 
 UNIT_MASS = gamma.GammaProcessParams.homogeneous(1.0, 1.0)
 
@@ -111,6 +111,41 @@ def test_grid_is_lexicographic_concatenation():
             concat.extend(gamma.simulate_subround(p, k, h, s).atoms)
     assert len(grid.atoms) > 30
     assert grid.atoms == concat
+
+
+def test_largest_uniform_cannot_leave_a_certain_zero_cell():
+    # the grid skips cells whose exp(-rate) rounds to 1: inversion stops
+    # once u <= cdf, and even the largest uniform a word can give (which
+    # rounds to 1.0) does not exceed a starting cdf of 1.0
+    top = _words_to_uniform(np.array([2**64 - 1], dtype=np.uint64))
+    assert top[0] <= 1.0
+    rate = np.array([2.0**-60])
+    assert np.exp(-rate)[0] == 1.0
+    assert _poisson_invert(rate, top)[0] == 0
+
+
+def test_grid_with_certain_zero_cells_is_lexicographic_concatenation():
+    # mass 1, K = 50, all subrounds: most (k, h) cells have exp(-rate) == 1
+    # and are skipped without a key, which must not shift any other cell
+    K, H = 50, gamma.SUBROUND_CAP
+    assert np.count_nonzero(np.exp(-gamma._rates_grid(1.0, K, H)) == 1.0) > K * H // 2
+    plain, doubled = homog(1.0, 1.0), homog(1.0, 2.0)
+    cells = [(k, h) for k in range(1, K + 1) for h in range(1, H + 1)]
+    n_atoms = 0
+    for seed in range(5):
+        s = RandomStream(700 + seed)
+        concat = [a for k, h in cells for a in gamma.simulate_subround(plain, k, h, s).atoms]
+        assert gamma.simulate_gamma_process(plain, K, None, s).atoms == concat
+        n_atoms += len(concat)
+        # signed atoms carry the draws of the doubled-mass cells, then a sign
+        concat2 = [a for k, h in cells for a in gamma.simulate_subround(doubled, k, h, s).atoms]
+        sym = gamma.simulate_symmetric_gamma(plain, K, None, s).atoms
+        assert len(sym) == len(concat2)
+        for a, b in zip(sym, concat2):
+            assert a.location == b.location
+            assert abs(a.jump) == b.jump
+            assert (a.round_k, a.subround_h) == (b.round_k, b.subround_h)
+    assert n_atoms > 10
 
 
 def test_default_subround_cap():

@@ -10,6 +10,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats as stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Philox
 
 from levycrm.streams import (
@@ -53,6 +55,33 @@ def test_frozen_words():
     ]
     wc = _stream_words(*s.child(3, 1).key, 0, 2)
     assert [hex(int(x)) for x in wc] == ["0x3c477e94400bbddd", "0x2c97f09cf4a28640"]
+
+
+_KEY_WORDS = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k0=_KEY_WORDS,
+    k1=_KEY_WORDS,
+    start=st.one_of(
+        st.just(0),
+        st.integers(0, 2**40).map(lambda b: 4 * b),
+        st.integers(0, 2**62),
+    ),
+    n=st.integers(1, 300),
+)
+def test_stream_words_match_philox_blocks(k0, k1, start, n):
+    # single-stream reads use numpy's C Philox; the array emulation that
+    # serves the across-keys fan-out must give the same words at any key
+    # (key words of 2**63 and above included) and any offset
+    b0, b1 = start >> 2, (start + n - 1) >> 2
+    z = np.uint64(0)
+    blocks = _philox4x64(
+        np.uint64(k0), np.uint64(k1), np.arange(b0, b1 + 1, dtype=np.uint64), z, z, z
+    )
+    ref = np.stack(blocks, axis=1).reshape(-1)[start - 4 * b0:][:n]
+    assert np.array_equal(_stream_words(k0, k1, start, n), ref)
 
 
 def test_word_layout_is_position_pure():
