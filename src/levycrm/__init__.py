@@ -59,17 +59,13 @@ from .measures import (
     PointMeasure,
     UnsupportedParameterError,
     WeightedAtom,
-    measure_of_set,
-    poisson_count,
     sample_locations,
-    weighted_integral,
 )
 from .posterior import (
     InvalidPriorError,
     ObservationSet,
     PosteriorBetaParams,
     posterior_params,
-    posterior_round_measure,
     resample_observed_jump,
     resample_observed_jumps,
     resample_truncated_expectation,

@@ -109,20 +109,25 @@ def simulate_round(
     count, then all locations, then all jumps, so the result is a pure
     function of (seed, path, params, k).
     """
+    return PointMeasure(params.domain, _round_atoms(params, k, stream))
+
+
+def _round_atoms(
+    params: BetaProcessParams, k: int, stream: RandomStream
+) -> list[WeightedAtom]:
     rnd = round_measure(params, k)
     cur = stream.child(k).cursor()
     n = cur.poisson(rnd.rate)
     if n == 0:
-        return PointMeasure(params.domain, [])
+        return []
     locs = _sample_locations(rnd.measure, n, cur)
     b = rnd.jump_shape_b.at(locs)
     u = cur.uniforms(n)
     jumps = -np.expm1(np.log1p(-u) / b)
-    atoms = [
+    return [
         WeightedAtom(tuple(locs[i]), float(jumps[i]), round_k=k)
         for i in range(n)
     ]
-    return PointMeasure(params.domain, atoms)
 
 
 def simulate_beta_process(
@@ -135,10 +140,10 @@ def simulate_beta_process(
     """
     if K < 0:
         raise ValueError("truncation round K must be >= 0")
-    out = PointMeasure(params.domain, [])
+    atoms = []
     for k in range(K + 1):
-        out = out + simulate_round(params, k, stream)
-    return out
+        atoms += _round_atoms(params, k, stream)
+    return PointMeasure(params.domain, atoms)
 
 
 def round_mean_and_variance(

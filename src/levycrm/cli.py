@@ -16,8 +16,8 @@ run with the same seed is byte-identical.  The header includes the seed
 (generated and recorded when not supplied), the library version, and the
 applicable truncation error.
 
-Replicas fan out over a worker pool, but replica r always owns stream
-path [r], so the bytes written are independent of --workers.
+Replica r always owns stream path [r], so its atoms do not depend on how
+many other replicas are drawn.
 
 Exit codes: 0 success, 1 verification failure, 2 parameter or file
 errors.
@@ -33,7 +33,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -139,13 +138,6 @@ def _parse_h(raw) -> int | None:
     return h
 
 
-def _run_pool(workers: int, fn, indices):
-    if workers <= 1:
-        return [fn(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, indices))
-
-
 # ---------------------------------------------------------------- simulate
 
 
@@ -229,10 +221,9 @@ def cmd_simulate(args) -> int:
     else:  # pragma: no cover - argparse choices guard this
         raise CLIError(f"unknown family {family!r}")
 
-    draws = _run_pool(args.workers, one, range(args.replicas))
     rows = []
-    for r, draw in enumerate(draws):
-        for atom in draw:
+    for r in range(args.replicas):
+        for atom in one(r):
             rows.append(
                 {
                     "replica": r,
@@ -874,7 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--H", default="inf", help="sub-round cutoff or 'inf'")
     sp.add_argument("--replicas", type=int, default=1)
-    sp.add_argument("--workers", type=int, default=1)
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_simulate)
 

@@ -55,7 +55,6 @@ from .streams import (
     StreamCursor,
     _absorb_arr,
     _GAMMA_INT_SHAPE_MAX,
-    _POISSON_CHUNK,
     batch_poisson,
 )
 
@@ -152,7 +151,9 @@ def simulate_subround(
     rate = subround_rate(params.total_base_mass, k, h)
     cur = stream.child(k, h).cursor()
     n = cur.poisson(rate)
-    return _emit_subround(params, k, h, n, cur, signed=False)
+    return PointMeasure(
+        params.domain, _emit_subround(params, k, h, n, cur, signed=False)
+    )
 
 
 def _emit_subround(
@@ -162,9 +163,9 @@ def _emit_subround(
     n: int,
     cur: StreamCursor,
     signed: bool,
-) -> PointMeasure:
+) -> list[WeightedAtom]:
     if n == 0:
-        return PointMeasure(params.domain, [])
+        return []
     locs = _sample_locations(params.base, n, cur)
     scales = params.scale.at(locs) / (k + 1)
     if h <= _GAMMA_INT_SHAPE_MAX:
@@ -176,11 +177,10 @@ def _emit_subround(
     if signed:
         signs = np.where(cur.uniforms(n) < 0.5, 1.0, -1.0)
         jumps = jumps * signs
-    atoms = [
+    return [
         WeightedAtom(tuple(locs[i]), float(jumps[i]), round_k=k, subround_h=h)
         for i in range(n)
     ]
-    return PointMeasure(params.domain, atoms)
 
 
 def _simulate_grid(
@@ -206,26 +206,15 @@ def _simulate_grid(
     hs = np.arange(1, H + 1, dtype=np.uint64)
     k0s, k1s = stream.child_keys(ks)
     g0, g1 = _absorb_arr(k0s[ii], k1s[ii], hs[jj])
-    live_rates = rates[ii, jj]
+    counts, used = batch_poisson(rates[ii, jj], g0, g1)
 
-    easy = live_rates <= _POISSON_CHUNK
-    counts = np.zeros(live_rates.shape, dtype=np.int64)
-    counts[easy] = batch_poisson(live_rates[easy], g0[easy], g1[easy])
-
-    out = PointMeasure(params.domain, [])
-    hard_cursors = {}
-    for c in np.flatnonzero(~easy):
-        cur = StreamCursor(int(g0[c]), int(g1[c]))
-        counts[c] = cur.poisson(live_rates[c])
-        hard_cursors[c] = cur
-    for c in np.flatnonzero(counts > 0):
-        cur = hard_cursors.get(c)
-        if cur is None:
-            cur = StreamCursor(int(g0[c]), int(g1[c]), pos=1)
-        out = out + _emit_subround(
+    atoms = []
+    for c in np.flatnonzero(counts):
+        cur = StreamCursor(int(g0[c]), int(g1[c]), pos=int(used[c]))
+        atoms += _emit_subround(
             params, int(ii[c]) + 1, int(jj[c]) + 1, int(counts[c]), cur, signed
         )
-    return out
+    return PointMeasure(params.domain, atoms)
 
 
 def simulate_gamma_process(

@@ -429,21 +429,6 @@ class PointMeasure:
         return float(jumps[hit].sum())
 
 
-def measure_of_set(m: BaseMeasure, boxes) -> float:
-    """Exact measure of a finite union of closed boxes."""
-    return m.mass_of(boxes)
-
-
-def weighted_integral(m: BaseMeasure, f: PiecewiseConst, boxes=None) -> float:
-    """Exact integral of a piecewise-constant f against the measure."""
-    return m.integral_against(f, boxes)
-
-
-def poisson_count(rate: float, stream: RandomStream) -> int:
-    """Poisson draw for the count of atoms at the given rate."""
-    return stream.cursor().poisson(rate)
-
-
 def sample_locations(measure: BaseMeasure, n: int, stream: RandomStream) -> np.ndarray:
     """n locations drawn i.i.d. from the normalized measure.
 

@@ -25,22 +25,20 @@ The atomic part supports two samplers:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .beta import BetaProcessParams, BetaRound, round_measure
+from .beta import BetaProcessParams
 from .measures import (
     BaseMeasure,
     PointMeasure,
     UnsupportedParameterError,
 )
 from .streams import (
-    _POISSON_CHUNK,
     RandomStream,
-    _poisson_invert,
     _words_to_uniform,
+    batch_poisson,
     batch_words,
 )
 
@@ -142,16 +140,6 @@ def posterior_params(
     return PosteriorBetaParams(c_post=c_post, base_post=base_post)
 
 
-def posterior_round_measure(pp: PosteriorBetaParams, k: int) -> BetaRound:
-    """Round k of the posterior decomposition.
-
-    Jump law Beta(1, c+M+k); location measure c mu/(c+M+k) plus atoms
-    m_i/(c+M+k).  This is the prior round machinery applied to the
-    posterior parameters, so M = 0 reproduces prior rounds exactly.
-    """
-    return round_measure(pp.as_process(), k)
-
-
 def resample_observed_jump(
     c: float, M: int, m_i: int, K: int, stream: RandomStream
 ) -> float:
@@ -212,26 +200,22 @@ def resample_observed_jumps(
         return out
     b = c + M + np.arange(K + 1, dtype=np.float64)
     cum = np.cumsum(m_i / b)
-    lam = float(cum[-1])
-    m = max(1, math.ceil(lam / _POISSON_CHUNK))
     for lo in range(0, draws, _batch):
         hi = min(lo + _batch, draws)
         k0s, k1s = stream.child_keys(np.arange(lo, hi))
-        head = _words_to_uniform(batch_words(k0s, k1s, m))
-        counts = np.zeros(hi - lo, dtype=np.int64)
-        for j in range(m):
-            counts += _poisson_invert(np.full(hi - lo, lam / m), head[:, j])
+        counts, used = batch_poisson(cum[-1], k0s, k1s)
         nmax = int(counts.max())
         if nmax == 0:
             continue
-        w = _words_to_uniform(batch_words(k0s, k1s, m + 2 * nmax))
+        w = _words_to_uniform(batch_words(k0s, k1s, int(used.max()) + 2 * nmax))
         rows = np.repeat(np.arange(hi - lo), counts)
         ends = np.cumsum(counts)
         starts = ends - counts
         within = np.arange(int(ends[-1])) - np.repeat(starts, counts)
-        cat_u = w[rows, m + within] * cum[-1]
+        cat_pos = used[rows] + within
+        cat_u = w[rows, cat_pos] * cum[-1]
         ks = np.minimum(np.searchsorted(cum, cat_u, side="left"), K)
-        jump_u = w[rows, m + counts[rows] + within]
+        jump_u = w[rows, cat_pos + counts[rows]]
         vals = -np.expm1(np.log1p(-jump_u) / b[ks])
         for d in range(hi - lo):
             # per-draw reduction kept separate so the sum order matches

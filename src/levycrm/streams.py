@@ -99,7 +99,7 @@ def _mulhilo(a, b):
 def _philox4x64(key0, key1, c0, c1, c2, c3):
     """Philox4x64-10 block function, vectorized over keys and counters.
 
-    Serves the across-keys fan-out (``batch_words``, ``batch_uniforms``),
+    Serves the across-keys fan-out (``batch_words``, ``batch_poisson``),
     where one C generator per key would cost far more than these array ops.
 
     All inputs are uint64 arrays (or scalars) broadcast to a common shape;
@@ -128,7 +128,9 @@ def _philox4x64(key0, key1, c0, c1, c2, c3):
 
 
 def _words_to_uniform(w: np.ndarray) -> np.ndarray:
-    # 53-bit mantissa, shifted to the open interval (0, 1).
+    # 53-bit mantissa plus half a step, in (0, 1]: the 2**11 words whose top
+    # 53 bits are all ones round to exactly 1.0.  Mapping them below 1 would
+    # change draws, so it needs a stream-version field in the output header.
     return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
 
 
@@ -247,7 +249,7 @@ class StreamCursor:
         return buf[off:off + n]
 
     def uniforms(self, n: int) -> np.ndarray:
-        """n independent uniforms on the open interval (0, 1)."""
+        """n independent uniforms on (0, 1]; see ``_words_to_uniform``."""
         return _words_to_uniform(self.words(n))
 
     def uniform(self) -> float:
@@ -320,7 +322,8 @@ def _poisson_invert(rates: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Vectorized Poisson CDF inversion; one uniform per entry.
 
     Counts satisfy ``P(N <= n) >= u`` minimally.  The loop runs to the
-    largest count drawn, so callers keep rates small (see _POISSON_CHUNK).
+    largest count drawn, so callers keep rates small by splitting them into
+    chunks (see ``batch_poisson`` and ``StreamCursor.poisson``).
     """
     lam = np.asarray(rates, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
@@ -340,13 +343,6 @@ def _poisson_invert(rates: np.ndarray, u: np.ndarray) -> np.ndarray:
         p = p * (lam / k)
         cdf = cdf + np.where(active, p, 0.0)
     return n
-
-
-def batch_uniforms(k0s: np.ndarray, k1s: np.ndarray, word: int = 0) -> np.ndarray:
-    """One uniform from each of many streams: word ``word`` of block 0."""
-    j = np.uint64(word >> 2)
-    x = _philox4x64(k0s, k1s, j, np.uint64(0), np.uint64(0), np.uint64(0))
-    return _words_to_uniform(x[word & 3])
 
 
 def batch_words(k0s: np.ndarray, k1s: np.ndarray, n_words: int) -> np.ndarray:
@@ -370,15 +366,30 @@ def batch_words(k0s: np.ndarray, k1s: np.ndarray, n_words: int) -> np.ndarray:
     return words[:, :n_words]
 
 
-def batch_poisson(rates: np.ndarray, k0s: np.ndarray, k1s: np.ndarray) -> np.ndarray:
-    """Poisson counts for many streams at once, one per stream.
+def batch_poisson(
+    rates: np.ndarray, k0s: np.ndarray, k1s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson counts for many keyed streams at once, one per stream.
 
-    Each count reads the same stream prefix that ``cursor.poisson`` would
-    read for the same rate, so scalar and batched paths agree draw for draw.
-    Rates must not exceed the single-chunk bound.
+    Returns ``(counts, words_used)``: entry ``i`` is what
+    ``cursor.poisson(rates[i])`` draws from position 0 of stream
+    ``(k0s[i], k1s[i])``, and the cursor's position afterwards, where that
+    stream's next draw starts.  Rates and keys broadcast to one shape.  Keys
+    are grouped by chunk count, one ``batch_words`` call per group.
     """
-    rates = np.asarray(rates, dtype=np.float64)
-    if rates.size and rates.max() > _POISSON_CHUNK:
-        raise ValueError("batch_poisson requires rates within one chunk")
-    u = batch_uniforms(k0s, k1s, 0)
-    return _poisson_invert(rates, u)
+    rates, k0s, k1s = np.broadcast_arrays(
+        np.asarray(rates, dtype=np.float64),
+        np.asarray(k0s, dtype=np.uint64),
+        np.asarray(k1s, dtype=np.uint64),
+    )
+    if not np.all((rates >= 0) & (rates < math.inf)):
+        raise ValueError("Poisson rates must be finite and >= 0")
+    # chunk counts as in cursor.poisson: none at rate 0, at least one above
+    used = np.maximum(np.ceil(rates / _POISSON_CHUNK), rates > 0).astype(np.int64)
+    counts = np.zeros(rates.shape, dtype=np.int64)
+    for m in np.flatnonzero(np.bincount(used.ravel())[1:]) + 1:
+        sel = used == m
+        u = _words_to_uniform(batch_words(k0s[sel], k1s[sel], m))
+        lam = np.broadcast_to((rates[sel] / m)[:, None], u.shape)
+        counts[sel] = _poisson_invert(lam, u).sum(axis=1)
+    return counts, used

@@ -5,6 +5,7 @@ checks parse the emitted JSONL/CSV rather than trusting internals.
 """
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -45,17 +46,62 @@ def test_same_seed_byte_identical(tmp_path):
 
 
 def test_worker_pool_size_does_not_change_bytes(tmp_path):
-    base = [
+    # a repeat run writes the same bytes
+    argv = [
         "simulate", "--family", "gamma", "--theta", "1", "--mass", "2",
         "--K", "20", "--H", "10", "--replicas", "8", "--seed", "123",
     ]
-    _, serial = run(tmp_path, "w1.jsonl", base + ["--workers", "1"])
-    _, pooled = run(tmp_path, "w4.jsonl", base + ["--workers", "4"])
-    assert serial == pooled
-    # rows come out replica-ordered either way
-    rows = jsonl_rows(serial)[1:]
+    _, first = run(tmp_path, "w1.jsonl", argv)
+    _, again = run(tmp_path, "w2.jsonl", argv)
+    assert first == again
+    # rows come out replica-ordered
+    rows = jsonl_rows(first)[1:]
     replicas = [r["replica"] for r in rows]
     assert replicas == sorted(replicas)
+
+
+# sha256 of runs that no benchmark workload reaches: gamma cells above one
+# Poisson chunk (rate 20 at k = h = 1), symmetric gamma, CSV, and posterior
+# counts whose rate needs two chunks.  A changed digest is a change of the
+# output contract, not of speed.
+BYTE_PINS = {
+    "gamma-mass40": "558260aa555c9eea07a944cb29ff5ea0205f7acb75f141ac5b08bd2eca1fae2f",
+    "symmetric-gamma": "c19e950ac049ecc1377a1c8e39ec06ae07831919ea25c03cd9b4faf128e6dea0",
+    "beta-csv": "2a379f0d309da32ff406fbbfb74fdd89c145f0c0b8b02386486d06b9f5f8d915",
+    "posterior-M4": "26552ae2b3082dacf12dca14faf9db3dace80bfb5035af4c4c65e583a2b14aac",
+}
+
+
+def test_output_bytes_are_pinned(tmp_path):
+    got = {}
+    _, got["gamma-mass40"] = run(tmp_path, "g.jsonl", [
+        "simulate", "--family", "gamma", "--theta", "1", "--mass", "40",
+        "--K", "30", "--H", "inf", "--replicas", "3", "--seed", "21",
+    ])
+    _, got["symmetric-gamma"] = run(tmp_path, "s.jsonl", [
+        "simulate", "--family", "symmetric-gamma", "--theta", "2", "--mass", "3",
+        "--K", "25", "--H", "inf", "--replicas", "3", "--seed", "22",
+    ])
+    _, got["beta-csv"] = run(tmp_path, "b.csv", [
+        "simulate", "--family", "beta", "--c", "2", "--mass", "4", "--K", "15",
+        "--replicas", "3", "--seed", "23", "--format", "csv",
+    ])
+    _, prior = run(tmp_path, "prior.jsonl", [
+        "simulate", "--family", "beta", "--c", "1", "--mass", "5", "--K", "30",
+        "--replicas", "1", "--seed", "24",
+    ])
+    # counts 0..4 cycle over the prior atoms; m_i = 3 and 4 need two chunks
+    obs = tmp_path / "obs.jsonl"
+    obs.write_text("".join(
+        json.dumps({"location": r["location"], "count": i % 5}) + "\n"
+        for i, r in enumerate(jsonl_rows(prior)[1:])
+    ))
+    _, got["posterior-M4"] = run(tmp_path, "p.jsonl", [
+        "posterior", "--c", "1", "--mass", "5", "--M", "4", "--K", "1000",
+        "--draws", "300", "--seed", "25",
+        "--prior", str(tmp_path / "prior.jsonl"), "--obs", str(obs),
+    ])
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == BYTE_PINS
 
 
 def test_gamma_header_truncation_error(tmp_path):

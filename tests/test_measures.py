@@ -17,11 +17,8 @@ from levycrm.measures import (
     PiecewiseConst,
     PointMeasure,
     WeightedAtom,
-    measure_of_set,
-    poisson_count,
     positive_function,
     sample_locations,
-    weighted_integral,
 )
 from levycrm.streams import RandomStream
 from levycrm.verify import chi_square_gof
@@ -41,39 +38,39 @@ def test_domain_validation():
 
 def test_measure_of_set_examples():
     m = BaseMeasure.uniform(UNIT, 1.0)
-    assert measure_of_set(m, [(0.0, 1.0)]) == 1.0
-    assert measure_of_set(m, [(0.0, 0.25)]) == 0.25
+    assert m.mass_of([(0.0, 1.0)]) == 1.0
+    assert m.mass_of([(0.0, 0.25)]) == 0.25
     mixed = BaseMeasure(
         PiecewiseConst.constant(UNIT, 2.0),
         atom_locations=np.array([[0.5]]),
         atom_masses=np.array([3.0]),
     )
-    assert measure_of_set(mixed, [(0.4, 0.6)]) == pytest.approx(3.4)
+    assert mixed.mass_of([(0.4, 0.6)]) == pytest.approx(3.4)
 
 
 def test_measure_of_set_additive():
     den = PiecewiseConst(UNIT, [np.array([0.0, 0.3, 1.0])], np.array([2.0, 0.5]))
     m = BaseMeasure(den)
-    a = measure_of_set(m, [(0.0, 0.2)])
-    b = measure_of_set(m, [(0.2, 0.7)])
-    both = measure_of_set(m, [[(0.0, 0.2)], [(0.2, 0.7)]])
+    a = m.mass_of([(0.0, 0.2)])
+    b = m.mass_of([(0.2, 0.7)])
+    both = m.mass_of([[(0.0, 0.2)], [(0.2, 0.7)]])
     assert both == a + b
 
 
 def test_measure_of_set_outside_domain():
     m = BaseMeasure.uniform(UNIT, 1.0)
     with pytest.raises(DomainError):
-        measure_of_set(m, [(0.5, 1.5)])
+        m.mass_of([(0.5, 1.5)])
 
 
 def test_weighted_integral_examples():
     m = BaseMeasure.uniform(UNIT, 3.0)
     one = PiecewiseConst.constant(UNIT, 1.0)
-    assert weighted_integral(m, one) == pytest.approx(3.0)
+    assert m.integral_against(one) == pytest.approx(3.0)
     two = PiecewiseConst.constant(UNIT, 2.0)
-    assert weighted_integral(m, two) == pytest.approx(6.0)
+    assert m.integral_against(two) == pytest.approx(6.0)
     f = PiecewiseConst(UNIT, [np.array([0.0, 0.5, 1.0])], np.array([2.0, 4.0]))
-    assert weighted_integral(BaseMeasure.uniform(UNIT, 1.0), f) == pytest.approx(3.0)
+    assert BaseMeasure.uniform(UNIT, 1.0).integral_against(f) == pytest.approx(3.0)
 
 
 def test_weighted_integral_refines_mismatched_partitions():
@@ -81,7 +78,7 @@ def test_weighted_integral_refines_mismatched_partitions():
     # 0.25*1*2 + 0.25*1*4 + 0.5*3*4 = 7.5
     den = PiecewiseConst(UNIT, [np.array([0.0, 0.5, 1.0])], np.array([1.0, 3.0]))
     f = PiecewiseConst(UNIT, [np.array([0.0, 0.25, 1.0])], np.array([2.0, 4.0]))
-    assert weighted_integral(BaseMeasure(den), f) == pytest.approx(7.5, rel=1e-15)
+    assert BaseMeasure(den).integral_against(f) == pytest.approx(7.5, rel=1e-15)
 
 
 def test_weighted_integral_counts_atoms():
@@ -92,10 +89,10 @@ def test_weighted_integral_counts_atoms():
     )
     f = PiecewiseConst(UNIT, [np.array([0.0, 0.5, 1.0])], np.array([1.0, 10.0]))
     # continuous 0.5*1 + 0.5*10 = 5.5, atom 2*10
-    assert weighted_integral(m, f) == pytest.approx(25.5)
-    # constant f equals const * measure_of_set exactly
+    assert m.integral_against(f) == pytest.approx(25.5)
+    # constant f equals const * mass_of exactly
     k = PiecewiseConst.constant(UNIT, 7.0)
-    assert weighted_integral(m, k) == 7.0 * measure_of_set(m, [(0.0, 1.0)])
+    assert m.integral_against(k) == 7.0 * m.mass_of([(0.0, 1.0)])
 
 
 def test_positive_function_accepts_scalar_and_rejects_nonpositive():
@@ -171,12 +168,12 @@ def test_sample_locations_respects_density_weights():
 
 
 def test_poisson_count_wrapper():
-    assert poisson_count(0.0, RandomStream(3)) == 0
+    assert RandomStream(3).cursor().poisson(0.0) == 0
     with pytest.raises(ValueError):
-        poisson_count(-2.0, RandomStream(3))
+        RandomStream(3).cursor().poisson(-2.0)
     with pytest.raises(ValueError):
-        poisson_count(math.nan, RandomStream(3))
-    counts = [poisson_count(5.0, RandomStream(3, (i,))) for i in range(5000)]
+        RandomStream(3).cursor().poisson(math.nan)
+    counts = [RandomStream(3, (i,)).cursor().poisson(5.0) for i in range(5000)]
     assert abs(np.mean(counts) - 5.0) < 3 * math.sqrt(5.0 / 5000)
 
 

@@ -90,7 +90,7 @@ def test_posterior_round_measure():
     p = prior(c=2.0, mass=3.0)
     pp = posterior.posterior_params(p, obs_at(0, np.empty((0, 1)), np.empty(0, int)))
     for k in range(4):
-        a = posterior.posterior_round_measure(pp, k)
+        a = beta.round_measure(pp.as_process(), k)
         b = beta.round_measure(p, k)
         assert a.measure.total_mass == pytest.approx(b.measure.total_mass, rel=1e-14)
         assert float(a.jump_shape_b.values.flat[0]) == float(b.jump_shape_b.values.flat[0])
@@ -103,10 +103,10 @@ def test_posterior_round_measure():
             np.array([1.0]),
         ),
     )
-    rnd = posterior.posterior_round_measure(pp, 0)
+    rnd = beta.round_measure(pp.as_process(), 0)
     assert rnd.measure.atom_masses[0] == pytest.approx(1.0, rel=1e-15)
     masses = [
-        posterior.posterior_round_measure(pp, k).measure.total_mass for k in range(11)
+        beta.round_measure(pp.as_process(), k).measure.total_mass for k in range(11)
     ]
     assert all(b < a for a, b in zip(masses, masses[1:]))
 
@@ -147,11 +147,14 @@ def test_resample_zero_count_and_validation():
 
 def test_bulk_resample_matches_single_draws():
     s = RandomStream(77)
-    bulk = posterior.resample_observed_jumps(1.0, 2, 1, 1000, s, 300)
-    single = np.array(
-        [posterior.resample_observed_jump(1.0, 2, 1, 1000, s.child(d)) for d in range(300)]
-    )
-    assert np.array_equal(bulk, single)
+    # (4, 4, 1000) has rate about 21.6, so its count reads two chunk words
+    for m_i, M, K in [(1, 2, 1000), (4, 4, 1000)]:
+        bulk = posterior.resample_observed_jumps(1.0, M, m_i, K, s, 300)
+        single = np.array([
+            posterior.resample_observed_jump(1.0, M, m_i, K, s.child(d))
+            for d in range(300)
+        ])
+        assert np.array_equal(bulk, single)
     ks_b, j_b = posterior.sample_new_jumps(1.0, 2, 40, s, 300)
     singles = [posterior.sample_new_jump(1.0, 2, 40, s.child(d)) for d in range(300)]
     assert np.array_equal(ks_b, np.array([k for k, _ in singles]))

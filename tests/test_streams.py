@@ -21,7 +21,6 @@ from levycrm.streams import (
     _poisson_invert,
     _stream_words,
     batch_poisson,
-    batch_uniforms,
     batch_words,
 )
 
@@ -151,17 +150,32 @@ def test_poisson_moments():
     # rate 5, 1e5 replicas: mean within 3 sqrt(5/n), variance within 5%
     s = RandomStream(42)
     k0s, k1s = s.child_keys(np.arange(100_000))
-    counts = batch_poisson(np.full(100_000, 5.0), k0s, k1s)
+    counts, used = batch_poisson(np.full(100_000, 5.0), k0s, k1s)
+    assert np.all(used == 1)
     assert abs(counts.mean() - 5.0) < 3.0 * math.sqrt(5.0 / counts.size)
     assert abs(counts.var(ddof=1) - 5.0) < 0.25
 
 
 def test_batch_poisson_matches_cursor():
+    # zero, one-chunk, chunk-boundary and multi-chunk rates over 2-D keys
     s = RandomStream(8)
-    k0s, k1s = s.child_keys(np.arange(200))
-    batch = batch_poisson(np.full(200, 3.5), k0s, k1s)
-    loop = [s.child(i).cursor().poisson(3.5) for i in range(200)]
-    assert np.array_equal(batch, np.array(loop))
+    rates = np.tile([0.0, 3.5, 16.0, 16.5, 40.0, 300.0], (30, 1))
+    idx = np.arange(rates.size).reshape(rates.shape)
+    k0s, k1s = s.child_keys(idx)
+    counts, used = batch_poisson(rates, k0s, k1s)
+    assert counts.shape == used.shape == rates.shape
+    for i, j in np.ndindex(rates.shape):
+        cur = s.child(int(idx[i, j])).cursor()
+        assert counts[i, j] == cur.poisson(float(rates[i, j]))
+        assert used[i, j] == cur.pos
+    assert list(used[0]) == [0, 1, 1, 2, 3, 19]
+
+
+def test_batch_poisson_validation():
+    k0s, k1s = RandomStream(8).child_keys(np.arange(2))
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            batch_poisson(np.array([1.0, bad]), k0s, k1s)
 
 
 def test_poisson_large_rate_chunking():
@@ -218,11 +232,3 @@ def test_integer_gamma_is_sum_of_exponentials():
     u = s.cursor().uniforms(3)
     x = s.cursor().gamma(3, 2.0)
     assert x == pytest.approx(-float(np.log(u).sum()) * 2.0, rel=0, abs=0)
-
-
-def test_batch_uniforms_reads_word_zero():
-    s = RandomStream(55)
-    k0s, k1s = s.child_keys(np.arange(10))
-    u = batch_uniforms(k0s, k1s)
-    for i in range(10):
-        assert u[i] == s.child(i).cursor().uniform()

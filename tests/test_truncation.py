@@ -199,26 +199,27 @@ def _residual_round_totals(c, mass, ks, seed, reps):
 
     Row r reproduces, jump for jump, what summing simulate_round over
     ``ks`` under RandomStream(seed, (r,)) yields; constant c, uniform
-    one-cell base.  Word layout per round: one count word, then per atom
-    a cell-choice word and a position word, then the jump words.
+    one-cell base.  Word layout per round: the count's words, then per
+    atom a cell-choice word and a position word, then the jump words.
     """
     ks = np.asarray(ks)
     root = RandomStream(seed)
     k0r, k1r = root.child_keys(np.arange(reps))
     g0, g1 = _absorb_arr(k0r[:, None], k1r[:, None], ks[None, :].astype(np.uint64))
     rates = np.broadcast_to(mass * c / (c + ks.astype(float)), g0.shape)
-    counts = batch_poisson(rates, g0, g1)
+    counts, used = batch_poisson(rates, g0, g1)
     nz = counts > 0
     n = counts[nz]
     if n.size == 0:
         return np.zeros(reps)
+    start = used[nz]
     b = np.broadcast_to(c + ks.astype(float), g0.shape)[nz]
     repl = np.broadcast_to(np.arange(reps)[:, None], g0.shape)[nz]
-    w = _words_to_uniform(batch_words(g0[nz], g1[nz], int(1 + 3 * n.max())))
+    w = _words_to_uniform(batch_words(g0[nz], g1[nz], int(start.max() + 3 * n.max())))
     rows = np.repeat(np.arange(n.size), n)
     ends = np.cumsum(n)
     within = np.arange(ends[-1]) - np.repeat(ends - n, n)
-    u = w[rows, 1 + 2 * n[rows] + within]
+    u = w[rows, start[rows] + 2 * n[rows] + within]
     jumps = -np.expm1(np.log1p(-u) / b[rows])
     return np.bincount(repl[rows], weights=jumps, minlength=reps)
 
