@@ -34,7 +34,6 @@ from .measures import (
     DomainError,
     PiecewiseConst,
     PointMeasure,
-    WeightedAtom,
     _sample_locations,
     positive_function,
 )
@@ -109,12 +108,11 @@ def simulate_round(
     count, then all locations, then all jumps, so the result is a pure
     function of (seed, path, params, k).
     """
-    return PointMeasure(params.domain, _round_atoms(params, k, stream))
+    return PointMeasure.concat(params.domain, _round_atoms(params, k, stream))
 
 
-def _round_atoms(
-    params: BetaProcessParams, k: int, stream: RandomStream
-) -> list[WeightedAtom]:
+def _round_atoms(params: BetaProcessParams, k: int, stream: RandomStream) -> list:
+    """Round k's (locations, jumps, round_k, subround_h) columns, if any atoms."""
     rnd = round_measure(params, k)
     cur = stream.child(k).cursor()
     n = cur.poisson(rnd.rate)
@@ -124,10 +122,7 @@ def _round_atoms(
     b = rnd.jump_shape_b.at(locs)
     u = cur.uniforms(n)
     jumps = -np.expm1(np.log1p(-u) / b)
-    return [
-        WeightedAtom(tuple(locs[i]), float(jumps[i]), round_k=k)
-        for i in range(n)
-    ]
+    return [(locs, jumps, np.full(n, k), np.zeros(n, np.int64))]
 
 
 def simulate_beta_process(
@@ -140,10 +135,10 @@ def simulate_beta_process(
     """
     if K < 0:
         raise ValueError("truncation round K must be >= 0")
-    atoms = []
+    parts = []
     for k in range(K + 1):
-        atoms += _round_atoms(params, k, stream)
-    return PointMeasure(params.domain, atoms)
+        parts += _round_atoms(params, k, stream)
+    return PointMeasure.concat(params.domain, parts)
 
 
 def round_mean_and_variance(

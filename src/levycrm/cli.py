@@ -43,7 +43,6 @@ from .measures import (
     OracleError,
     PointMeasure,
     UnsupportedParameterError,
-    WeightedAtom,
 )
 from .posterior import InvalidPriorError, ObservationSet
 from .streams import RandomStream
@@ -223,16 +222,20 @@ def cmd_simulate(args) -> int:
 
     rows = []
     for r in range(args.replicas):
-        for atom in one(r):
+        draw = one(r)
+        hs = [None] * len(draw) if family in _NO_SUBROUND else draw.subround_h.tolist()
+        for k, h, loc, jump in zip(
+            draw.round_k.tolist(), hs, draw.locations.tolist(), draw.jumps.tolist()
+        ):
             rows.append(
                 {
                     "replica": r,
                     "family": family,
-                    "k": atom.round_k,
-                    "h": None if family in _NO_SUBROUND else atom.subround_h,
-                    "location": atom.location,
-                    "jump": atom.jump,
-                    "origin": atom.origin,
+                    "k": k,
+                    "h": h,
+                    "location": loc,
+                    "jump": jump,
+                    "origin": "prior",
                 }
             )
     columns = ["replica", "family", "k", "h", "location", "jump", "origin"]
@@ -356,7 +359,7 @@ def _field(path, lineno, rec, name, kinds, kindname):
 
 
 def _read_prior_draw(path) -> PointMeasure:
-    atoms = []
+    locs, jumps, ks = [], [], []
     dim = None
     for lineno, rec in _read_jsonl(path):
         if "command" in rec:  # header line from a simulate run
@@ -374,16 +377,12 @@ def _read_prior_draw(path) -> PointMeasure:
                 f"prior jump at {path}:{lineno} lies outside (0, 1)"
             )
         k = rec.get("k", 0)
-        atoms.append(
-            WeightedAtom(
-                location=np.asarray(loc, dtype=np.float64),
-                jump=float(jump),
-                round_k=int(k) if k is not None else 0,
-            )
-        )
-    if not atoms:
+        locs.append(loc)
+        jumps.append(float(jump))
+        ks.append(int(k) if k is not None else 0)
+    if not jumps:
         raise CLIError(f"{path} holds no prior atoms")
-    return PointMeasure(Domain(dim=dim), atoms)
+    return PointMeasure(Domain(dim=dim), locs, jumps, ks)
 
 
 def _read_observations(path, M: int) -> ObservationSet:

@@ -46,7 +46,6 @@ from .measures import (
     Domain,
     PiecewiseConst,
     PointMeasure,
-    WeightedAtom,
     _sample_locations,
     positive_function,
 )
@@ -151,9 +150,8 @@ def simulate_subround(
     rate = subround_rate(params.total_base_mass, k, h)
     cur = stream.child(k, h).cursor()
     n = cur.poisson(rate)
-    return PointMeasure(
-        params.domain, _emit_subround(params, k, h, n, cur, signed=False)
-    )
+    cols = _emit_subround(params, k, h, n, cur, signed=False)
+    return PointMeasure(params.domain, *cols)
 
 
 def _emit_subround(
@@ -163,9 +161,8 @@ def _emit_subround(
     n: int,
     cur: StreamCursor,
     signed: bool,
-) -> list[WeightedAtom]:
-    if n == 0:
-        return []
+) -> tuple:
+    """The (locations, jumps, round_k, subround_h) columns of n atoms."""
     locs = _sample_locations(params.base, n, cur)
     scales = params.scale.at(locs) / (k + 1)
     if h <= _GAMMA_INT_SHAPE_MAX:
@@ -177,10 +174,7 @@ def _emit_subround(
     if signed:
         signs = np.where(cur.uniforms(n) < 0.5, 1.0, -1.0)
         jumps = jumps * signs
-    return [
-        WeightedAtom(tuple(locs[i]), float(jumps[i]), round_k=k, subround_h=h)
-        for i in range(n)
-    ]
+    return locs, jumps, np.full(n, k), np.full(n, h)
 
 
 def _simulate_grid(
@@ -208,13 +202,13 @@ def _simulate_grid(
     g0, g1 = _absorb_arr(k0s[ii], k1s[ii], hs[jj])
     counts, used = batch_poisson(rates[ii, jj], g0, g1)
 
-    atoms = []
+    parts = []
     for c in np.flatnonzero(counts):
         cur = StreamCursor(int(g0[c]), int(g1[c]), pos=int(used[c]))
-        atoms += _emit_subround(
+        parts.append(_emit_subround(
             params, int(ii[c]) + 1, int(jj[c]) + 1, int(counts[c]), cur, signed
-        )
-    return PointMeasure(params.domain, atoms)
+        ))
+    return PointMeasure.concat(params.domain, parts)
 
 
 def simulate_gamma_process(

@@ -7,8 +7,9 @@ spatially varying parameters such as a concentration c(w) or a scale th(w).
 Because both sides are constant on grid cells, every integral used here is
 an exact finite sum over the common grid refinement; no quadrature enters.
 
-Point measures are the simulation output: finite lists of weighted atoms
-(location, jump) tagged with the round and subround that produced them.
+Point measures are the simulation output: finitely many atoms held as
+columns, an (n, dim) array of locations and matching arrays of jumps and of
+the round and subround that produced each atom.
 """
 
 from __future__ import annotations
@@ -214,17 +215,21 @@ def common_edges(*fns: PiecewiseConst):
     for f in fns[1:]:
         if f.domain != domain:
             raise DomainError("functions live on different domains")
-    return tuple(
-        reduce(np.union1d, [f.edges[d] for f in fns]) for d in range(domain.dim)
-    )
+    return tuple(_union(*[f.edges[d] for f in fns]) for d in range(domain.dim))
 
 
 def _edges_with_boxes(edges, boxes: np.ndarray):
-    out = []
-    for d, e in enumerate(edges):
-        extra = boxes[:, d, :].reshape(-1)
-        out.append(np.union1d(e, extra))
-    return tuple(out)
+    return tuple(_union(e, boxes[:, d, :]) for d, e in enumerate(edges))
+
+
+def _union(*arrays) -> np.ndarray:
+    """Sorted distinct values of the arrays, as numpy's ``union1d`` gives.
+
+    numpy's ``union1d`` and ``unique`` import ``numpy.ma``, which costs more
+    start-up time than every integral here.
+    """
+    v = np.sort(np.concatenate([np.ravel(a) for a in arrays]))
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
 
 
 def _covered_cells(edges, boxes: np.ndarray) -> np.ndarray:
@@ -279,7 +284,8 @@ class BaseMeasure:
             raise DomainError("atom outside the domain")
         if np.any(masses < 0) or not np.all(np.isfinite(masses)):
             raise ValueError("atom masses must be finite and nonnegative")
-        if locs.shape[0] > 1 and np.unique(locs, axis=0).shape[0] != locs.shape[0]:
+        rows = locs[np.lexsort(locs.T)]
+        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
             raise ValueError("atom locations must be distinct")
         self.atom_locations = locs
         self.atom_masses = masses
@@ -290,10 +296,6 @@ class BaseMeasure:
         if total_mass <= 0 or not np.isfinite(total_mass):
             raise ValueError("total mass must be finite and positive")
         return cls(PiecewiseConst.constant(domain, total_mass / domain.volume))
-
-    @classmethod
-    def from_cells(cls, domain: Domain, edges, values) -> "BaseMeasure":
-        return cls(PiecewiseConst(domain, edges, values))
 
     @property
     def total_mass(self) -> float:
@@ -382,51 +384,67 @@ class WeightedAtom:
 
 
 class PointMeasure:
-    """Finite atomic measure produced by simulation."""
+    """Finite atomic measure produced by simulation, held as columns.
 
-    __slots__ = ("domain", "atoms")
+    Atom ``i`` sits at ``locations[i]`` (an (n, dim) array) with jump
+    ``jumps[i]``; ``round_k[i]`` and ``subround_h[i]`` say which round and
+    subround drew it, and either may be given as one value for all atoms.
+    """
 
-    def __init__(self, domain: Domain, atoms):
+    __slots__ = ("domain", "locations", "jumps", "round_k", "subround_h")
+
+    def __init__(self, domain: Domain, locations, jumps, round_k=0, subround_h=0):
+        jumps = np.asarray(jumps, dtype=np.float64)
+        locations = np.asarray(locations, dtype=np.float64)
+        if jumps.ndim != 1 or locations.shape != (jumps.size, domain.dim):
+            raise ValueError("need one jump and one domain point per atom")
+        if not np.all(np.isfinite(jumps)):
+            raise ValueError("atom jumps must be finite")
         self.domain = domain
-        self.atoms = list(atoms)
-        for a in self.atoms:
-            if not np.isfinite(a.jump):
-                raise ValueError("atom jumps must be finite")
+        self.locations = locations
+        self.jumps = jumps
+        self.round_k = np.broadcast_to(np.asarray(round_k, np.int64), jumps.shape)
+        self.subround_h = np.broadcast_to(np.asarray(subround_h, np.int64), jumps.shape)
+
+    @classmethod
+    def concat(cls, domain: Domain, parts) -> "PointMeasure":
+        """Measure of (locations, jumps, round_k, subround_h) tuples, in order."""
+        ints = np.empty(0, np.int64)
+        empty = (np.empty((0, domain.dim)), np.empty(0), ints, ints)
+        return cls(domain, *(np.concatenate(c) for c in zip(empty, *parts)))
+
+    @property
+    def columns(self) -> tuple:
+        return self.locations, self.jumps, self.round_k, self.subround_h
+
+    @property
+    def atoms(self) -> list[WeightedAtom]:
+        """The atoms as objects, built anew on each access."""
+        return [
+            WeightedAtom(tuple(loc), jump, k, h)
+            for loc, jump, k, h in zip(*(c.tolist() for c in self.columns))
+        ]
 
     def __len__(self):
-        return len(self.atoms)
-
-    def __iter__(self):
-        return iter(self.atoms)
+        return self.jumps.size
 
     def __add__(self, other: "PointMeasure") -> "PointMeasure":
         if self.domain != other.domain:
             raise DomainError("cannot concatenate measures on different domains")
-        return PointMeasure(self.domain, self.atoms + other.atoms)
-
-    def jumps(self) -> np.ndarray:
-        return np.array([a.jump for a in self.atoms], dtype=np.float64)
-
-    def locations(self) -> np.ndarray:
-        if not self.atoms:
-            return np.empty((0, self.domain.dim))
-        return np.array([a.location for a in self.atoms], dtype=np.float64)
+        return PointMeasure.concat(self.domain, [self.columns, other.columns])
 
     @property
     def total_mass(self) -> float:
-        return float(self.jumps().sum())
+        return float(self.jumps.sum())
 
     def mass_in(self, boxes) -> float:
         """Sum of jumps whose atom lies in the closed box union."""
         arr = as_boxes(boxes, self.domain)
-        if not self.atoms:
-            return 0.0
-        locs = self.locations()
-        jumps = self.jumps()
-        hit = np.zeros(len(self.atoms), dtype=bool)
+        locs = self.locations
+        hit = np.zeros(len(self), dtype=bool)
         for box in arr:
             hit |= np.all((locs >= box[:, 0]) & (locs <= box[:, 1]), axis=1)
-        return float(jumps[hit].sum())
+        return float(self.jumps[hit].sum())
 
 
 def sample_locations(measure: BaseMeasure, n: int, stream: RandomStream) -> np.ndarray:
@@ -440,26 +458,32 @@ def sample_locations(measure: BaseMeasure, n: int, stream: RandomStream) -> np.n
 
 
 def _sample_locations(measure: BaseMeasure, n: int, cursor: StreamCursor) -> np.ndarray:
-    total = measure.total_mass
-    if total <= 0:
-        raise ValueError("cannot sample from a measure with zero mass")
+    # One read of the most words n points can take, a component choice at
+    # every word, then a walk over the choices that start a point: a cell
+    # takes 1 + dim words, an atom one.  The cursor ends after the words used.
     cell_masses = (measure.density.values * measure.density.cell_volumes()).reshape(-1)
-    weights = np.concatenate([cell_masses, measure.atom_masses])
-    cum = np.cumsum(weights)
+    cum = np.cumsum(np.concatenate([cell_masses, measure.atom_masses]))
+    if not cum[-1] > 0:
+        raise ValueError("cannot sample from a measure with zero mass")
     n_cells = cell_masses.size
-    edges = measure.density.edges
-    grid_shape = tuple(e.size - 1 for e in edges)
     dim = measure.domain.dim
+    start = cursor.pos
+    u = cursor.uniforms(n * (1 + dim))
+    comp = np.minimum(np.searchsorted(cum, u * cum[-1], side="left"), cum.size - 1)
+    steps = np.where(comp < n_cells, 1 + dim, 1).tolist()
+    first = []
+    p = 0
+    for _ in range(n):
+        first.append(p)
+        p += steps[p]
+    cursor.pos = start + p
+    first = np.array(first, dtype=np.intp)
+    j = comp[first]
+    cell = j < n_cells
     out = np.empty((n, dim))
-    for i in range(n):
-        u = cursor.uniform() * cum[-1]
-        j = min(int(np.searchsorted(cum, u, side="left")), weights.size - 1)
-        if j < n_cells:
-            cell = np.unravel_index(j, grid_shape)
-            for d in range(dim):
-                lo = edges[d][cell[d]]
-                hi = edges[d][cell[d] + 1]
-                out[i, d] = lo + cursor.uniform() * (hi - lo)
-        else:
-            out[i] = measure.atom_locations[j - n_cells]
+    idx = np.unravel_index(j[cell], measure.density.values.shape)
+    for d, e in enumerate(measure.density.edges):
+        lo, hi = e[idx[d]], e[idx[d] + 1]
+        out[cell, d] = lo + u[first[cell] + 1 + d] * (hi - lo)
+    out[~cell] = measure.atom_locations[j[~cell] - n_cells]
     return out

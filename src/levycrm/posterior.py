@@ -98,10 +98,10 @@ def sample_bernoulli_data(
     """
     if M < 0:
         raise ValueError("M must be >= 0")
-    jumps = prior_draw.jumps()
+    jumps = prior_draw.jumps
     if jumps.size and (jumps.min() <= 0.0 or jumps.max() >= 1.0):
         raise InvalidPriorError("every prior jump must lie strictly in (0, 1)")
-    locs = prior_draw.locations()
+    locs = prior_draw.locations
     counts = np.zeros(len(prior_draw), dtype=np.int64)
     cur = stream.cursor()
     for i, pi in enumerate(jumps):

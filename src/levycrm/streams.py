@@ -205,9 +205,6 @@ class RandomStream:
         return hash((self.seed, self.path))
 
 
-_CURSOR_BUFFER = 128
-
-
 class StreamCursor:
     """Sequential reader over one stream's word sequence.
 
@@ -215,38 +212,19 @@ class StreamCursor:
     advances it by a count that depends only on the requested quantities and
     the values drawn, so a fixed request sequence always reads fixed stream
     positions.
-
-    Word values depend only on (key, position), so small reads are served
-    from a prefetched block; the values are identical to unbuffered reads.
     """
 
-    __slots__ = ("_k0", "_k1", "pos", "_buf", "_buf_start")
+    __slots__ = ("_k0", "_k1", "pos")
 
     def __init__(self, k0: int, k1: int, pos: int = 0):
         self._k0 = int(k0)
         self._k1 = int(k1)
         self.pos = pos
-        self._buf = None
-        self._buf_start = 0
 
     def words(self, n: int) -> np.ndarray:
-        if n <= 0:
-            return np.empty(0, dtype=np.uint64)
-        start = self.pos
-        self.pos += n
-        if n >= _CURSOR_BUFFER:
-            return _stream_words(self._k0, self._k1, start, n)
-        buf = self._buf
-        if (
-            buf is None
-            or start < self._buf_start
-            or start + n > self._buf_start + buf.size
-        ):
-            buf = _stream_words(self._k0, self._k1, start, _CURSOR_BUFFER)
-            self._buf = buf
-            self._buf_start = start
-        off = start - self._buf_start
-        return buf[off:off + n]
+        w = _stream_words(self._k0, self._k1, self.pos, n)
+        self.pos += w.size
+        return w
 
     def uniforms(self, n: int) -> np.ndarray:
         """n independent uniforms on (0, 1]; see ``_words_to_uniform``."""
@@ -270,9 +248,6 @@ class StreamCursor:
         u = self.uniforms(m)
         return int(_poisson_invert(np.full(m, rate / m), u).sum())
 
-    def exponential(self) -> float:
-        return -math.log(self.uniform())
-
     def beta_one(self, b: float) -> float:
         """Draw from Beta(1, b) by inverting the CDF 1 - (1-x)^b.
 
@@ -284,9 +259,6 @@ class StreamCursor:
     def normal(self) -> float:
         u = self.uniforms(2)
         return math.sqrt(-2.0 * math.log(u[0])) * math.cos(2.0 * math.pi * u[1])
-
-    def sign(self) -> float:
-        return 1.0 if self.uniform() < 0.5 else -1.0
 
     def gamma(self, shape: float, scale: float = 1.0) -> float:
         """Draw from Gamma(shape, scale).

@@ -336,52 +336,38 @@ def moment_oracle(family: str, params, A=None, r: int = 1) -> float:
     if r not in (1, 2):
         raise ValueError("moment order must be 1 or 2")
     if family == "beta":
-        c = params.concentration
-        cache = {}
-
-        def jvals(values):
-            out = np.empty_like(values, dtype=np.float64)
-            for i, v in enumerate(values.flat):
-                if v not in cache:
-                    cache[v] = _beta_jump_integral(float(v), r)
-                out.flat[i] = cache[v]
-            return out
-
-        return params.base.integral_against(c.map(jvals), A)
+        return _cellwise_moment(
+            params.base, params.concentration, A,
+            lambda v: _beta_jump_integral(v, r),
+        )
     if family == "stable-beta":
-        base = params.base
-        c = base.concentration
         s = params.sigma
-        cache = {}
-
-        def jvals(values):
-            out = np.empty_like(values, dtype=np.float64)
-            for i, v in enumerate(values.flat):
-                if v not in cache:
-                    cache[v] = _stable_jump_integral(float(v), s, r)
-                out.flat[i] = cache[v]
-            return out
-
-        return base.base.integral_against(c.map(jvals), A)
+        return _cellwise_moment(
+            params.base.base, params.base.concentration, A,
+            lambda v: _stable_jump_integral(v, s, r),
+        )
     if family == "gamma":
-        return _gamma_moment(params, A, r, lambda t: _gamma_jump_integral(t, r))
+        return _cellwise_moment(
+            params.base, params.scale, A, lambda t: _gamma_jump_integral(t, r)
+        )
     if family == "generalized-gamma":
         s = params.sigma
-        return _gamma_moment(
-            params.base, A, r, lambda t: _generalized_jump_integral(t, s, r)
+        return _cellwise_moment(
+            params.base.base, params.base.scale, A,
+            lambda t: _generalized_jump_integral(t, s, r),
         )
     if family == "symmetric-gamma":
         if r == 1:
             # the signed density is even, so the first moment vanishes
             return 0.0
-        return 2.0 * _gamma_moment(
-            params, A, r, lambda t: _gamma_jump_integral(t, r)
+        return 2.0 * _cellwise_moment(
+            params.base, params.scale, A, lambda t: _gamma_jump_integral(t, r)
         )
     raise ValueError(f"unknown family {family!r}")
 
 
-def _gamma_moment(params, A, r, jump_integral):
-    theta = params.scale
+def _cellwise_moment(base, fn, A, jump_integral):
+    """int_A jump_integral(fn(w)) base(dw), one quadrature per distinct value."""
     cache = {}
 
     def jvals(values):
@@ -392,7 +378,7 @@ def _gamma_moment(params, A, r, jump_integral):
             out.flat[i] = cache[v]
         return out
 
-    return params.base.integral_against(theta.map(jvals), A)
+    return base.integral_against(fn.map(jvals), A)
 
 
 @dataclass(frozen=True)

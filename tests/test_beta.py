@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levycrm import beta, verify
 from levycrm.measures import BaseMeasure, Domain, DomainError, PiecewiseConst
@@ -147,6 +149,24 @@ def test_simulate_process_extends_by_round():
         beta.simulate_beta_process(p, -1, s)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    c=st.floats(0.1, 5.0),
+    mass=st.floats(0.1, 40.0),
+    K=st.integers(0, 25),
+    more=st.integers(1, 10),
+)
+def test_growing_K_only_appends_atoms(seed, c, mass, K, more):
+    p = homog(c, mass)
+    short = beta.simulate_beta_process(p, K, RandomStream(seed))
+    full = beta.simulate_beta_process(p, K + more, RandomStream(seed))
+    n = len(short)
+    for a, b in zip(short.columns, full.columns):
+        assert np.array_equal(b[:n], a)
+    assert np.all(full.round_k[n:] > K)
+
+
 def test_round_zero_monte_carlo_moments():
     # 1e4 replicas of round 0 at c=1, gamma=1: mean 1/2, variance 1/3
     p = homog(1.0, 1.0)
@@ -172,7 +192,7 @@ def test_round_count_monte_carlo():
 def test_round_jump_mean():
     # one large round supplies 1e5 Beta(1,1) jumps
     pm = beta.simulate_round(homog(1.0, 1e5), 0, RandomStream(502))
-    j = pm.jumps()
+    j = pm.jumps
     assert j.size > 50_000
     se = j.std(ddof=1) / math.sqrt(j.size)
     assert abs(j.mean() - 0.5) < 3 * se

@@ -61,14 +61,16 @@ def test_worker_pool_size_does_not_change_bytes(tmp_path):
 
 
 # sha256 of runs that no benchmark workload reaches: gamma cells above one
-# Poisson chunk (rate 20 at k = h = 1), symmetric gamma, CSV, and posterior
-# counts whose rate needs two chunks.  A changed digest is a change of the
-# output contract, not of speed.
+# Poisson chunk (rate 20 at k = h = 1), symmetric gamma, CSV, posterior
+# counts whose rate needs two chunks, and dense beta rounds (hundreds of
+# atoms per round) at a seed of their own.  A changed digest is a change of
+# the output contract, not of speed.
 BYTE_PINS = {
     "gamma-mass40": "558260aa555c9eea07a944cb29ff5ea0205f7acb75f141ac5b08bd2eca1fae2f",
     "symmetric-gamma": "c19e950ac049ecc1377a1c8e39ec06ae07831919ea25c03cd9b4faf128e6dea0",
     "beta-csv": "2a379f0d309da32ff406fbbfb74fdd89c145f0c0b8b02386486d06b9f5f8d915",
     "posterior-M4": "26552ae2b3082dacf12dca14faf9db3dace80bfb5035af4c4c65e583a2b14aac",
+    "beta-dense": "5c61123240f75a8815f8ec5c43e46fb7495530a94e028afeb3f37ab1fbe1800c",
 }
 
 
@@ -100,6 +102,10 @@ def test_output_bytes_are_pinned(tmp_path):
         "posterior", "--c", "1", "--mass", "5", "--M", "4", "--K", "1000",
         "--draws", "300", "--seed", "25",
         "--prior", str(tmp_path / "prior.jsonl"), "--obs", str(obs),
+    ])
+    _, got["beta-dense"] = run(tmp_path, "d.jsonl", [
+        "simulate", "--family", "beta", "--c", "1", "--mass", "300", "--K", "20",
+        "--replicas", "2", "--seed", "26",
     ])
     assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == BYTE_PINS
 
@@ -357,6 +363,23 @@ def _fresh_python(code):
 
 def test_cli_import_does_not_load_scipy():
     res = _fresh_python("import levycrm.cli, sys; assert 'scipy' not in sys.modules")
+    assert res.returncode == 0, res.stderr
+
+
+def test_beta_and_posterior_runs_do_not_load_numpy_ma(tmp_path):
+    # np.unique and np.union1d import numpy.ma, a start-up cost of its own
+    prior, obs = _write_posterior_inputs(tmp_path)
+    out = tmp_path / "x.jsonl"
+    res = _fresh_python(
+        "import sys\n"
+        "from levycrm.cli import main\n"
+        "assert main(['simulate', '--family', 'beta', '--c', '1', '--K', '5',\n"
+        f"             '--seed', '1', '--out', {str(out)!r}]) == 0\n"
+        "assert main(['posterior', '--c', '1', '--M', '2', '--K', '5', '--seed', '1',\n"
+        f"             '--prior', {str(prior)!r}, '--obs', {str(obs)!r},\n"
+        f"             '--out', {str(out)!r}]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma loaded'\n"
+    )
     assert res.returncode == 0, res.stderr
 
 

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from levycrm import gamma, verify
@@ -178,11 +180,11 @@ def test_empty_subround_and_atom_tags():
 def test_jump_mean_and_locations_big_subround():
     # subround (1, 1) at base mass 2e5: ~1e5 Exponential(1/2) jumps
     pm = gamma.simulate_subround(homog(1.0, 2e5), 1, 1, RandomStream(600))
-    j = pm.jumps()
+    j = pm.jumps
     assert j.size > 50_000
     se = j.std(ddof=1) / math.sqrt(j.size)
     assert abs(j.mean() - 0.5) < 3 * se
-    counts = np.histogram(pm.locations()[:, 0], bins=20, range=(0.0, 1.0))[0]
+    counts = np.histogram(pm.locations[:, 0], bins=20, range=(0.0, 1.0))[0]
     res = verify.chi_square_gof(counts, np.full(20, 0.05))
     assert res.passed
 
@@ -191,7 +193,7 @@ def test_high_shape_subround():
     # h = 17 takes the rejection-sampler branch; mean h*theta/(k+1) = 8.5
     mass = 2.0**17 * 17 * 200
     pm = gamma.simulate_subround(homog(1.0, mass), 1, 17, RandomStream(604))
-    j = pm.jumps()
+    j = pm.jumps
     assert j.size > 100
     se = j.std(ddof=1) / math.sqrt(j.size)
     assert abs(j.mean() - 17.0 * 0.5) < 4 * se
@@ -293,3 +295,29 @@ def test_generalized_sigma_validation():
         gamma.GeneralizedGammaParams(UNIT_MASS, 0.0)
     with pytest.raises(ValueError):
         gamma.GeneralizedGammaParams(UNIT_MASS, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    mass=st.floats(0.1, 40.0),
+    K=st.integers(1, 30),
+    H=st.integers(1, 8),
+    more=st.integers(1, 10),
+    signed=st.booleans(),
+)
+def test_growing_K_or_H_only_adds_atoms(seed, mass, K, H, more, signed):
+    # rounds k > K go after the draw; subrounds h > H fall inside each round,
+    # so dropping them from the bigger draw must give back the smaller one
+    p = homog(1.5, mass)
+    sim = gamma.simulate_symmetric_gamma if signed else gamma.simulate_gamma_process
+    small = sim(p, K, H, RandomStream(seed))
+    n = len(small)
+    longer = sim(p, K + more, H, RandomStream(seed))
+    for a, b in zip(small.columns, longer.columns):
+        assert np.array_equal(b[:n], a)
+    assert np.all(longer.round_k[n:] > K)
+    deeper = sim(p, K, H + more, RandomStream(seed))
+    keep = deeper.subround_h <= H
+    for a, b in zip(small.columns, deeper.columns):
+        assert np.array_equal(b[keep], a)

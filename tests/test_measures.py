@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from levycrm.measures import (
     BaseMeasure,
@@ -16,7 +18,7 @@ from levycrm.measures import (
     DomainError,
     PiecewiseConst,
     PointMeasure,
-    WeightedAtom,
+    _sample_locations,
     positive_function,
     sample_locations,
 )
@@ -178,16 +180,16 @@ def test_poisson_count_wrapper():
 
 
 def test_point_measure_arithmetic():
-    a1 = WeightedAtom((0.2,), 0.5, round_k=0)
-    a2 = WeightedAtom((0.7,), 0.25, round_k=1)
-    pm = PointMeasure(UNIT, [a1]) + PointMeasure(UNIT, [a2])
+    a1 = ([[0.2]], [0.5], 0)
+    a2 = ([[0.7]], [0.25], 1)
+    pm = PointMeasure(UNIT, *a1) + PointMeasure(UNIT, *a2)
     assert pm.total_mass == 0.75
     assert pm.mass_in([(0.0, 0.5)]) == 0.5
-    assert np.array_equal(pm.jumps(), np.array([0.5, 0.25]))
-    assert pm.locations().shape == (2, 1)
+    assert np.array_equal(pm.jumps, np.array([0.5, 0.25]))
+    assert pm.locations.shape == (2, 1)
     other = Domain([(0.0, 2.0)])
     with pytest.raises(ValueError):
-        PointMeasure(UNIT, [a1]) + PointMeasure(other, [a2])
+        PointMeasure(UNIT, *a1) + PointMeasure(other, *a2)
 
 
 def test_reproducible_sampling():
@@ -195,3 +197,63 @@ def test_reproducible_sampling():
     a = sample_locations(m, 32, RandomStream(123, (4,)))
     b = sample_locations(m, 32, RandomStream(123, (4,)))
     assert np.array_equal(a, b)
+
+
+def _per_point_locations(measure, n, cursor):
+    # the sampler as a loop over points, one word per read: the component
+    # choice, then one position uniform per dimension for a density cell
+    cell_masses = (measure.density.values * measure.density.cell_volumes()).reshape(-1)
+    weights = np.concatenate([cell_masses, measure.atom_masses])
+    cum = np.cumsum(weights)
+    n_cells = cell_masses.size
+    edges = measure.density.edges
+    out = np.empty((n, measure.domain.dim))
+    for i in range(n):
+        u = cursor.uniform() * cum[-1]
+        j = min(int(np.searchsorted(cum, u, side="left")), weights.size - 1)
+        if j < n_cells:
+            cell = np.unravel_index(j, measure.density.values.shape)
+            for d in range(measure.domain.dim):
+                lo, hi = edges[d][cell[d]], edges[d][cell[d] + 1]
+                out[i, d] = lo + cursor.uniform() * (hi - lo)
+        else:
+            out[i] = measure.atom_locations[j - n_cells]
+    return out
+
+
+@st.composite
+def _mixed_measures(draw):
+    # density cells (zero-mass ones included) plus up to three fixed atoms,
+    # some of them zero-mass too
+    dim = draw(st.integers(1, 2))
+    domain = Domain([(0.0, 1.0), (-1.0, 2.0)][:dim])
+    edges = []
+    for lo, hi in domain.bounds:
+        inner = draw(st.lists(
+            st.floats(lo, hi, exclude_min=True, exclude_max=True), max_size=3, unique=True
+        ))
+        edges.append([lo, *sorted(inner), hi])
+    shape = tuple(len(e) - 1 for e in edges)
+    weights = st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0])
+    values = draw(st.lists(weights, min_size=math.prod(shape), max_size=math.prod(shape)))
+    spots = st.tuples(*[st.sampled_from([lo, 0.25, 0.5, hi]) for lo, hi in domain.bounds])
+    locs = draw(st.lists(spots, max_size=3, unique=True))
+    masses = draw(st.lists(weights, min_size=len(locs), max_size=len(locs)))
+    density = PiecewiseConst(domain, edges, np.reshape(values, shape))
+    if not locs:
+        return BaseMeasure(density)
+    return BaseMeasure(density, locs, masses)
+
+
+@settings(max_examples=200, deadline=None)
+@given(measure=_mixed_measures(), n=st.integers(0, 60), start=st.integers(0, 9))
+def test_sample_locations_matches_per_point_loop(measure, n, start):
+    assume(measure.total_mass > 0)
+    s = RandomStream(31, (n, start))
+    ref_cursor = s.cursor(start)
+    ref = _per_point_locations(measure, n, ref_cursor)
+    cursor = s.cursor(start)
+    got = _sample_locations(measure, n, cursor)
+    assert np.array_equal(got, ref)
+    assert cursor.pos == ref_cursor.pos
+    assert cursor.uniform() == ref_cursor.uniform()

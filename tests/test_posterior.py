@@ -19,7 +19,6 @@ from levycrm.measures import (
     PiecewiseConst,
     PointMeasure,
     UnsupportedParameterError,
-    WeightedAtom,
 )
 from levycrm.streams import RandomStream
 
@@ -112,7 +111,7 @@ def test_posterior_round_measure():
 
 
 def test_sample_bernoulli_data():
-    pd = PointMeasure(UNIT, [WeightedAtom((0.2,), 0.3, 0), WeightedAtom((0.7,), 1.0 - 1e-12, 0)])
+    pd = PointMeasure(UNIT, [[0.2], [0.7]], [0.3, 1.0 - 1e-12], [0, 0])
     obs = posterior.sample_bernoulli_data(pd, 0, RandomStream(1))
     assert obs.M == 0 and (obs.counts == 0).all()
     obs = posterior.sample_bernoulli_data(pd, 10_000, RandomStream(800))
@@ -120,13 +119,13 @@ def test_sample_bernoulli_data():
     se = math.sqrt(10_000 * 0.3 * 0.7)
     assert abs(obs.counts[0] - 3000.0) < 4 * se
     assert obs.counts[1] == 10_000
-    bad = PointMeasure(UNIT, [WeightedAtom((0.2,), 1.5, 0)])
+    bad = PointMeasure(UNIT, [[0.2]], [1.5], [0])
     with pytest.raises(posterior.InvalidPriorError):
         posterior.sample_bernoulli_data(bad, 3, RandomStream(1))
 
 
 def test_bernoulli_counts_independent_across_atoms():
-    pd = PointMeasure(UNIT, [WeightedAtom((0.2,), 0.3, 0), WeightedAtom((0.7,), 0.6, 0)])
+    pd = PointMeasure(UNIT, [[0.2], [0.7]], [0.3, 0.6], [0, 0])
     xs = np.empty((3000, 2))
     for r in range(3000):
         xs[r] = posterior.sample_bernoulli_data(pd, 10, RandomStream(801, (r,))).counts

@@ -91,7 +91,7 @@ def test_word_layout_is_position_pure():
 
 
 def test_cursor_reads_match_direct_words():
-    # the cursor buffers internally; values must not depend on read sizes
+    # values must not depend on read sizes
     s = RandomStream(2024)
     direct = _stream_words(*s.key, 0, 600)
     cur = s.cursor()
@@ -100,6 +100,18 @@ def test_cursor_reads_match_direct_words():
     # a cursor started mid-stream agrees with the same positions
     cur2 = s.cursor(start=137)
     assert np.array_equal(cur2.words(100), direct[137:237])
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.integers(0, 2**40), pieces=st.lists(st.integers(-2, 40), max_size=12))
+def test_split_cursor_reads_equal_one_read(start, pieces):
+    # nonpositive reads return nothing and leave the cursor where it was
+    s = RandomStream(2025)
+    cur = s.cursor(start)
+    got = np.concatenate([np.empty(0, np.uint64)] + [cur.words(n) for n in pieces])
+    total = sum(max(n, 0) for n in pieces)
+    assert np.array_equal(got, _stream_words(*s.key, start, total))
+    assert cur.pos == start + total
 
 
 def test_batch_words_matches_cursor():
