@@ -58,7 +58,7 @@ class BetaProcessParams:
         cls, c: float, mass: float, domain: Domain | None = None
     ) -> "BetaProcessParams":
         """Constant concentration c and uniform base with the given mass."""
-        domain = domain or Domain.unit_interval()
+        domain = domain or Domain()
         return cls(float(c), BaseMeasure.uniform(domain, mass))
 
     @property

@@ -52,9 +52,6 @@ class CLIError(ValueError):
     """Bad flags or malformed input files; exits with code 2."""
 
 
-# families whose atoms carry no sub-round index; h serializes as null
-_NO_SUBROUND = ("beta", "stable-beta")
-
 _DENSITY_TARGET_MARGIN = 1e-7  # per-point tail used to pick K from the bound
 
 
@@ -223,7 +220,8 @@ def cmd_simulate(args) -> int:
     rows = []
     for r in range(args.replicas):
         draw = one(r)
-        hs = [None] * len(draw) if family in _NO_SUBROUND else draw.subround_h.tolist()
+        # beta atoms carry no sub-round index; h serializes as null
+        hs = [None] * len(draw) if family == "beta" else draw.subround_h.tolist()
         for k, h, loc, jump in zip(
             draw.round_k.tolist(), hs, draw.locations.tolist(), draw.jumps.tolist()
         ):
@@ -547,34 +545,18 @@ def _gamma_k(p, theta) -> int:
     return max(1, math.ceil(-math.log(_DENSITY_TARGET_MARGIN) * theta / p))
 
 
-def _check_beta_density(args):
+def _check_beta_density(args, family):
+    """Density rows for ``family`` "beta" or "stable-beta" (at --sigma)."""
     grid = np.linspace(0.05, 0.95, 50)
+    k_for = (lambda x: args.K) if args.K is not None else _geometric_k
     rows = []
     for c in (0.5, 1.0, 3.0):
-        k_for = (lambda x: args.K) if args.K is not None else _geometric_k
-        rows.append(
-            _density_check_rows(
-                f"beta-density/c={c:g}", "beta", {"c": c}, grid, k_for
-            )
-        )
-    return rows
-
-
-def _check_stable_beta_density(args):
-    grid = np.linspace(0.05, 0.95, 50)
-    s = args.sigma
-    rows = []
-    for c in (0.5, 1.0, 3.0):
-        k_for = (lambda x: args.K) if args.K is not None else _geometric_k
-        rows.append(
-            _density_check_rows(
-                f"stable-beta-density/c={c:g},sigma={s:g}",
-                "stable-beta",
-                {"c": c, "sigma": s},
-                grid,
-                k_for,
-            )
-        )
+        params, label = {"c": c}, f"c={c:g}"
+        if family == "stable-beta":
+            params["sigma"] = args.sigma
+            label += f",sigma={args.sigma:g}"
+        name = f"{family}-density/{label}"
+        rows.append(_density_check_rows(name, family, params, grid, k_for))
     return rows
 
 
@@ -662,16 +644,20 @@ def _check_ibp(args):
     return rows
 
 
+def _replica_masses(sim, params, K, H, args, root):
+    """Total mass of each of --replicas draws; replica r reads root path [r]."""
+    return np.array(
+        [sim(params, K, H, root.child(r)).total_mass for r in range(args.replicas)]
+    )
+
+
 def _check_gamma_marginal(args, root):
     from scipy import special
 
     from . import verify
     params = gamma.GammaProcessParams.homogeneous(1.0, 2.0)
     K, H = 199, 40
-    masses = np.empty(args.replicas, dtype=np.float64)
-    for r in range(args.replicas):
-        draw = gamma.simulate_gamma_process(params, K, H, root.child(r))
-        masses[r] = draw.total_mass
+    masses = _replica_masses(gamma.simulate_gamma_process, params, K, H, args, root)
     # scipy.stats computes the Gamma(2, 1) CDF as exactly this call
     res = verify.ks_distance(masses, lambda x: special.gammainc(2.0, x))
     return [
@@ -691,10 +677,7 @@ def _check_symmetric_variance(args, root):
     from . import verify
     params = gamma.GammaProcessParams.homogeneous(1.0, 1.0)
     K, H = 100, 30
-    masses = np.empty(args.replicas, dtype=np.float64)
-    for r in range(args.replicas):
-        draw = gamma.simulate_symmetric_gamma(params, K, H, root.child(r))
-        masses[r] = draw.total_mass
+    masses = _replica_masses(gamma.simulate_symmetric_gamma, params, K, H, args, root)
     mom = verify.monte_carlo_moments(masses)
     target_var = gamma.symmetric_variance(params, K, H)
     return [
@@ -773,8 +756,8 @@ def cmd_verify(args) -> int:
     root = RandomStream(seed)
 
     runners = {
-        "beta-density": lambda: _check_beta_density(args),
-        "stable-beta-density": lambda: _check_stable_beta_density(args),
+        "beta-density": lambda: _check_beta_density(args, "beta"),
+        "stable-beta-density": lambda: _check_beta_density(args, "stable-beta"),
         "gamma-density": lambda: _check_gamma_density(args),
         "moment-closure": lambda: _check_moment_closure(args),
         "ibp": lambda: _check_ibp(args),

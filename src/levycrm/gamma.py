@@ -77,7 +77,7 @@ class GammaProcessParams:
     def homogeneous(
         cls, theta: float, mass: float, domain: Domain | None = None
     ) -> "GammaProcessParams":
-        domain = domain or Domain.unit_interval()
+        domain = domain or Domain()
         return cls(BaseMeasure.uniform(domain, mass), float(theta))
 
     @property

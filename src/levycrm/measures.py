@@ -19,7 +19,7 @@ from functools import reduce
 
 import numpy as np
 
-from .streams import RandomStream, StreamCursor
+from .streams import StreamCursor
 
 
 class DomainError(ValueError):
@@ -57,10 +57,6 @@ class Domain:
             raise ValueError("each lower bound must be below its upper bound")
         self.bounds = b
         self.bounds.setflags(write=False)
-
-    @classmethod
-    def unit_interval(cls) -> "Domain":
-        return cls([(0.0, 1.0)])
 
     @property
     def dim(self) -> int:
@@ -155,8 +151,7 @@ class PiecewiseConst:
         )
 
     def cell_volumes(self) -> np.ndarray:
-        diffs = [np.diff(e) for e in self.edges]
-        return reduce(np.multiply.outer, diffs) if len(diffs) > 1 else diffs[0]
+        return _cell_volumes(self.edges)
 
     def at(self, points) -> np.ndarray:
         """Evaluate at an (n, dim) array of points inside the domain."""
@@ -194,14 +189,9 @@ class PiecewiseConst:
         """Exact integral over the domain, or over a union of boxes."""
         if boxes is None:
             return float(np.sum(self.values * self.cell_volumes()))
-        boxes = as_boxes(boxes, self.domain)
-        edges = _edges_with_boxes(self.edges, boxes)
-        vals = self.on_grid(edges)
-        mask = _covered_cells(edges, boxes)
-        vols = reduce(np.multiply.outer, [np.diff(e) for e in edges]) if len(
-            edges
-        ) > 1 else np.diff(edges[0])
-        return float(np.sum(vals * vols * mask))
+        # times 1.0 leaves every cell product bit-identical
+        one = PiecewiseConst.constant(self.domain, 1.0)
+        return weighted_cell_integral(self, one, boxes)
 
     def min(self) -> float:
         return float(self.values.min())
@@ -230,6 +220,19 @@ def _union(*arrays) -> np.ndarray:
     """
     v = np.sort(np.concatenate([np.ravel(a) for a in arrays]))
     return v[np.concatenate(([True], v[1:] != v[:-1]))]
+
+
+def _cell_volumes(edges) -> np.ndarray:
+    diffs = [np.diff(e) for e in edges]
+    return reduce(np.multiply.outer, diffs) if len(diffs) > 1 else diffs[0]
+
+
+def _in_boxes(points: np.ndarray, boxes) -> np.ndarray:
+    """Mask of the (n, dim) points that lie in some closed (m, dim, 2) box."""
+    hit = np.zeros(len(points), dtype=bool)
+    for box in boxes:
+        hit |= np.all((points >= box[:, 0]) & (points <= box[:, 1]), axis=1)
+    return hit
 
 
 def _covered_cells(edges, boxes: np.ndarray) -> np.ndarray:
@@ -320,15 +323,7 @@ class BaseMeasure:
         """Measure of a union of closed boxes, atoms included."""
         total = self.density.integral(boxes)
         if self.atom_masses.size:
-            arr = as_boxes(boxes, self.domain)
-            hit = np.zeros(self.atom_masses.shape, dtype=bool)
-            for box in arr:
-                inside = np.all(
-                    (self.atom_locations >= box[:, 0])
-                    & (self.atom_locations <= box[:, 1]),
-                    axis=1,
-                )
-                hit |= inside
+            hit = _in_boxes(self.atom_locations, as_boxes(boxes, self.domain))
             total += float(self.atom_masses[hit].sum())
         return total
 
@@ -340,14 +335,7 @@ class BaseMeasure:
             if boxes is None:
                 total += float((self.atom_masses * w).sum())
             else:
-                arr = as_boxes(boxes, self.domain)
-                hit = np.zeros(self.atom_masses.shape, dtype=bool)
-                for box in arr:
-                    hit |= np.all(
-                        (self.atom_locations >= box[:, 0])
-                        & (self.atom_locations <= box[:, 1]),
-                        axis=1,
-                    )
+                hit = _in_boxes(self.atom_locations, as_boxes(boxes, self.domain))
                 total += float((self.atom_masses * w)[hit].sum())
         return total
 
@@ -356,15 +344,11 @@ def weighted_cell_integral(density: PiecewiseConst, f: PiecewiseConst, boxes=Non
     """Integral of the product of two piecewise-constant functions."""
     edges = common_edges(density, f)
     if boxes is not None:
-        edges = _edges_with_boxes(edges, as_boxes(boxes, density.domain))
-    dvals = density.on_grid(edges)
-    fvals = f.on_grid(edges)
-    vols = reduce(np.multiply.outer, [np.diff(e) for e in edges]) if len(
-        edges
-    ) > 1 else np.diff(edges[0])
-    prod = dvals * fvals * vols
+        boxes = as_boxes(boxes, density.domain)
+        edges = _edges_with_boxes(edges, boxes)
+    prod = density.on_grid(edges) * f.on_grid(edges) * _cell_volumes(edges)
     if boxes is not None:
-        prod = prod * _covered_cells(edges, as_boxes(boxes, density.domain))
+        prod = prod * _covered_cells(edges, boxes)
     return float(prod.sum())
 
 
@@ -439,25 +423,17 @@ class PointMeasure:
 
     def mass_in(self, boxes) -> float:
         """Sum of jumps whose atom lies in the closed box union."""
-        arr = as_boxes(boxes, self.domain)
-        locs = self.locations
-        hit = np.zeros(len(self), dtype=bool)
-        for box in arr:
-            hit |= np.all((locs >= box[:, 0]) & (locs <= box[:, 1]), axis=1)
+        hit = _in_boxes(self.locations, as_boxes(boxes, self.domain))
         return float(self.jumps[hit].sum())
 
 
-def sample_locations(measure: BaseMeasure, n: int, stream: RandomStream) -> np.ndarray:
+def _sample_locations(measure: BaseMeasure, n: int, cursor: StreamCursor) -> np.ndarray:
     """n locations drawn i.i.d. from the normalized measure.
 
     Returns an (n, dim) array.  Consumes, per point, one component-choice
     uniform plus one uniform per dimension when a density cell is chosen
     (atoms need no position draw).
     """
-    return _sample_locations(measure, n, stream.cursor())
-
-
-def _sample_locations(measure: BaseMeasure, n: int, cursor: StreamCursor) -> np.ndarray:
     # One read of the most words n points can take, a component choice at
     # every word, then a walk over the choices that start a point: a cell
     # takes 1 + dim words, an atom one.  The cursor ends after the words used.

@@ -42,6 +42,9 @@ from .streams import (
     batch_words,
 )
 
+# child streams per fused generator call in resample_observed_jumps
+_RESAMPLE_BATCH = 8192
+
 
 class InvalidPriorError(ValueError):
     """The supplied prior draw violates the family's jump support."""
@@ -181,7 +184,6 @@ def resample_observed_jumps(
     K: int,
     stream: RandomStream,
     draws: int,
-    _batch: int = 8192,
 ) -> np.ndarray:
     """Many resampled jumps at once, one per child stream of ``stream``.
 
@@ -200,8 +202,8 @@ def resample_observed_jumps(
         return out
     b = c + M + np.arange(K + 1, dtype=np.float64)
     cum = np.cumsum(m_i / b)
-    for lo in range(0, draws, _batch):
-        hi = min(lo + _batch, draws)
+    for lo in range(0, draws, _RESAMPLE_BATCH):
+        hi = min(lo + _RESAMPLE_BATCH, draws)
         k0s, k1s = stream.child_keys(np.arange(lo, hi))
         counts, used = batch_poisson(cum[-1], k0s, k1s)
         nmax = int(counts.max())

@@ -98,13 +98,10 @@ def levy_density(family: str, params: dict, jump: float) -> float:
     if family == "stable-beta":
         c, s = _req(params, "c", "sigma")
         _check_unit_interior(x)
-        lconst = (
-            special.gammaln(c + 1.0)
-            - special.gammaln(1.0 - s)
-            - special.gammaln(c + s)
-        )
         return math.exp(
-            lconst + (-s - 1.0) * math.log(x) + (c + s - 1.0) * math.log1p(-x)
+            _stable_log_norm(c, s)
+            + (-s - 1.0) * math.log(x)
+            + (c + s - 1.0) * math.log1p(-x)
         )
     if family == "gamma":
         theta = _req(params, "theta")
@@ -133,6 +130,11 @@ def levy_density(family: str, params: dict, jump: float) -> float:
 def _check_unit_interior(x):
     if not 0.0 < x < 1.0:
         raise DomainError("jump must lie strictly inside (0, 1)")
+
+
+def _stable_log_norm(c, s):
+    # log of the stable-beta constant Gamma(c+1)/(Gamma(1-s)Gamma(c+s))
+    return special.gammaln(c + 1.0) - special.gammaln(1.0 - s) - special.gammaln(c + s)
 
 
 @dataclass(frozen=True)
@@ -184,13 +186,8 @@ def decomposition_density_partial_sum(
             - special.gammaln(c + s)
         )
         terms = np.exp(logw) * stats.beta.pdf(x, 1.0 - s, c + s + ks)
-        lconst = (
-            special.gammaln(c + 1.0)
-            - special.gammaln(1.0 - s)
-            - special.gammaln(c + s)
-        )
         tail = math.exp(
-            lconst
+            _stable_log_norm(c, s)
             - (s + 1.0) * math.log(x)
             + (c + s + K + 1.0) * math.log1p(-x)
         )
@@ -305,10 +302,7 @@ def _gamma_jump_integral(theta, r):
 
 
 def _stable_jump_integral(c, s, r):
-    lconst = (
-        special.gammaln(c + 1.0) - special.gammaln(1.0 - s) - special.gammaln(c + s)
-    )
-    const = math.exp(lconst)
+    const = math.exp(_stable_log_norm(c, s))
 
     def fn(pi):
         return const * pi ** (r - s - 1.0) * (1.0 - pi) ** (c + s - 1.0)

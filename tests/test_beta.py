@@ -17,7 +17,7 @@ from levycrm import beta, verify
 from levycrm.measures import BaseMeasure, Domain, DomainError, PiecewiseConst
 from levycrm.streams import RandomStream
 
-UNIT = Domain.unit_interval()
+UNIT = Domain()
 
 
 def homog(c, mass):

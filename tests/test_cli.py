@@ -63,14 +63,17 @@ def test_worker_pool_size_does_not_change_bytes(tmp_path):
 # sha256 of runs that no benchmark workload reaches: gamma cells above one
 # Poisson chunk (rate 20 at k = h = 1), symmetric gamma, CSV, posterior
 # counts whose rate needs two chunks, and dense beta rounds (hundreds of
-# atoms per round) at a seed of their own.  A changed digest is a change of
-# the output contract, not of speed.
+# atoms per round) at a seed of their own, plus the default and full verify
+# suites at seed 5.  A changed digest is a change of the output contract, not
+# of speed.
 BYTE_PINS = {
     "gamma-mass40": "558260aa555c9eea07a944cb29ff5ea0205f7acb75f141ac5b08bd2eca1fae2f",
     "symmetric-gamma": "c19e950ac049ecc1377a1c8e39ec06ae07831919ea25c03cd9b4faf128e6dea0",
     "beta-csv": "2a379f0d309da32ff406fbbfb74fdd89c145f0c0b8b02386486d06b9f5f8d915",
     "posterior-M4": "26552ae2b3082dacf12dca14faf9db3dace80bfb5035af4c4c65e583a2b14aac",
     "beta-dense": "5c61123240f75a8815f8ec5c43e46fb7495530a94e028afeb3f37ab1fbe1800c",
+    "verify-default": "65f3dea4e86a56f1bfdaf5f8fd4f23c64e525ceb0aa4e681a3e1c999630a684b",
+    "verify-all": "62ca0c046697011ef3e85c0a37f14017a41bede312378216b335c15569b1cc31",
 }
 
 
@@ -106,6 +109,10 @@ def test_output_bytes_are_pinned(tmp_path):
     _, got["beta-dense"] = run(tmp_path, "d.jsonl", [
         "simulate", "--family", "beta", "--c", "1", "--mass", "300", "--K", "20",
         "--replicas", "2", "--seed", "26",
+    ])
+    _, got["verify-default"] = run(tmp_path, "v.jsonl", ["verify", "--seed", "5"])
+    _, got["verify-all"] = run(tmp_path, "va.jsonl", [
+        "verify", "--check", "all", "--replicas", "200", "--seed", "5",
     ])
     assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == BYTE_PINS
 
@@ -384,14 +391,20 @@ def test_beta_and_posterior_runs_do_not_load_numpy_ma(tmp_path):
 
 
 def test_verify_names_resolve_on_access():
+    # the package holds submodules only; verify loads on first access
     res = _fresh_python(
         "import sys, levycrm\n"
-        "ks = levycrm.ks_distance\n"
-        "from levycrm import verify\n"
-        "assert ks is verify.ks_distance and levycrm.verify is verify\n"
-        "assert levycrm.KSResult is verify.KSResult\n"
+        "assert 'levycrm.verify' not in sys.modules\n"
+        "verify = levycrm.verify\n"
+        "from levycrm import verify as again\n"
+        "assert verify is again is sys.modules['levycrm.verify']\n"
         "assert 'scipy.stats' not in sys.modules\n"
-        "assert not hasattr(levycrm, 'no_such_name')\n"
+        "for name in ('ks_distance', 'BetaProcessParams', 'no_such_name'):\n"
+        "    try:\n"
+        "        getattr(levycrm, name)\n"
+        "    except AttributeError:\n"
+        "        continue\n"
+        "    raise SystemExit(name + ' resolved on the package')\n"
     )
     assert res.returncode == 0, res.stderr
 

@@ -6,6 +6,7 @@ checked with Monte Carlo intervals and a chi-square uniformity test.
 """
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -18,14 +19,17 @@ from levycrm.measures import (
     DomainError,
     PiecewiseConst,
     PointMeasure,
+    _covered_cells,
+    _edges_with_boxes,
     _sample_locations,
+    as_boxes,
+    common_edges,
     positive_function,
-    sample_locations,
 )
 from levycrm.streams import RandomStream
 from levycrm.verify import chi_square_gof
 
-UNIT = Domain.unit_interval()
+UNIT = Domain()
 
 
 def test_domain_validation():
@@ -123,7 +127,8 @@ def test_base_measure_invariants():
 
 
 def test_sample_locations_uniform_mean():
-    locs = sample_locations(BaseMeasure.uniform(UNIT, 1.0), 100_000, RandomStream(4))
+    m = BaseMeasure.uniform(UNIT, 1.0)
+    locs = _sample_locations(m, 100_000, RandomStream(4).cursor())
     assert locs.shape == (100_000, 1)
     se = (1.0 / math.sqrt(12.0)) / math.sqrt(locs.shape[0])
     assert abs(locs.mean() - 0.5) < 3 * se
@@ -131,14 +136,14 @@ def test_sample_locations_uniform_mean():
 
 def test_sample_locations_empty_and_atoms():
     m = BaseMeasure.uniform(UNIT, 1.0)
-    assert sample_locations(m, 0, RandomStream(1)).shape == (0, 1)
+    assert _sample_locations(m, 0, RandomStream(1).cursor()).shape == (0, 1)
     zero = PiecewiseConst.constant(UNIT, 1.0).map(lambda v: v * 0.0)
     with pytest.raises(ValueError):
-        sample_locations(BaseMeasure(zero), 1, RandomStream(1))
+        _sample_locations(BaseMeasure(zero), 1, RandomStream(1).cursor())
     atom_only = BaseMeasure(
         zero, atom_locations=np.array([[0.3]]), atom_masses=np.array([1.0])
     )
-    locs = sample_locations(atom_only, 50, RandomStream(2))
+    locs = _sample_locations(atom_only, 50, RandomStream(2).cursor())
     assert np.all(locs == 0.3)
 
 
@@ -149,21 +154,22 @@ def test_sample_locations_mixture_split():
         atom_locations=np.array([[0.5]]),
         atom_masses=np.array([3.0]),
     )
-    locs = sample_locations(m, 20_000, RandomStream(6))
+    locs = _sample_locations(m, 20_000, RandomStream(6).cursor())
     freq = float(np.mean(locs[:, 0] == 0.5))
     se = math.sqrt(0.75 * 0.25 / 20_000)
     assert abs(freq - 0.75) < 4 * se
 
 
 def test_sample_locations_chi_square_uniformity():
-    locs = sample_locations(BaseMeasure.uniform(UNIT, 2.0), 100_000, RandomStream(9))
+    m = BaseMeasure.uniform(UNIT, 2.0)
+    locs = _sample_locations(m, 100_000, RandomStream(9).cursor())
     counts, _ = np.histogram(locs[:, 0], bins=20, range=(0.0, 1.0))
     assert chi_square_gof(counts, np.full(20, 0.05)).passed
 
 
 def test_sample_locations_respects_density_weights():
     den = PiecewiseConst(UNIT, [np.array([0.0, 0.5, 1.0])], np.array([1.0, 3.0]))
-    locs = sample_locations(BaseMeasure(den), 40_000, RandomStream(12))
+    locs = _sample_locations(BaseMeasure(den), 40_000, RandomStream(12).cursor())
     freq = float(np.mean(locs[:, 0] >= 0.5))
     se = math.sqrt(0.75 * 0.25 / 40_000)
     assert abs(freq - 0.75) < 4 * se
@@ -194,8 +200,8 @@ def test_point_measure_arithmetic():
 
 def test_reproducible_sampling():
     m = BaseMeasure.uniform(UNIT, 1.0)
-    a = sample_locations(m, 32, RandomStream(123, (4,)))
-    b = sample_locations(m, 32, RandomStream(123, (4,)))
+    a = _sample_locations(m, 32, RandomStream(123, (4,)).cursor())
+    b = _sample_locations(m, 32, RandomStream(123, (4,)).cursor())
     assert np.array_equal(a, b)
 
 
@@ -257,3 +263,92 @@ def test_sample_locations_matches_per_point_loop(measure, n, start):
     assert np.array_equal(got, ref)
     assert cursor.pos == ref_cursor.pos
     assert cursor.uniform() == ref_cursor.uniform()
+
+
+def _ref_integral(fn, boxes):
+    # PiecewiseConst.integral over boxes as a direct cell sum
+    boxes = as_boxes(boxes, fn.domain)
+    edges = _edges_with_boxes(fn.edges, boxes)
+    vals = fn.on_grid(edges)
+    mask = _covered_cells(edges, boxes)
+    vols = _ref_volumes(edges)
+    return float(np.sum(vals * vols * mask))
+
+
+def _ref_volumes(edges):
+    return reduce(np.multiply.outer, [np.diff(e) for e in edges])
+
+
+def _ref_hits(points, boxes):
+    hit = np.zeros(len(points), dtype=bool)
+    for box in boxes:
+        hit |= np.all((points >= box[:, 0]) & (points <= box[:, 1]), axis=1)
+    return hit
+
+
+def _ref_mass_of(m, boxes):
+    total = _ref_integral(m.density, boxes)
+    if m.atom_masses.size:
+        hit = _ref_hits(m.atom_locations, as_boxes(boxes, m.domain))
+        total += float(m.atom_masses[hit].sum())
+    return total
+
+
+def _ref_integral_against(m, f, boxes):
+    boxes = as_boxes(boxes, m.domain)
+    edges = _edges_with_boxes(common_edges(m.density, f), boxes)
+    prod = m.density.on_grid(edges) * f.on_grid(edges) * _ref_volumes(edges)
+    total = float((prod * _covered_cells(edges, boxes)).sum())
+    if m.atom_masses.size:
+        hit = _ref_hits(m.atom_locations, boxes)
+        total += float((m.atom_masses * f.at(m.atom_locations))[hit].sum())
+    return total
+
+
+_VALUES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.floats(0.0, 5.0))
+
+
+@st.composite
+def _boxed_cases(draw):
+    # a base measure, an f on its own grid, 1-3 boxes and a point measure,
+    # with box corners often on cell edges and atoms
+    dim = draw(st.integers(1, 2))
+    domain = Domain([(0.0, 1.0), (-1.0, 2.0)][:dim])
+
+    def grid():
+        edges = []
+        for lo, hi in domain.bounds:
+            inner = draw(st.lists(
+                st.floats(lo, hi, exclude_min=True, exclude_max=True),
+                max_size=4, unique=True,
+            ))
+            edges.append([lo, *sorted(inner), hi])
+        shape = tuple(len(e) - 1 for e in edges)
+        size = math.prod(shape)
+        values = draw(st.lists(_VALUES, min_size=size, max_size=size))
+        return PiecewiseConst(domain, edges, np.reshape(values, shape))
+
+    density, f = grid(), grid()
+    spots = [sorted({*b, 0.25, 0.5, *e}) for b, e in zip(domain.bounds, density.edges)]
+    coord = [st.one_of(st.sampled_from(s), st.floats(s[0], s[-1])) for s in spots]
+    locs = draw(st.lists(st.tuples(*coord), max_size=3, unique=True))
+    masses = draw(st.lists(_VALUES, min_size=len(locs), max_size=len(locs)))
+    base = BaseMeasure(density, locs, masses) if locs else BaseMeasure(density)
+    boxes = []
+    for _ in range(draw(st.integers(1, 3))):
+        boxes.append([sorted(draw(st.tuples(c, c))) for c in coord])
+    points = draw(st.lists(st.tuples(*coord), max_size=6))
+    jumps = draw(st.lists(_VALUES, min_size=len(points), max_size=len(points)))
+    pm = PointMeasure(domain, np.reshape(points, (len(points), dim)), jumps)
+    return base, f, boxes, pm
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_boxed_cases())
+def test_boxed_integrals_match_reference_loops(case):
+    base, f, boxes, pm = case
+    assert base.density.integral(boxes) == _ref_integral(base.density, boxes)
+    assert base.mass_of(boxes) == _ref_mass_of(base, boxes)
+    assert base.integral_against(f, boxes) == _ref_integral_against(base, f, boxes)
+    hit = _ref_hits(pm.locations, as_boxes(boxes, pm.domain))
+    assert pm.mass_in(boxes) == float(pm.jumps[hit].sum())

@@ -22,7 +22,7 @@ from levycrm.measures import (
 )
 from levycrm.streams import RandomStream
 
-UNIT = Domain.unit_interval()
+UNIT = Domain()
 
 
 def prior(c=1.0, mass=1.0):

@@ -25,7 +25,7 @@ from levycrm.streams import (
     batch_words,
 )
 
-UNIT = Domain.unit_interval()
+UNIT = Domain()
 
 
 def homog(c, mass):
