@@ -13,8 +13,11 @@ Output is a header record followed by data records, as JSONL (default)
 or CSV.  Every float is printed with 17 significant digits, so JSONL and
 CSV encodings of one run carry identical numeric values, and a repeated
 run with the same seed is byte-identical.  The header includes the seed
-(generated and recorded when not supplied), the library version, and the
-applicable truncation error.
+(generated when not supplied; ``truncation-table`` draws nothing and
+records null), the library version, and the applicable truncation error.
+Data records go out block by block, a block being one record kind's rows
+held as columns and formatted through one template; every block is
+checked before the output opens, so a run that fails writes nothing.
 
 Replica r always owns stream path [r], so its atoms do not depend on how
 many other replicas are drawn.
@@ -29,6 +32,8 @@ command's functions, so the other commands start without it.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -99,18 +104,47 @@ def _csv_field(v) -> str:
     return s
 
 
-def _emit(args, header: dict, rows: list, columns: list) -> None:
-    if args.format == "jsonl":
-        lines = [_json_line(header)] + [_json_line(r) for r in rows]
-    else:
-        lines = ["# " + _json_line(header), ",".join(columns)]
-        lines += [",".join(_csv_field(r.get(c)) for c in columns) for r in rows]
-    data = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
-            f.write(data)
-    else:
-        sys.stdout.write(data)
+def _block_template(block: dict, columns: list, jsonl: bool):
+    """A block's ``%`` template and the 1-D arrays that fill it row by row.
+
+    A numpy array is a column with one entry per row; a 2-D one holds a
+    location per row.  Any other value is a constant, formatted once and
+    baked into the template.
+    """
+    fields, cols = [], []
+    for name in block if jsonl else columns:
+        v = block.get(name)
+        if isinstance(v, np.ndarray):
+            fmt = "%.17g" if v.dtype.kind == "f" else "%d"
+            if fmt == "%.17g" and not np.isfinite(v).all():
+                raise ValueError("refusing to serialize a non-finite number")
+            per_dim = np.atleast_2d(v.T)  # (dim, rows); a 1-D column has dim 1
+            cols.extend(per_dim)
+            field = (", " if jsonl else ";").join([fmt] * len(per_dim))
+            field = f"[{field}]" if jsonl and v.ndim == 2 else field
+        else:
+            field = (_json_value(v) if jsonl else _csv_field(v)).replace("%", "%%")
+        if jsonl:
+            field = json.dumps(name).replace("%", "%%") + ": " + field
+        fields.append(field)
+    line = "{" + ", ".join(fields) + "}" if jsonl else ",".join(fields)
+    return line + "\n", cols
+
+
+def _emit(args, header: dict, blocks: list, columns: list) -> None:
+    jsonl = args.format == "jsonl"
+    head = _json_line(header) + "\n"
+    if not jsonl:
+        head = "# " + head + ",".join(columns) + "\n"
+    # every block is checked before the output opens, so a failure writes nothing
+    filled = [_block_template(b, columns, jsonl) for b in blocks]
+    with open(args.out, "w", encoding="utf-8", newline="") if args.out else (
+        contextlib.nullcontext(sys.stdout)
+    ) as f:
+        f.write(head)
+        for template, cols in filled:
+            rows = zip(*[c.tolist() for c in cols]) if cols else [()]
+            f.write("".join(map(template.__mod__, rows)))
 
 
 def _resolve_seed(args) -> int:
@@ -217,27 +251,23 @@ def cmd_simulate(args) -> int:
     else:  # pragma: no cover - argparse choices guard this
         raise CLIError(f"unknown family {family!r}")
 
-    rows = []
+    blocks = []
     for r in range(args.replicas):
         draw = one(r)
-        # beta atoms carry no sub-round index; h serializes as null
-        hs = [None] * len(draw) if family == "beta" else draw.subround_h.tolist()
-        for k, h, loc, jump in zip(
-            draw.round_k.tolist(), hs, draw.locations.tolist(), draw.jumps.tolist()
-        ):
-            rows.append(
-                {
-                    "replica": r,
-                    "family": family,
-                    "k": k,
-                    "h": h,
-                    "location": loc,
-                    "jump": jump,
-                    "origin": "prior",
-                }
-            )
+        blocks.append(
+            {
+                "replica": r,
+                "family": family,
+                "k": draw.round_k,
+                # beta atoms carry no sub-round index; h serializes as null
+                "h": None if family == "beta" else draw.subround_h,
+                "location": draw.locations,
+                "jump": draw.jumps,
+                "origin": "prior",
+            }
+        )
     columns = ["replica", "family", "k", "h", "location", "jump", "origin"]
-    _emit(args, header, rows, columns)
+    _emit(args, header, blocks, columns)
     return 0
 
 
@@ -249,7 +279,8 @@ def cmd_truncation_table(args) -> int:
         raise CLIError("--mass must be positive")
     if args.K_max < 0:
         raise CLIError("--K-max must be >= 0")
-    seed = _resolve_seed(args)
+    # the table draws nothing: without --seed the header records null
+    seed = None if args.seed is None else _resolve_seed(args)
     rows = []
     if args.family == "beta":
         if args.c is None or args.c <= 0.0:
@@ -439,21 +470,20 @@ def cmd_posterior(args) -> int:
         "version": __version__,
         "truncation_l1": None,
     }
-    rows = []
+    blocks = []
     for i in range(len(obs)):
         m_i = int(obs.counts[i])
         values = posterior.resample_observed_jumps(
             c, M, m_i, K, root.child(0, i), args.draws
         )
-        for d in range(args.draws):
-            rows.append(
-                {
-                    "record": "observed-draw",
-                    "atom": i,
-                    "draw": d,
-                    "value": values[d],
-                }
-            )
+        blocks.append(
+            {
+                "record": "observed-draw",
+                "atom": i,
+                "draw": np.arange(args.draws),
+                "value": values,
+            }
+        )
         exact = m_i / (c + M)
         a = c + M
         # the undecomposed posterior Beta(m_i, c+M-m_i) exists only for
@@ -462,11 +492,11 @@ def cmd_posterior(args) -> int:
         ref_var = (
             m_i * (a - m_i) / (a * a * (a + 1.0)) if 0 < m_i < a else None
         )
-        rows.append(
+        blocks.append(
             {
                 "record": "atom-summary",
                 "atom": i,
-                "location": obs.locations[i],
+                "location": obs.locations[i].tolist(),
                 "count": m_i,
                 "empirical_mean": float(values.mean()),
                 "empirical_var": float(values.var(ddof=1)) if args.draws > 1 else 0.0,
@@ -479,11 +509,11 @@ def cmd_posterior(args) -> int:
             }
         )
     new_ks, new_vals = posterior.sample_new_jumps(c, M, K, root.child(1), new_draws)
-    for d in range(new_draws):
-        rows.append(
-            {"record": "new-draw", "draw": d, "k": int(new_ks[d]), "value": float(new_vals[d])}
-        )
-    rows.append(
+    blocks.append(
+        {"record": "new-draw", "draw": np.arange(new_draws), "k": new_ks,
+         "value": new_vals}
+    )
+    blocks.append(
         {
             "record": "summary",
             "c_post": pp.c_post,
@@ -511,7 +541,7 @@ def cmd_posterior(args) -> int:
         "observed_atoms",
         "prior_equivalent",
     ]
-    _emit(args, header, rows, columns)
+    _emit(args, header, blocks, columns)
     return 0
 
 
@@ -793,20 +823,8 @@ def cmd_verify(args) -> int:
         "version": __version__,
         "truncation_l1": None,
     }
-    rows = [
-        {
-            "name": rep.name,
-            "target": rep.target,
-            "computed": rep.computed,
-            "tolerance": rep.tolerance,
-            "mode": rep.mode,
-            "passed": rep.passed,
-            "detail": rep.detail,
-        }
-        for rep in reports
-    ]
     columns = ["name", "target", "computed", "tolerance", "mode", "passed", "detail"]
-    _emit(args, header, rows, columns)
+    _emit(args, header, [dataclasses.asdict(rep) for rep in reports], columns)
     failed = [
         rep
         for rep in reports

@@ -219,11 +219,12 @@ def resample_observed_jumps(
         ks = np.minimum(np.searchsorted(cum, cat_u, side="left"), K)
         jump_u = w[rows, cat_pos + counts[rows]]
         vals = -np.expm1(np.log1p(-jump_u) / b[ks])
-        for d in range(hi - lo):
-            # per-draw reduction kept separate so the sum order matches
-            # the one-stream function exactly
-            if counts[d]:
-                out[lo + d] = float(np.sum(vals[starts[d]:ends[d]]))
+        # the draws with n jumps form one (draws, n) block; numpy reduces each
+        # contiguous row with the pairwise sum a 1-D np.sum uses, so every
+        # total matches the one-stream function bit for bit (n = 0 gives 0.0)
+        for n in np.flatnonzero(np.bincount(counts)):
+            ds = np.flatnonzero(counts == n)
+            out[lo + ds] = vals[starts[ds, None] + np.arange(n)].sum(axis=1)
     return out
 
 

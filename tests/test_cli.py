@@ -4,8 +4,11 @@ Runs go through ``main(argv)`` with ``--out`` into tmp files; the
 checks parse the emitted JSONL/CSV rather than trusting internals.
 """
 
+import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -15,10 +18,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import levycrm
 from levycrm import posterior, truncation
-from levycrm.cli import main
+from levycrm.cli import _csv_field, _emit, _json_line, main
 
 
 def run(tmp_path, name, argv):
@@ -63,9 +69,10 @@ def test_worker_pool_size_does_not_change_bytes(tmp_path):
 # sha256 of runs that no benchmark workload reaches: gamma cells above one
 # Poisson chunk (rate 20 at k = h = 1), symmetric gamma, CSV, posterior
 # counts whose rate needs two chunks, and dense beta rounds (hundreds of
-# atoms per round) at a seed of their own, plus the default and full verify
-# suites at seed 5.  A changed digest is a change of the output contract, not
-# of speed.
+# atoms per round) at a seed of their own, the default and full verify
+# suites at seed 5, CSV posterior and symmetric-gamma runs (signed jumps, a
+# numeric h column), and a run written to stdout.  A changed digest is a
+# change of the output contract, not of speed.
 BYTE_PINS = {
     "gamma-mass40": "558260aa555c9eea07a944cb29ff5ea0205f7acb75f141ac5b08bd2eca1fae2f",
     "symmetric-gamma": "c19e950ac049ecc1377a1c8e39ec06ae07831919ea25c03cd9b4faf128e6dea0",
@@ -74,6 +81,9 @@ BYTE_PINS = {
     "beta-dense": "5c61123240f75a8815f8ec5c43e46fb7495530a94e028afeb3f37ab1fbe1800c",
     "verify-default": "65f3dea4e86a56f1bfdaf5f8fd4f23c64e525ceb0aa4e681a3e1c999630a684b",
     "verify-all": "62ca0c046697011ef3e85c0a37f14017a41bede312378216b335c15569b1cc31",
+    "posterior-M4-csv": "d4d347384d3785f642cc4fee6e95db3fe183208d189699420e31067111d0f2de",
+    "symmetric-gamma-csv": "d7a5a8d38924bf6358f2d11679eb1e7e52113b936ccbd7b03c07be03812ba936",
+    "beta-stdout": "b08843e7af67da18361606586346336352cad4a6650c0ad78ceba33542495a0c",
 }
 
 
@@ -101,11 +111,24 @@ def test_output_bytes_are_pinned(tmp_path):
         json.dumps({"location": r["location"], "count": i % 5}) + "\n"
         for i, r in enumerate(jsonl_rows(prior)[1:])
     ))
-    _, got["posterior-M4"] = run(tmp_path, "p.jsonl", [
+    posterior_argv = [
         "posterior", "--c", "1", "--mass", "5", "--M", "4", "--K", "1000",
         "--draws", "300", "--seed", "25",
         "--prior", str(tmp_path / "prior.jsonl"), "--obs", str(obs),
+    ]
+    _, got["posterior-M4"] = run(tmp_path, "p.jsonl", posterior_argv)
+    _, got["posterior-M4-csv"] = run(tmp_path, "p.csv", posterior_argv + ["--format", "csv"])
+    _, got["symmetric-gamma-csv"] = run(tmp_path, "s.csv", [
+        "simulate", "--family", "symmetric-gamma", "--theta", "2", "--mass", "3",
+        "--K", "25", "--H", "8", "--replicas", "3", "--seed", "27", "--format", "csv",
     ])
+    res = _fresh_python(
+        "import sys; from levycrm.cli import main; sys.exit(main(sys.argv[1:]))",
+        ["simulate", "--family", "beta", "--c", "1", "--mass", "3", "--K", "12",
+         "--replicas", "2", "--seed", "29"],
+    )
+    assert res.returncode == 0, res.stderr
+    got["beta-stdout"] = res.stdout
     _, got["beta-dense"] = run(tmp_path, "d.jsonl", [
         "simulate", "--family", "beta", "--c", "1", "--mass", "300", "--K", "20",
         "--replicas", "2", "--seed", "26",
@@ -212,6 +235,123 @@ def test_truncation_table_gamma(tmp_path):
         "--H", "1", "--seed", "0",
     ])
     assert jsonl_rows(data)[1]["l1_error"] == pytest.approx(0.75, rel=1e-15)
+
+
+def test_truncation_table_without_seed_is_deterministic(tmp_path):
+    # the table draws nothing, so no seed is generated for it
+    for family in (["beta", "--c", "1", "--mass", "3"], ["gamma", "--H", "4"]):
+        argv = ["truncation-table", "--family"] + family
+        _, a = run(tmp_path, "a.jsonl", argv)
+        _, b = run(tmp_path, "b.jsonl", argv)
+        assert a == b
+        assert jsonl_rows(a)[0]["seed"] is None
+        _, seeded = run(tmp_path, "s.jsonl", argv + ["--seed", "3"])
+        assert jsonl_rows(seeded)[0]["seed"] == 3
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, 1 / 3]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_INTS = st.integers(-(2**62), 2**62)
+_CONSTANTS = st.one_of(
+    st.none(),
+    st.booleans(),
+    _INTS,
+    _FLOATS,
+    st.lists(_FLOATS, min_size=1, max_size=3),
+    st.text(',"%\n aé', max_size=8),
+)
+
+
+@st.composite
+def _blocks(draw):
+    """Blocks over fields f0%..f3%, and CSV columns with one no block has."""
+    names = [f"f{j}%" for j in range(4)]
+    blocks = []
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(0, 5))
+        block = {}
+        for name in draw(st.permutations(names))[: draw(st.integers(1, 4))]:
+            kind = draw(st.sampled_from(["constant", "int", "float", "location"]))
+            if kind == "constant":
+                block[name] = draw(_CONSTANTS)
+            elif kind == "int":
+                block[name] = draw(arrays(np.int64, n, elements=_INTS))
+            else:
+                shape = (n, draw(st.integers(1, 3))) if kind == "location" else n
+                block[name] = draw(arrays(np.float64, shape, elements=_FLOATS))
+        blocks.append(block)
+    columns = names[:]
+    columns.insert(draw(st.integers(0, 4)), "missing")
+    return blocks, columns
+
+
+def _block_rows(block):
+    """A block's rows as dicts of Python values, as records used to be built."""
+    cols = [v for v in block.values() if isinstance(v, np.ndarray)]
+    for i in range(len(cols[0]) if cols else 1):
+        yield {
+            k: v[i].tolist() if isinstance(v, np.ndarray) else v
+            for k, v in block.items()
+        }
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_blocks(), jsonl=st.booleans())
+def test_block_templates_match_row_writer(case, jsonl):
+    blocks, columns = case
+    header = {"command": "test"}
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit(argparse.Namespace(format="jsonl" if jsonl else "csv", out=None),
+              header, blocks, columns)
+    rows = [r for b in blocks for r in _block_rows(b)]
+    # the reference is the row-at-a-time writer
+    if jsonl:
+        lines = [_json_line(header)] + [_json_line(r) for r in rows]
+    else:
+        lines = ["# " + _json_line(header), ",".join(columns)]
+        lines += [",".join(_csv_field(r.get(c)) for c in columns) for r in rows]
+    text = buf.getvalue()
+    assert text == "\n".join(lines) + "\n"
+    # every number comes back exactly
+    if jsonl:
+        # Python's json reads the number -0 as the integer 0; the text keeps the sign
+        neg0 = lambda s: -0.0 if s == "-0" else int(s)
+        parsed = [json.loads(line, parse_int=neg0) for line in text.splitlines()[1:]]
+    else:
+        parsed = list(csv.DictReader(io.StringIO(text.split("\n", 1)[1], newline="")))
+    assert len(parsed) == len(rows)
+    for got, want in zip(parsed, rows):
+        assert got.pop("missing", "") == ""
+        assert list(got) == list(want) if jsonl else set(got) == set(columns) - {"missing"}
+        for k, v in want.items():
+            g = got[k]
+            if isinstance(v, (float, list)):
+                if not jsonl:
+                    g = [float(x) for x in g.split(";")] if isinstance(v, list) else float(g)
+                assert _bits(g) == _bits(v)
+            elif jsonl:
+                assert g == v
+            else:
+                assert g == ("" if v is None else json.dumps(v) if isinstance(v, bool) else str(v))
+
+
+def test_bad_value_in_late_block_writes_nothing(tmp_path):
+    ok = {"record": "a", "value": np.arange(3.0)}
+    for fmt in ("jsonl", "csv"):
+        for bad in (math.nan, math.inf, -math.inf):
+            for late in ({"value": np.array([1.0, bad])}, {"value": bad}):
+                out = tmp_path / f"x.{fmt}"
+                args = argparse.Namespace(format=fmt, out=str(out))
+                with pytest.raises(ValueError):
+                    _emit(args, {"command": "test"}, [ok] * 3 + [late], ["record", "value"])
+                assert not out.exists()
 
 
 def _write_posterior_inputs(tmp_path):
@@ -358,13 +498,16 @@ def test_verify_single_checks(tmp_path):
     assert row["computed"] < row["tolerance"]
 
 
-def _fresh_python(code):
-    # a new interpreter, so modules that other tests imported do not count
+def _fresh_python(code, argv=None):
+    """Run ``code`` in a new interpreter, so modules other tests imported do
+    not count; with ``argv`` it gets those arguments and stdout comes back as
+    bytes."""
     env = dict(os.environ)
     src = str(Path(levycrm.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code] + (argv or []),
+        env=env, capture_output=True, text=argv is None, timeout=120,
     )
 
 

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from levycrm import beta, posterior, verify
@@ -158,6 +160,28 @@ def test_bulk_resample_matches_single_draws():
     singles = [posterior.sample_new_jump(1.0, 2, 40, s.child(d)) for d in range(300)]
     assert np.array_equal(ks_b, np.array([k for k, _ in singles]))
     assert np.array_equal(j_b, np.array([j for _, j in singles]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    c=st.sampled_from([0.5, 1.0, 2.5]),
+    M=st.integers(0, 4),
+    m_i=st.integers(0, 60),
+    K=st.integers(0, 1000),
+    draws=st.integers(1, 30),
+)
+# rates near 375 and 37: draws with counts above 128 and above 8
+@example(seed=5, c=1.0, M=0, m_i=50, K=1000, draws=30)
+@example(seed=6, c=1.0, M=0, m_i=5, K=1000, draws=30)
+def test_grouped_resample_sums_match_single_draws(seed, c, M, m_i, K, draws):
+    s = RandomStream(seed)
+    bulk = posterior.resample_observed_jumps(c, M, m_i, K, s, draws)
+    single = np.array([
+        posterior.resample_observed_jump(c, M, m_i, K, s.child(d))
+        for d in range(draws)
+    ])
+    assert np.array_equal(bulk, single)
 
 
 def test_truncated_expectation_values():
