@@ -15,6 +15,13 @@ Summing the round densities over k recovers nu, and simulating rounds
 0..K and superposing the atoms gives a truncated draw whose error decays
 like c/(c+K+1) (see the truncation module).
 
+Every round's rate, location table and jump law is a closed form in
+(params, k), known before any random word is read.  A draw therefore
+builds them once, as array rows over blocks of rounds (``_RoundPlan``),
+and then reads round k's count, locations and jumps from
+``stream.child(k)`` in order.  ``round_measure`` stays the descriptive
+record of one round; the plan's floats equal its floats bit for bit.
+
 The stable-beta variant adds a discount sigma in [0, 1); its rounds carry
 Beta(1-sigma, c+sigma+k) jumps with gamma-function mass factors, and the
 Indian buffet construction appears as the N-object finite approximation
@@ -32,12 +39,15 @@ from .measures import (
     BaseMeasure,
     Domain,
     DomainError,
+    LocationTable,
     PiecewiseConst,
     PointMeasure,
+    _cell_volumes,
     _sample_locations,
+    common_edges,
     positive_function,
 )
-from .streams import RandomStream
+from .streams import RandomStream, StreamCursor
 
 
 class BetaProcessParams:
@@ -108,21 +118,9 @@ def simulate_round(
     count, then all locations, then all jumps, so the result is a pure
     function of (seed, path, params, k).
     """
-    return PointMeasure.concat(params.domain, _round_atoms(params, k, stream))
-
-
-def _round_atoms(params: BetaProcessParams, k: int, stream: RandomStream) -> list:
-    """Round k's (locations, jumps, round_k, subround_h) columns, if any atoms."""
-    rnd = round_measure(params, k)
-    cur = stream.child(k).cursor()
-    n = cur.poisson(rnd.rate)
-    if n == 0:
-        return []
-    locs = _sample_locations(rnd.measure, n, cur)
-    b = rnd.jump_shape_b.at(locs)
-    u = cur.uniforms(n)
-    jumps = -np.expm1(np.log1p(-u) / b)
-    return [(locs, jumps, np.full(n, k), np.zeros(n, np.int64))]
+    if k < 0:
+        raise ValueError("round index must be >= 0")
+    return _draw_rounds(params, k, k + 1, stream)
 
 
 def simulate_beta_process(
@@ -131,13 +129,77 @@ def simulate_beta_process(
     """Superpose rounds 0..K (inclusive) into one truncated draw.
 
     Equals the concatenation of ``simulate_round(params, k, stream)`` for
-    k in order, so raising K never changes earlier atoms.
+    k in order, so raising K never changes earlier atoms.  Every round's
+    rate and location table come from one ``_RoundPlan`` built per draw,
+    a block of rounds at a time.
     """
     if K < 0:
         raise ValueError("truncation round K must be >= 0")
+    return _draw_rounds(params, 0, K + 1, stream)
+
+
+# Rounds per plan block times table width (cells plus fixed atoms) stays near
+# this many floats, so a draw's tables take bounded memory whatever K is.
+_PLAN_BLOCK = 1 << 10
+
+
+class _RoundPlan:
+    """The rates and location tables of a draw's rounds, before any word is read.
+
+    mu_k = c/(c+k) mu is a closed form in (params, k): on the common grid of
+    the density and c, round k's cell masses are density * c/(c+k) * volume
+    and its atom masses atom_mass * c(atom)/(c(atom)+k).  ``rows`` evaluates
+    these for many k at once in ``round_measure``'s elementwise order, and
+    sums each row with the reductions behind ``BaseMeasure.total_mass``, so
+    every float equals what ``round_measure(params, k)`` gives.
+    """
+
+    def __init__(self, params: BetaProcessParams):
+        c, base = params.concentration, params.base
+        self.edges = common_edges(base.density, c)
+        self.atoms = base.atom_locations
+        self._density = base.density.on_grid(self.edges)
+        self._c_cells = c.on_grid(self.edges)
+        self._volumes = _cell_volumes(self.edges)
+        self._atom_masses = base.atom_masses
+        self._c_atoms = c.at(base.atom_locations)
+        self.width = self._density.size + self._atom_masses.size
+
+    def rows(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rates and cumulative location tables of rounds ``ks``, a row each."""
+        k_atoms = ks[:, None]
+        k_cells = ks.reshape((-1,) + (1,) * self._density.ndim)
+        fac = self._c_cells / (self._c_cells + k_cells)
+        cells = (self._density * fac * self._volumes).reshape(ks.size, -1)
+        atoms = self._atom_masses * (self._c_atoms / (self._c_atoms + k_atoms))
+        rates = cells.sum(axis=1) + atoms.sum(axis=1)
+        return rates, np.cumsum(np.concatenate([cells, atoms], axis=1), axis=1)
+
+
+def _draw_rounds(
+    params: BetaProcessParams, k_lo: int, k_hi: int, stream: RandomStream
+) -> PointMeasure:
+    """Rounds k_lo..k_hi-1 superposed, each drawn from ``stream.child(k)``."""
+    plan = _RoundPlan(params)
+    step = max(1, _PLAN_BLOCK // plan.width)
     parts = []
-    for k in range(K + 1):
-        parts += _round_atoms(params, k, stream)
+    for lo in range(k_lo, k_hi, step):
+        ks = np.arange(lo, min(lo + step, k_hi))
+        rates, cums = plan.rows(ks)
+        k0s, k1s = stream.child_keys(ks)
+        rows = zip(ks.tolist(), rates.tolist(), k0s.tolist(), k1s.tolist())
+        for i, (k, rate, k0, k1) in enumerate(rows):
+            cur = StreamCursor(k0, k1)
+            n = cur.poisson(rate)
+            if n == 0:
+                continue
+            table = LocationTable(cums[i], plan.edges, plan.atoms)
+            locs = _sample_locations(table, n, cur)
+            # at(), not the drawn cell: a uniform of 1.0 lands on the next cell's edge
+            b = params.concentration.at(locs) + k
+            u = cur.uniforms(n)
+            jumps = -np.expm1(np.log1p(-u) / b)
+            parts.append((locs, jumps, np.full(n, k), np.zeros(n, np.int64)))
     return PointMeasure.concat(params.domain, parts)
 
 

@@ -44,9 +44,11 @@ import numpy as np
 from .measures import (
     BaseMeasure,
     Domain,
+    LocationTable,
     PiecewiseConst,
     PointMeasure,
     _sample_locations,
+    location_table,
     positive_function,
 )
 from .streams import (
@@ -150,12 +152,14 @@ def simulate_subround(
     rate = subround_rate(params.total_base_mass, k, h)
     cur = stream.child(k, h).cursor()
     n = cur.poisson(rate)
-    cols = _emit_subround(params, k, h, n, cur, signed=False)
+    table = location_table(params.base)
+    cols = _emit_subround(params, table, k, h, n, cur, signed=False)
     return PointMeasure(params.domain, *cols)
 
 
 def _emit_subround(
     params: GammaProcessParams,
+    table: LocationTable,
     k: int,
     h: int,
     n: int,
@@ -163,7 +167,8 @@ def _emit_subround(
     signed: bool,
 ) -> tuple:
     """The (locations, jumps, round_k, subround_h) columns of n atoms."""
-    locs = _sample_locations(params.base, n, cur)
+    locs = _sample_locations(table, n, cur)
+    # at(), not the drawn cell: a uniform of 1.0 lands on the next cell's edge
     scales = params.scale.at(locs) / (k + 1)
     if h <= _GAMMA_INT_SHAPE_MAX:
         # one batch; reads the same words the per-atom draws would read
@@ -184,6 +189,13 @@ def _simulate_grid(
     stream: RandomStream,
     signed: bool,
 ) -> PointMeasure:
+    """Subrounds k = 1..K, h = 1..H of one draw, in (k, h) order.
+
+    The count of every cell comes from one across-keys Poisson pass over
+    the cells that can be nonzero.  Every live cell then samples its
+    locations from one location table of the shape measure, built once per
+    draw, and draws its jumps (and signs) from its own stream.
+    """
     if K < 1:
         raise ValueError("need at least one round")
     if H is None:
@@ -202,11 +214,12 @@ def _simulate_grid(
     g0, g1 = _absorb_arr(k0s[ii], k1s[ii], hs[jj])
     counts, used = batch_poisson(rates[ii, jj], g0, g1)
 
+    table = location_table(params.base)
     parts = []
     for c in np.flatnonzero(counts):
         cur = StreamCursor(int(g0[c]), int(g1[c]), pos=int(used[c]))
         parts.append(_emit_subround(
-            params, int(ii[c]) + 1, int(jj[c]) + 1, int(counts[c]), cur, signed
+            params, table, int(ii[c]) + 1, int(jj[c]) + 1, int(counts[c]), cur, signed
         ))
     return PointMeasure.concat(params.domain, parts)
 

@@ -427,8 +427,29 @@ class PointMeasure:
         return float(self.jumps[hit].sum())
 
 
-def _sample_locations(measure: BaseMeasure, n: int, cursor: StreamCursor) -> np.ndarray:
-    """n locations drawn i.i.d. from the normalized measure.
+@dataclass(frozen=True)
+class LocationTable:
+    """What ``_sample_locations`` draws from: one measure's cumulative masses.
+
+    ``cum`` is the running sum of the masses of the grid cells that
+    ``edges`` spans, in C order, then of the fixed atoms at the (m, dim)
+    ``atoms``.
+    """
+
+    cum: np.ndarray
+    edges: tuple
+    atoms: np.ndarray
+
+
+def location_table(measure: BaseMeasure) -> LocationTable:
+    """The location table of a base measure."""
+    cell_masses = (measure.density.values * measure.density.cell_volumes()).reshape(-1)
+    cum = np.cumsum(np.concatenate([cell_masses, measure.atom_masses]))
+    return LocationTable(cum, measure.density.edges, measure.atom_locations)
+
+
+def _sample_locations(table: LocationTable, n: int, cursor: StreamCursor) -> np.ndarray:
+    """n locations drawn i.i.d. from the normalized measure of a location table.
 
     Returns an (n, dim) array.  Consumes, per point, one component-choice
     uniform plus one uniform per dimension when a density cell is chosen
@@ -437,12 +458,11 @@ def _sample_locations(measure: BaseMeasure, n: int, cursor: StreamCursor) -> np.
     # One read of the most words n points can take, a component choice at
     # every word, then a walk over the choices that start a point: a cell
     # takes 1 + dim words, an atom one.  The cursor ends after the words used.
-    cell_masses = (measure.density.values * measure.density.cell_volumes()).reshape(-1)
-    cum = np.cumsum(np.concatenate([cell_masses, measure.atom_masses]))
+    cum = table.cum
     if not cum[-1] > 0:
         raise ValueError("cannot sample from a measure with zero mass")
-    n_cells = cell_masses.size
-    dim = measure.domain.dim
+    n_cells = cum.size - len(table.atoms)
+    dim = len(table.edges)
     start = cursor.pos
     u = cursor.uniforms(n * (1 + dim))
     comp = np.minimum(np.searchsorted(cum, u * cum[-1], side="left"), cum.size - 1)
@@ -457,9 +477,9 @@ def _sample_locations(measure: BaseMeasure, n: int, cursor: StreamCursor) -> np.
     j = comp[first]
     cell = j < n_cells
     out = np.empty((n, dim))
-    idx = np.unravel_index(j[cell], measure.density.values.shape)
-    for d, e in enumerate(measure.density.edges):
+    idx = np.unravel_index(j[cell], tuple(e.size - 1 for e in table.edges))
+    for d, e in enumerate(table.edges):
         lo, hi = e[idx[d]], e[idx[d] + 1]
         out[cell, d] = lo + u[first[cell] + 1 + d] * (hi - lo)
-    out[~cell] = measure.atom_locations[j[~cell] - n_cells]
+    out[~cell] = table.atoms[j[~cell] - n_cells]
     return out

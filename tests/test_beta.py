@@ -3,18 +3,29 @@
 Round k of the decomposition is a finite Poisson process with base
 c/(c+k) mu and jumps Beta(1, c+k); the checks here pin the exact round
 arithmetic, the telescoping identities, the stable-beta factors, the IBP
-density limit, and the Monte Carlo behaviour of the simulator.
+density limit, the per-draw round plan against ``round_measure``, and the
+Monte Carlo behaviour of the simulator.
 """
 
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from levycrm import beta, verify
-from levycrm.measures import BaseMeasure, Domain, DomainError, PiecewiseConst
+from levycrm.measures import (
+    BaseMeasure,
+    Domain,
+    DomainError,
+    PiecewiseConst,
+    PointMeasure,
+    _sample_locations,
+    location_table,
+)
 from levycrm.streams import RandomStream
 
 UNIT = Domain()
@@ -165,6 +176,149 @@ def test_growing_K_only_appends_atoms(seed, c, mass, K, more):
     for a, b in zip(short.columns, full.columns):
         assert np.array_equal(b[:n], a)
     assert np.all(full.round_k[n:] > K)
+
+
+DOM2 = Domain([(0.0, 1.0), (-1.0, 2.0)])
+
+
+def _base_2d():
+    # a zero-density cell, an atom on an interior edge of _fn_2d's grid, one
+    # in the domain corner and one of zero mass
+    density = PiecewiseConst(
+        DOM2, [[0.0, 0.3, 1.0], [-1.0, 0.5, 2.0]], [[2.0, 0.0], [1.0, 3.0]]
+    )
+    return BaseMeasure(density, [(0.6, 0.5), (1.0, 2.0), (0.25, -1.0)], [1.5, 0.7, 0.0])
+
+
+def _fn_2d(values):
+    return PiecewiseConst(DOM2, [[0.0, 0.6, 1.0], [-1.0, 0.0, 2.0]], values)
+
+
+def column_digest(pm):
+    return hashlib.sha256(
+        b"".join(np.ascontiguousarray(c).tobytes() for c in pm.columns)
+    ).hexdigest()
+
+
+def test_piecewise_2d_draw_bytes_are_pinned():
+    # a non-homogeneous draw: c(w) and the density live on different grids
+    p = beta.BetaProcessParams(_fn_2d([[0.5, 2.0], [4.0, 1.0]]), _base_2d())
+    pm = beta.simulate_beta_process(p, 30, RandomStream(51))
+    assert len(pm) == 25
+    assert column_digest(pm) == (
+        "cd19123dc7877729d021a7af9e8f3f4c60f52671c79b7c049841a47942413581"
+    )
+
+
+@st.composite
+def piecewise_cases(draw):
+    """(fn, base): a positive piecewise function and a base measure on one domain.
+
+    dim 1-2; the two grids are independent, the density has zero cells, and
+    0-3 fixed atoms (some of zero mass) sit on corners and on fn's edges.
+    """
+    dim = draw(st.integers(1, 2))
+    domain = Domain([(0.0, 1.0), (-1.0, 2.0)][:dim])
+
+    def grid():
+        return [
+            [lo, *sorted(draw(st.lists(
+                st.floats(lo, hi, exclude_min=True, exclude_max=True),
+                max_size=3, unique=True,
+            ))), hi]
+            for lo, hi in domain.bounds
+        ]
+
+    def values(edges, elements):
+        shape = tuple(len(e) - 1 for e in edges)
+        n = math.prod(shape)
+        return np.reshape(draw(st.lists(elements, min_size=n, max_size=n)), shape)
+
+    fn_edges, density_edges = grid(), grid()
+    fn = PiecewiseConst(
+        domain, fn_edges, values(fn_edges, st.sampled_from([0.1, 0.5, 1.0, 2.5, 7.0]))
+    )
+    weights = st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0, 20.0])
+    density = PiecewiseConst(domain, density_edges, values(density_edges, weights))
+    spots = st.tuples(*[st.sampled_from(e) for e in fn_edges])
+    locs = draw(st.lists(spots, max_size=3, unique=True))
+    masses = draw(st.lists(weights, min_size=len(locs), max_size=len(locs)))
+    base = BaseMeasure(density, locs, masses) if locs else BaseMeasure(density)
+    return fn, base
+
+
+def _reference_round(params, k, stream):
+    # round k drawn from round_measure's measure and jump law, one round at
+    # a time, as simulate_beta_process did before the draw plan
+    rnd = beta.round_measure(params, k)
+    cur = stream.child(k).cursor()
+    n = cur.poisson(rnd.rate)
+    if n == 0:
+        return []
+    locs = _sample_locations(location_table(rnd.measure), n, cur)
+    b = rnd.jump_shape_b.at(locs)
+    u = cur.uniforms(n)
+    jumps = -np.expm1(np.log1p(-u) / b)
+    return [(locs, jumps, np.full(n, k), np.zeros(n, np.int64))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=piecewise_cases(),
+    K=st.integers(0, 30),
+    seed=st.integers(0, 2**64 - 1),
+    block=st.sampled_from([1, 4, beta._PLAN_BLOCK]),
+)
+def test_round_plan_matches_round_measure(case, K, seed, block):
+    c, base = case
+    assume(base.total_mass > 0)
+    p = beta.BetaProcessParams(c, base)
+    plan = beta._RoundPlan(p)
+    rates, cums = plan.rows(np.arange(K + 1))
+    for k in range(K + 1):
+        rnd = beta.round_measure(p, k)
+        table = location_table(rnd.measure)
+        assert rates[k] == rnd.rate
+        assert np.array_equal(cums[k], table.cum)
+        assert all(np.array_equal(a, b) for a, b in zip(plan.edges, table.edges))
+    s = RandomStream(seed)
+    want = PointMeasure.concat(
+        p.domain, [part for k in range(K + 1) for part in _reference_round(p, k, s)]
+    )
+    with mock.patch.object(beta, "_PLAN_BLOCK", block):
+        got = beta.simulate_beta_process(p, K, s)
+    for a, b in zip(got.columns, want.columns):
+        assert np.array_equal(a, b)
+
+
+class OnesCursor:
+    """Stands in for a StreamCursor: two atoms, location uniforms of exactly 1.0."""
+
+    def __init__(self, k0=0, k1=0, pos=0):
+        self.pos, self.reads = pos, 0
+
+    def poisson(self, rate):
+        return 2
+
+    def uniforms(self, n):
+        # the first read places the atoms, later reads draw their jumps
+        self.reads += 1
+        self.pos += n
+        return np.full(n, 1.0 if self.reads == 1 else 0.5)
+
+
+def test_jump_law_follows_at_on_a_cell_upper_edge(monkeypatch):
+    # all mass in [0, 0.5], so a location uniform of 1.0 lands on 0.5, where
+    # c.at gives the upper cell's 4.0 and the drawn cell holds 1.0
+    density = PiecewiseConst(UNIT, [[0.0, 0.5, 1.0]], [2.0, 0.0])
+    c = PiecewiseConst(UNIT, [[0.0, 0.5, 1.0]], [1.0, 4.0])
+    p = beta.BetaProcessParams(c, BaseMeasure(density))
+    monkeypatch.setattr(beta, "StreamCursor", OnesCursor)
+    k = 3
+    pm = beta.simulate_round(p, k, RandomStream(0))
+    assert np.array_equal(pm.locations, [[0.5], [0.5]])
+    assert c.at(pm.locations).tolist() == [4.0, 4.0]
+    assert np.array_equal(pm.jumps, -np.expm1(np.log1p(-np.full(2, 0.5)) / (4.0 + k)))
 
 
 def test_round_zero_monte_carlo_moments():

@@ -10,12 +10,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from levycrm import gamma, verify
+from levycrm.measures import (
+    BaseMeasure,
+    Domain,
+    PiecewiseConst,
+    PointMeasure,
+    _sample_locations,
+    location_table,
+)
 from levycrm.streams import RandomStream, _poisson_invert, _words_to_uniform
+from test_beta import OnesCursor, _base_2d, _fn_2d, column_digest, piecewise_cases
 
 UNIT_MASS = gamma.GammaProcessParams.homogeneous(1.0, 1.0)
 
@@ -321,3 +330,71 @@ def test_growing_K_or_H_only_adds_atoms(seed, mass, K, H, more, signed):
     keep = deeper.subround_h <= H
     for a, b in zip(small.columns, deeper.columns):
         assert np.array_equal(b[keep], a)
+
+
+def test_piecewise_2d_draw_bytes_are_pinned():
+    # the base of test_beta's 2-D pin, with a piecewise scale
+    p = gamma.GammaProcessParams(_base_2d(), _fn_2d([[0.5, 2.0], [3.0, 1.0]]))
+    pm = gamma.simulate_gamma_process(p, 20, None, RandomStream(52))
+    assert len(pm) == 24
+    assert column_digest(pm) == (
+        "9ee0c8a70e8835e1ab9f1c310dfec2e4065dae99640e08dc7c194819718a1dea"
+    )
+
+
+def _reference_subround(params, k, h, stream, signed):
+    # subround (k, h) with a location table of its own, the way every live
+    # cell drew before the grid built one table per draw
+    mass = params.total_base_mass * (2.0 if signed else 1.0)
+    cur = stream.child(k, h).cursor()
+    n = cur.poisson(gamma.subround_rate(mass, k, h))
+    if n == 0:
+        return []
+    locs = _sample_locations(location_table(params.base), n, cur)
+    scales = params.scale.at(locs) / (k + 1)
+    if h <= 16:
+        jumps = -np.log(cur.uniforms(n * h).reshape(n, h)).sum(axis=1) * scales
+    else:
+        jumps = np.array([cur.gamma(h, s) for s in scales])
+    if signed:
+        jumps = jumps * np.where(cur.uniforms(n) < 0.5, 1.0, -1.0)
+    return [(locs, jumps, np.full(n, k), np.full(n, h))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=piecewise_cases(),
+    K=st.integers(1, 10),
+    H=st.one_of(st.integers(1, 8), st.none()),
+    seed=st.integers(0, 2**64 - 1),
+    signed=st.booleans(),
+)
+def test_grid_with_one_table_matches_per_cell_tables(case, K, H, seed, signed):
+    scale, base = case
+    assume(base.total_mass > 0)
+    p = gamma.GammaProcessParams(base, scale)
+    s = RandomStream(seed)
+    sim = gamma.simulate_symmetric_gamma if signed else gamma.simulate_gamma_process
+    got = sim(p, K, H, s)
+    hs = range(1, (H or gamma.SUBROUND_CAP) + 1)
+    cells = [(k, h) for k in range(1, K + 1) for h in hs]
+    want = PointMeasure.concat(
+        p.domain, [x for k, h in cells for x in _reference_subround(p, k, h, s, signed)]
+    )
+    for a, b in zip(got.columns, want.columns):
+        assert np.array_equal(a, b)
+
+
+def test_jump_scale_follows_at_on_a_cell_upper_edge():
+    # all mass in [0, 0.5], so a location uniform of 1.0 lands on 0.5, where
+    # scale.at gives the upper cell's 3.0 and the drawn cell holds 0.5
+    density = PiecewiseConst(Domain(), [[0.0, 0.5, 1.0]], [2.0, 0.0])
+    scale = PiecewiseConst(Domain(), [[0.0, 0.5, 1.0]], [0.5, 3.0])
+    p = gamma.GammaProcessParams(BaseMeasure(density), scale)
+    k, h = 2, 3
+    locs, jumps, _, _ = gamma._emit_subround(
+        p, location_table(p.base), k, h, 2, OnesCursor(), signed=False
+    )
+    assert np.array_equal(locs, [[0.5], [0.5]])
+    want = -np.log(np.full((2, h), 0.5)).sum(axis=1) * (3.0 / (k + 1))
+    assert np.array_equal(jumps, want)

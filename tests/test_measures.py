@@ -24,6 +24,7 @@ from levycrm.measures import (
     _sample_locations,
     as_boxes,
     common_edges,
+    location_table,
     positive_function,
 )
 from levycrm.streams import RandomStream
@@ -128,22 +129,23 @@ def test_base_measure_invariants():
 
 def test_sample_locations_uniform_mean():
     m = BaseMeasure.uniform(UNIT, 1.0)
-    locs = _sample_locations(m, 100_000, RandomStream(4).cursor())
+    locs = _sample_locations(location_table(m), 100_000, RandomStream(4).cursor())
     assert locs.shape == (100_000, 1)
     se = (1.0 / math.sqrt(12.0)) / math.sqrt(locs.shape[0])
     assert abs(locs.mean() - 0.5) < 3 * se
 
 
 def test_sample_locations_empty_and_atoms():
-    m = BaseMeasure.uniform(UNIT, 1.0)
+    m = location_table(BaseMeasure.uniform(UNIT, 1.0))
     assert _sample_locations(m, 0, RandomStream(1).cursor()).shape == (0, 1)
     zero = PiecewiseConst.constant(UNIT, 1.0).map(lambda v: v * 0.0)
+    zero_table = location_table(BaseMeasure(zero))
     with pytest.raises(ValueError):
-        _sample_locations(BaseMeasure(zero), 1, RandomStream(1).cursor())
+        _sample_locations(zero_table, 1, RandomStream(1).cursor())
     atom_only = BaseMeasure(
         zero, atom_locations=np.array([[0.3]]), atom_masses=np.array([1.0])
     )
-    locs = _sample_locations(atom_only, 50, RandomStream(2).cursor())
+    locs = _sample_locations(location_table(atom_only), 50, RandomStream(2).cursor())
     assert np.all(locs == 0.3)
 
 
@@ -154,7 +156,7 @@ def test_sample_locations_mixture_split():
         atom_locations=np.array([[0.5]]),
         atom_masses=np.array([3.0]),
     )
-    locs = _sample_locations(m, 20_000, RandomStream(6).cursor())
+    locs = _sample_locations(location_table(m), 20_000, RandomStream(6).cursor())
     freq = float(np.mean(locs[:, 0] == 0.5))
     se = math.sqrt(0.75 * 0.25 / 20_000)
     assert abs(freq - 0.75) < 4 * se
@@ -162,14 +164,15 @@ def test_sample_locations_mixture_split():
 
 def test_sample_locations_chi_square_uniformity():
     m = BaseMeasure.uniform(UNIT, 2.0)
-    locs = _sample_locations(m, 100_000, RandomStream(9).cursor())
+    locs = _sample_locations(location_table(m), 100_000, RandomStream(9).cursor())
     counts, _ = np.histogram(locs[:, 0], bins=20, range=(0.0, 1.0))
     assert chi_square_gof(counts, np.full(20, 0.05)).passed
 
 
 def test_sample_locations_respects_density_weights():
     den = PiecewiseConst(UNIT, [np.array([0.0, 0.5, 1.0])], np.array([1.0, 3.0]))
-    locs = _sample_locations(BaseMeasure(den), 40_000, RandomStream(12).cursor())
+    table = location_table(BaseMeasure(den))
+    locs = _sample_locations(table, 40_000, RandomStream(12).cursor())
     freq = float(np.mean(locs[:, 0] >= 0.5))
     se = math.sqrt(0.75 * 0.25 / 40_000)
     assert abs(freq - 0.75) < 4 * se
@@ -200,8 +203,8 @@ def test_point_measure_arithmetic():
 
 def test_reproducible_sampling():
     m = BaseMeasure.uniform(UNIT, 1.0)
-    a = _sample_locations(m, 32, RandomStream(123, (4,)).cursor())
-    b = _sample_locations(m, 32, RandomStream(123, (4,)).cursor())
+    a = _sample_locations(location_table(m), 32, RandomStream(123, (4,)).cursor())
+    b = _sample_locations(location_table(m), 32, RandomStream(123, (4,)).cursor())
     assert np.array_equal(a, b)
 
 
@@ -259,7 +262,7 @@ def test_sample_locations_matches_per_point_loop(measure, n, start):
     ref_cursor = s.cursor(start)
     ref = _per_point_locations(measure, n, ref_cursor)
     cursor = s.cursor(start)
-    got = _sample_locations(measure, n, cursor)
+    got = _sample_locations(location_table(measure), n, cursor)
     assert np.array_equal(got, ref)
     assert cursor.pos == ref_cursor.pos
     assert cursor.uniform() == ref_cursor.uniform()
