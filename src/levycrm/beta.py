@@ -18,9 +18,10 @@ like c/(c+K+1) (see the truncation module).
 Every round's rate, location table and jump law is a closed form in
 (params, k), known before any random word is read.  A draw therefore
 builds them once, as array rows over blocks of rounds (``_RoundPlan``),
-and then reads round k's count, locations and jumps from
-``stream.child(k)`` in order.  ``round_measure`` stays the descriptive
-record of one round; the plan's floats equal its floats bit for bit.
+draws every round's count in one across-keys pass, and then reads each
+live round's locations and jumps from ``stream.child(k)``, starting where
+the count's words end.  ``round_measure`` stays the descriptive record of
+one round; the plan's floats equal its floats bit for bit.
 
 The stable-beta variant adds a discount sigma in [0, 1); its rounds carry
 Beta(1-sigma, c+sigma+k) jumps with gamma-function mass factors, and the
@@ -47,7 +48,7 @@ from .measures import (
     common_edges,
     positive_function,
 )
-from .streams import RandomStream, StreamCursor
+from .streams import RandomStream, StreamCursor, batch_poisson
 
 
 class BetaProcessParams:
@@ -179,7 +180,13 @@ class _RoundPlan:
 def _draw_rounds(
     params: BetaProcessParams, k_lo: int, k_hi: int, stream: RandomStream
 ) -> PointMeasure:
-    """Rounds k_lo..k_hi-1 superposed, each drawn from ``stream.child(k)``."""
+    """Rounds k_lo..k_hi-1 superposed, each drawn from ``stream.child(k)``.
+
+    A block of rounds at a time: the plan gives their rates and tables, and
+    one across-keys Poisson pass (``batch_poisson``) draws every round's
+    count.  Each live round then reads its locations and jumps from
+    ``stream.child(k)``, starting where its count's words end.
+    """
     plan = _RoundPlan(params)
     step = max(1, _PLAN_BLOCK // plan.width)
     parts = []
@@ -187,20 +194,28 @@ def _draw_rounds(
         ks = np.arange(lo, min(lo + step, k_hi))
         rates, cums = plan.rows(ks)
         k0s, k1s = stream.child_keys(ks)
-        rows = zip(ks.tolist(), rates.tolist(), k0s.tolist(), k1s.tolist())
-        for i, (k, rate, k0, k1) in enumerate(rows):
-            cur = StreamCursor(k0, k1)
-            n = cur.poisson(rate)
-            if n == 0:
-                continue
+        counts, used = batch_poisson(rates, k0s, k1s)
+        for i in np.flatnonzero(counts):
+            cur = StreamCursor(int(k0s[i]), int(k1s[i]), pos=int(used[i]))
             table = LocationTable(cums[i], plan.edges, plan.atoms)
-            locs = _sample_locations(table, n, cur)
-            # at(), not the drawn cell: a uniform of 1.0 lands on the next cell's edge
-            b = params.concentration.at(locs) + k
-            u = cur.uniforms(n)
-            jumps = -np.expm1(np.log1p(-u) / b)
-            parts.append((locs, jumps, np.full(n, k), np.zeros(n, np.int64)))
+            parts.append(_emit_round(params, table, int(ks[i]), int(counts[i]), cur))
     return PointMeasure.concat(params.domain, parts)
+
+
+def _emit_round(
+    params: BetaProcessParams,
+    table: LocationTable,
+    k: int,
+    n: int,
+    cur: StreamCursor,
+) -> tuple:
+    """The (locations, jumps, round_k, subround_h) columns of round k's n atoms."""
+    locs = _sample_locations(table, n, cur)
+    # at(), not the drawn cell: a uniform of 1.0 lands on the next cell's edge
+    b = params.concentration.at(locs) + k
+    u = cur.uniforms(n)
+    jumps = -np.expm1(np.log1p(-u) / b)
+    return locs, jumps, np.full(n, k), np.zeros(n, np.int64)
 
 
 def round_mean_and_variance(

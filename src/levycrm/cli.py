@@ -471,11 +471,12 @@ def cmd_posterior(args) -> int:
         "truncation_l1": None,
     }
     blocks = []
-    for i in range(len(obs)):
+    # row i draws from root.child(0, i).child(d)
+    resampled = posterior.resample_observed_jumps(
+        c, M, obs.counts, K, root.child(0), args.draws
+    )
+    for i, values in enumerate(resampled):
         m_i = int(obs.counts[i])
-        values = posterior.resample_observed_jumps(
-            c, M, m_i, K, root.child(0, i), args.draws
-        )
         blocks.append(
             {
                 "record": "observed-draw",

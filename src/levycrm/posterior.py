@@ -37,9 +37,11 @@ from .measures import (
 )
 from .streams import (
     RandomStream,
+    _absorb_arr,
+    _ragged_index,
     _words_to_uniform,
     batch_poisson,
-    batch_words,
+    ragged_words,
 )
 
 # child streams per fused generator call in resample_observed_jumps
@@ -104,13 +106,10 @@ def sample_bernoulli_data(
     jumps = prior_draw.jumps
     if jumps.size and (jumps.min() <= 0.0 or jumps.max() >= 1.0):
         raise InvalidPriorError("every prior jump must lie strictly in (0, 1)")
-    locs = prior_draw.locations
-    counts = np.zeros(len(prior_draw), dtype=np.int64)
-    cur = stream.cursor()
-    for i, pi in enumerate(jumps):
-        if M > 0:
-            counts[i] = int((cur.uniforms(M) < pi).sum())
-    return ObservationSet(M=M, locations=locs, counts=counts)
+    # atom i reads words i*M .. i*M+M-1, as one cursor read per atom would
+    u = stream.cursor().uniforms(jumps.size * M).reshape(jumps.size, M)
+    counts = (u < jumps[:, None]).sum(axis=1)
+    return ObservationSet(M=M, locations=prior_draw.locations, counts=counts)
 
 
 def posterior_params(
@@ -180,51 +179,75 @@ def resample_observed_jump(
 def resample_observed_jumps(
     c: float,
     M: int,
-    m_i: int,
+    m,
     K: int,
     stream: RandomStream,
     draws: int,
 ) -> np.ndarray:
-    """Many resampled jumps at once, one per child stream of ``stream``.
+    """Many resampled jumps at once, one per child stream.
 
-    Entry ``d`` equals ``resample_observed_jump(c, M, m_i, K,
-    stream.child(d))`` bit for bit; the draws are fused into large
-    generator calls so Monte Carlo studies with 1e5+ draws stay cheap.
+    With one count ``m``, entry ``d`` equals ``resample_observed_jump(c, M,
+    m, K, stream.child(d))``.  With an array of counts, the result has one
+    row per atom: entry ``[i, d]`` equals ``resample_observed_jump(c, M,
+    m[i], K, stream.child(i, d))``.  Both hold bit for bit.
+
+    All atoms' draws share the fused passes, over blocks of at most
+    ``_RESAMPLE_BATCH`` child streams: one ``batch_poisson`` for the jump
+    counts, then one ``ragged_words`` read of each stream's ``2 n`` round
+    and jump words, starting where its count's words end.  The round
+    table ``cumsum(m / b)`` depends on the count alone, so it is built
+    once per distinct count.
     """
+    m = np.asarray(m, dtype=np.int64)
     if draws < 0:
         raise ValueError("draws must be >= 0")
-    if m_i < 0:
+    if np.any(m < 0):
         raise ValueError("m_i must be >= 0")
     if K < 0:
         raise ValueError("K must be >= 0")
-    out = np.zeros(draws, dtype=np.float64)
-    if m_i == 0 or draws == 0:
+    out = np.zeros(m.shape + (draws,), dtype=np.float64)
+    rows = out.reshape(m.size, draws)
+    live = np.flatnonzero(m)
+    if live.size == 0 or draws == 0:
         return out
+    if m.ndim:
+        p0, p1 = stream.child_keys(live)
+    else:
+        p0, p1 = (np.array([x], dtype=np.uint64) for x in stream.key)
+    ms = m.reshape(-1)[live]
+    # distinct counts by sorting: np.unique would load numpy.ma
+    srt = np.sort(ms)
+    distinct = srt[np.concatenate([[True], srt[1:] != srt[:-1]])]
+    group = np.searchsorted(distinct, ms)
     b = c + M + np.arange(K + 1, dtype=np.float64)
-    cum = np.cumsum(m_i / b)
-    for lo in range(0, draws, _RESAMPLE_BATCH):
-        hi = min(lo + _RESAMPLE_BATCH, draws)
-        k0s, k1s = stream.child_keys(np.arange(lo, hi))
-        counts, used = batch_poisson(cum[-1], k0s, k1s)
-        nmax = int(counts.max())
-        if nmax == 0:
+    cums = np.cumsum(distinct[:, None] / b, axis=1)
+    n_keys = live.size * draws
+    for lo in range(0, n_keys, _RESAMPLE_BATCH):
+        atom, d = np.divmod(np.arange(lo, min(lo + _RESAMPLE_BATCH, n_keys)), draws)
+        k0s, k1s = _absorb_arr(p0[atom], p1[atom], d)
+        g = group[atom]
+        rate = cums[g, -1]
+        counts, used = batch_poisson(rate, k0s, k1s)
+        if not counts.any():
             continue
-        w = _words_to_uniform(batch_words(k0s, k1s, int(used.max()) + 2 * nmax))
-        rows = np.repeat(np.arange(hi - lo), counts)
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        within = np.arange(int(ends[-1])) - np.repeat(starts, counts)
-        cat_pos = used[rows] + within
-        cat_u = w[rows, cat_pos] * cum[-1]
-        ks = np.minimum(np.searchsorted(cum, cat_u, side="left"), K)
-        jump_u = w[rows, cat_pos + counts[rows]]
-        vals = -np.expm1(np.log1p(-jump_u) / b[ks])
+        w = _words_to_uniform(ragged_words(k0s, k1s, used, 2 * counts))
+        key, within, first = _ragged_index(counts)
+        cat_pos = 2 * first[key] + within
+        cat_u = w[cat_pos] * rate[key]
+        gk = g[key]
+        ks = np.empty(key.size, dtype=np.int64)
+        for j in np.flatnonzero(np.bincount(gk)):
+            sel = gk == j
+            ks[sel] = np.searchsorted(cums[j], cat_u[sel], side="left")
+        ks = np.minimum(ks, K)
+        vals = -np.expm1(np.log1p(-w[cat_pos + counts[key]]) / b[ks])
         # the draws with n jumps form one (draws, n) block; numpy reduces each
         # contiguous row with the pairwise sum a 1-D np.sum uses, so every
         # total matches the one-stream function bit for bit (n = 0 gives 0.0)
         for n in np.flatnonzero(np.bincount(counts)):
             ds = np.flatnonzero(counts == n)
-            out[lo + ds] = vals[starts[ds, None] + np.arange(n)].sum(axis=1)
+            total = vals[first[ds, None] + np.arange(n)].sum(axis=1)
+            rows[live[atom[ds]], d[ds]] = total
     return out
 
 
@@ -278,7 +301,7 @@ def sample_new_jumps(
     w = 1.0 / (c + M + np.arange(K + 1, dtype=np.float64))
     cum = np.cumsum(w)
     k0s, k1s = stream.child_keys(np.arange(draws))
-    words = _words_to_uniform(batch_words(k0s, k1s, 2))
+    words = _words_to_uniform(ragged_words(k0s, k1s, 0, 2)).reshape(draws, 2)
     u = words[:, 0] * cum[-1]
     ks = np.minimum(np.searchsorted(cum, u, side="left"), K)
     jumps = -np.expm1(np.log1p(-words[:, 1]) / (c + M + ks))

@@ -24,13 +24,20 @@ from numpy.random import Philox
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# Weyl constants and round multipliers from the Philox4x64 reference.
+# Weyl constants and round multipliers from the Philox4x64 reference; the
+# multipliers' 32-bit halves are split once here, not in every round.
 _M0 = np.uint64(0xD2E7470EE14C6C93)
 _M1 = np.uint64(0xCA5A826395121157)
 _W0 = np.uint64(0x9E3779B97F4A7C15)
 _W1 = np.uint64(0xBB67AE8584CAA73B)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
+_M0_HALVES = (_M0 >> _SH32, _M0 & _MASK32)
+_M1_HALVES = (_M1 >> _SH32, _M1 & _MASK32)
+
+# A C Philox read costs about 25 us per stream and an emulated call about
+# 0.5 ms whatever its size, so reads over this few streams go through C.
+_C_READ_MAX_KEYS = 16
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _SALT = 0x3C6EF372FE94F82A
@@ -81,45 +88,39 @@ def _absorb_arr(k0, k1, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _mulhilo(a, b):
-    """Full 64x64 -> 128 bit product as (hi, lo) uint64 arrays."""
-    lo = a * b
-    ah = a >> _SH32
-    al = a & _MASK32
+def _mulhilo(m, halves, b):
+    """Full 64x64 -> 128 bit product of the constant m and b, as (hi, lo).
+
+    ``halves`` is m's (high, low) 32-bit split.  Every partial sum below
+    stays under 2**64, so the high word is exact.
+    """
+    mh, ml = halves
     bh = b >> _SH32
     bl = b & _MASK32
-    albl = al * bl
-    albh = al * bh
-    ahbl = ah * bl
-    carry = ((albl >> _SH32) + (albh & _MASK32) + (ahbl & _MASK32)) >> _SH32
-    hi = ah * bh + (albh >> _SH32) + (ahbl >> _SH32) + carry
-    return hi, lo
+    t = mh * bl + ((ml * bl) >> _SH32)
+    w = (t & _MASK32) + ml * bh
+    # ufuncs, not operators: they wrap numpy scalars without a warning
+    return mh * bh + (t >> _SH32) + (w >> _SH32), np.multiply(m, b)
 
 
 def _philox4x64(key0, key1, c0, c1, c2, c3):
     """Philox4x64-10 block function, vectorized over keys and counters.
 
-    Serves the across-keys fan-out (``batch_words``, ``batch_poisson``),
-    where one C generator per key would cost far more than these array ops.
+    Serves the across-keys fan-out (``ragged_words``), where one C
+    generator per key would cost far more than these array ops.
 
     All inputs are uint64 arrays (or scalars) broadcast to a common shape;
     returns the four output words.
     """
-    k0 = np.asarray(key0, dtype=np.uint64).copy()
-    k1 = np.asarray(key1, dtype=np.uint64).copy()
-    x0 = np.asarray(c0, dtype=np.uint64).copy()
-    x1 = np.asarray(c1, dtype=np.uint64).copy()
-    x2 = np.asarray(c2, dtype=np.uint64).copy()
-    x3 = np.asarray(c3, dtype=np.uint64).copy()
-    k0, k1, x0, x1, x2, x3 = np.broadcast_arrays(k0, k1, x0, x1, x2, x3)
-    k0 = k0.copy()
-    k1 = k1.copy()
+    k0, k1, x0, x1, x2, x3 = np.broadcast_arrays(
+        *(np.asarray(a, dtype=np.uint64) for a in (key0, key1, c0, c1, c2, c3))
+    )
     for r in range(10):
         if r > 0:
-            k0 = k0 + _W0
-            k1 = k1 + _W1
-        hi0, lo0 = _mulhilo(_M0, x0)
-        hi1, lo1 = _mulhilo(_M1, x2)
+            k0 = np.add(k0, _W0)
+            k1 = np.add(k1, _W1)
+        hi0, lo0 = _mulhilo(_M0, _M0_HALVES, x0)
+        hi1, lo1 = _mulhilo(_M1, _M1_HALVES, x2)
         x0 = hi1 ^ x1 ^ k0
         x1 = lo1
         x2 = hi0 ^ x3 ^ k1
@@ -317,25 +318,46 @@ def _poisson_invert(rates: np.ndarray, u: np.ndarray) -> np.ndarray:
     return n
 
 
-def batch_words(k0s: np.ndarray, k1s: np.ndarray, n_words: int) -> np.ndarray:
-    """Words ``0 .. n_words-1`` of every keyed stream, shape (keys, n_words).
+def _ragged_index(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Owner, index within the owner, and owner's first slot of ragged rows.
 
-    Row ``i`` equals what a cursor on key ``i`` would read from position 0,
-    so bulk samplers built on this match their one-stream-at-a-time twins
-    word for word.
+    Row ``i`` holds ``counts[i]`` slots, laid out one row after another;
+    slot ``j`` belongs to row ``owner[j]`` at position ``within[j]``.
     """
-    if n_words <= 0:
-        return np.empty((np.size(k0s), 0), dtype=np.uint64)
-    n_blocks = (n_words + 3) // 4
-    blocks = np.arange(n_blocks, dtype=np.uint64)
+    first = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - first[owner], first
+
+
+def ragged_words(k0s, k1s, starts, counts) -> np.ndarray:
+    """Words ``starts[i] .. starts[i]+counts[i]-1`` of every keyed stream.
+
+    The segments are concatenated in key order, and segment ``i`` equals
+    ``_stream_words(k0s[i], k1s[i], starts[i], counts[i])``: nonpositive
+    counts give empty segments.  Arguments broadcast to one shape, read in
+    C order.  One ``_philox4x64`` call evaluates exactly the blocks the
+    ranges touch; reads over at most ``_C_READ_MAX_KEYS`` streams take
+    each stream's words from numpy's C Philox instead.
+    """
+    k0s, k1s, starts, counts = (a.ravel() for a in np.broadcast_arrays(
+        np.asarray(k0s, dtype=np.uint64),
+        np.asarray(k1s, dtype=np.uint64),
+        np.asarray(starts, dtype=np.int64),
+        np.maximum(np.asarray(counts, dtype=np.int64), 0),
+    ))
+    if k0s.size <= _C_READ_MAX_KEYS:
+        reads = zip(k0s.tolist(), k1s.tolist(), starts.tolist(), counts.tolist())
+        return np.concatenate(
+            [np.empty(0, np.uint64)] + [_stream_words(*r) for r in reads]
+        )
+    b0 = starts >> 2
+    n_blocks = np.where(counts > 0, ((starts + counts - 1) >> 2) - b0 + 1, 0)
+    key, block, first_block = _ragged_index(n_blocks)
     z = np.uint64(0)
-    k0s = np.asarray(k0s, dtype=np.uint64)
-    k1s = np.asarray(k1s, dtype=np.uint64)
-    x0, x1, x2, x3 = _philox4x64(
-        k0s[:, None], k1s[:, None], blocks[None, :], z, z, z
-    )
-    words = np.stack([x0, x1, x2, x3], axis=2).reshape(k0s.size, 4 * n_blocks)
-    return words[:, :n_words]
+    x = _philox4x64(k0s[key], k1s[key], (b0[key] + block).astype(np.uint64), z, z, z)
+    words = np.stack(x, axis=1).reshape(-1)
+    seg, j, _ = _ragged_index(counts)
+    return words[4 * first_block[seg] + (starts[seg] & 3) + j]
 
 
 def batch_poisson(
@@ -346,8 +368,10 @@ def batch_poisson(
     Returns ``(counts, words_used)``: entry ``i`` is what
     ``cursor.poisson(rates[i])`` draws from position 0 of stream
     ``(k0s[i], k1s[i])``, and the cursor's position afterwards, where that
-    stream's next draw starts.  Rates and keys broadcast to one shape.  Keys
-    are grouped by chunk count, one ``batch_words`` call per group.
+    stream's next draw starts.  Rates and keys broadcast to one shape.  One
+    ragged read takes each stream's ``words_used`` words, one inversion
+    runs over all of them at the stream's chunk rate, and each count is its
+    stream's sum of chunk counts (integers, so exact in any order).
     """
     rates, k0s, k1s = np.broadcast_arrays(
         np.asarray(rates, dtype=np.float64),
@@ -358,10 +382,9 @@ def batch_poisson(
         raise ValueError("Poisson rates must be finite and >= 0")
     # chunk counts as in cursor.poisson: none at rate 0, at least one above
     used = np.maximum(np.ceil(rates / _POISSON_CHUNK), rates > 0).astype(np.int64)
-    counts = np.zeros(rates.shape, dtype=np.int64)
-    for m in np.flatnonzero(np.bincount(used.ravel())[1:]) + 1:
-        sel = used == m
-        u = _words_to_uniform(batch_words(k0s[sel], k1s[sel], m))
-        lam = np.broadcast_to((rates[sel] / m)[:, None], u.shape)
-        counts[sel] = _poisson_invert(lam, u).sum(axis=1)
-    return counts, used
+    m = used.ravel()
+    u = _words_to_uniform(ragged_words(k0s, k1s, 0, used))
+    lam = np.repeat(rates.ravel() / np.maximum(m, 1), m)
+    total = np.concatenate([[0], np.cumsum(_poisson_invert(lam, u))])
+    ends = np.cumsum(m)
+    return (total[ends] - total[ends - m]).reshape(rates.shape), used

@@ -292,13 +292,10 @@ def test_round_plan_matches_round_measure(case, K, seed, block):
 
 
 class OnesCursor:
-    """Stands in for a StreamCursor: two atoms, location uniforms of exactly 1.0."""
+    """Stands in for a StreamCursor: location uniforms of exactly 1.0."""
 
     def __init__(self, k0=0, k1=0, pos=0):
         self.pos, self.reads = pos, 0
-
-    def poisson(self, rate):
-        return 2
 
     def uniforms(self, n):
         # the first read places the atoms, later reads draw their jumps
@@ -307,18 +304,18 @@ class OnesCursor:
         return np.full(n, 1.0 if self.reads == 1 else 0.5)
 
 
-def test_jump_law_follows_at_on_a_cell_upper_edge(monkeypatch):
+def test_jump_law_follows_at_on_a_cell_upper_edge():
     # all mass in [0, 0.5], so a location uniform of 1.0 lands on 0.5, where
     # c.at gives the upper cell's 4.0 and the drawn cell holds 1.0
     density = PiecewiseConst(UNIT, [[0.0, 0.5, 1.0]], [2.0, 0.0])
     c = PiecewiseConst(UNIT, [[0.0, 0.5, 1.0]], [1.0, 4.0])
     p = beta.BetaProcessParams(c, BaseMeasure(density))
-    monkeypatch.setattr(beta, "StreamCursor", OnesCursor)
     k = 3
-    pm = beta.simulate_round(p, k, RandomStream(0))
-    assert np.array_equal(pm.locations, [[0.5], [0.5]])
-    assert c.at(pm.locations).tolist() == [4.0, 4.0]
-    assert np.array_equal(pm.jumps, -np.expm1(np.log1p(-np.full(2, 0.5)) / (4.0 + k)))
+    table = location_table(beta.round_measure(p, k).measure)
+    locs, jumps, _, _ = beta._emit_round(p, table, k, 2, OnesCursor())
+    assert np.array_equal(locs, [[0.5], [0.5]])
+    assert c.at(locs).tolist() == [4.0, 4.0]
+    assert np.array_equal(jumps, -np.expm1(np.log1p(-np.full(2, 0.5)) / (4.0 + k)))
 
 
 def test_round_zero_monte_carlo_moments():

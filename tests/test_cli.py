@@ -71,8 +71,9 @@ def test_worker_pool_size_does_not_change_bytes(tmp_path):
 # counts whose rate needs two chunks, and dense beta rounds (hundreds of
 # atoms per round) at a seed of their own, the default and full verify
 # suites at seed 5, CSV posterior and symmetric-gamma runs (signed jumps, a
-# numeric h column), and a run written to stdout.  A changed digest is a
-# change of the output contract, not of speed.
+# numeric h column), a run written to stdout, and sparse beta rounds (2,501
+# rounds, most of them empty, over three plan blocks of up to 1,024).  A
+# changed digest is a change of the output contract, not of speed.
 BYTE_PINS = {
     "gamma-mass40": "558260aa555c9eea07a944cb29ff5ea0205f7acb75f141ac5b08bd2eca1fae2f",
     "symmetric-gamma": "c19e950ac049ecc1377a1c8e39ec06ae07831919ea25c03cd9b4faf128e6dea0",
@@ -84,6 +85,7 @@ BYTE_PINS = {
     "posterior-M4-csv": "d4d347384d3785f642cc4fee6e95db3fe183208d189699420e31067111d0f2de",
     "symmetric-gamma-csv": "d7a5a8d38924bf6358f2d11679eb1e7e52113b936ccbd7b03c07be03812ba936",
     "beta-stdout": "b08843e7af67da18361606586346336352cad4a6650c0ad78ceba33542495a0c",
+    "beta-sparse": "7b60c9d20e5c232ef365c71db9bc07dc52dd1047bd2000c39db257f9302490a5",
 }
 
 
@@ -132,6 +134,10 @@ def test_output_bytes_are_pinned(tmp_path):
     _, got["beta-dense"] = run(tmp_path, "d.jsonl", [
         "simulate", "--family", "beta", "--c", "1", "--mass", "300", "--K", "20",
         "--replicas", "2", "--seed", "26",
+    ])
+    _, got["beta-sparse"] = run(tmp_path, "sp.jsonl", [
+        "simulate", "--family", "beta", "--c", "1", "--mass", "0.5", "--K", "2500",
+        "--replicas", "2", "--seed", "27",
     ])
     _, got["verify-default"] = run(tmp_path, "v.jsonl", ["verify", "--seed", "5"])
     _, got["verify-all"] = run(tmp_path, "va.jsonl", [

@@ -7,6 +7,7 @@ sampler, ending with a prior-to-posterior round trip.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -126,6 +127,17 @@ def test_sample_bernoulli_data():
         posterior.sample_bernoulli_data(bad, 3, RandomStream(1))
 
 
+def test_bernoulli_data_matches_per_atom_reads():
+    # one read of n*M words equals one M-word read per atom, in atom order
+    pd = beta.simulate_beta_process(prior(c=1.0, mass=5.0), 30, RandomStream(802))
+    assert len(pd) > 3
+    for M in (0, 1, 7):
+        cur = RandomStream(803).cursor()
+        want = [int((cur.uniforms(M) < pi).sum()) for pi in pd.jumps]
+        got = posterior.sample_bernoulli_data(pd, M, RandomStream(803))
+        assert got.counts.tolist() == want
+
+
 def test_bernoulli_counts_independent_across_atoms():
     pd = PointMeasure(UNIT, [[0.2], [0.7]], [0.3, 0.6], [0, 0])
     xs = np.empty((3000, 2))
@@ -138,6 +150,10 @@ def test_bernoulli_counts_independent_across_atoms():
 def test_resample_zero_count_and_validation():
     assert posterior.resample_observed_jump(1.0, 2, 0, 5, RandomStream(1)) == 0.0
     assert (posterior.resample_observed_jumps(1.0, 2, 0, 5, RandomStream(1), 7) == 0.0).all()
+    # no draws, or no atoms, give empty rows of the right shape
+    for m, draws, shape in [(3, 0, (0,)), ([3, 0], 0, (2, 0)), ([], 4, (0, 4))]:
+        got = posterior.resample_observed_jumps(1.0, 2, m, 5, RandomStream(1), draws)
+        assert got.shape == shape
     with pytest.raises(ValueError):
         posterior.resample_observed_jump(1.0, 2, -1, 5, RandomStream(1))
     with pytest.raises(ValueError):
@@ -180,6 +196,28 @@ def test_grouped_resample_sums_match_single_draws(seed, c, M, m_i, K, draws):
     single = np.array([
         posterior.resample_observed_jump(c, M, m_i, K, s.child(d))
         for d in range(draws)
+    ])
+    assert np.array_equal(bulk, single)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    M=st.integers(0, 4),
+    counts=st.lists(st.sampled_from([0, 1, 2, 4, 9, 50]), min_size=1, max_size=6),
+    K=st.integers(0, 1000),
+    draws=st.integers(1, 12),
+    batch=st.sampled_from([1, 5, 8192]),
+)
+def test_resample_over_atoms_matches_single_draws(seed, M, counts, K, draws, batch):
+    # row i draws from stream.child(i); blocks of child streams may split an atom
+    s = RandomStream(seed)
+    with mock.patch.object(posterior, "_RESAMPLE_BATCH", batch):
+        bulk = posterior.resample_observed_jumps(1.0, M, np.array(counts), K, s, draws)
+    single = np.array([
+        [posterior.resample_observed_jump(1.0, M, m_i, K, s.child(i, d))
+         for d in range(draws)]
+        for i, m_i in enumerate(counts)
     ])
     assert np.array_equal(bulk, single)
 

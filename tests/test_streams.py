@@ -6,6 +6,7 @@ draw, and the scalar draw helpers produce the documented distributions.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Philox
 
+from levycrm import streams
 from levycrm.streams import (
     RandomStream,
     StreamCursor,
@@ -21,7 +23,7 @@ from levycrm.streams import (
     _poisson_invert,
     _stream_words,
     batch_poisson,
-    batch_words,
+    ragged_words,
 )
 
 
@@ -114,12 +116,63 @@ def test_split_cursor_reads_equal_one_read(start, pieces):
     assert cur.pos == start + total
 
 
-def test_batch_words_matches_cursor():
+def test_ragged_words_matches_cursor():
     s = RandomStream(5)
     k0s, k1s = s.child_keys(np.arange(17))
-    w = batch_words(k0s, k1s, 11)
+    w = ragged_words(k0s, k1s, 0, 11).reshape(17, 11)
     for i in range(17):
         assert np.array_equal(w[i], s.child(i).cursor().words(11))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    reads=st.lists(
+        st.tuples(
+            st.sampled_from([0, 2**63, 2**64 - 1]),
+            st.sampled_from([0, 2**63, 2**64 - 1]),
+            # at and around block boundaries, near and far into the stream
+            st.tuples(st.sampled_from([0, 1, 2**20, 2**40]), st.integers(-1, 2))
+            .map(lambda t: max(4 * t[0] + t[1], 0)),
+            st.one_of(st.just(0), st.integers(0, 40)),
+        ),
+        max_size=12,
+    ),
+    c_keys=st.sampled_from([0, streams._C_READ_MAX_KEYS]),
+)
+def test_ragged_words_equal_per_key_reads(reads, c_keys):
+    # the emulated cipher and the per-stream C reads give the same words
+    k0s, k1s, starts, counts = (
+        np.array([r[i] for r in reads], dtype=t)
+        for i, t in enumerate([np.uint64, np.uint64, np.int64, np.int64])
+    )
+    with mock.patch.object(streams, "_C_READ_MAX_KEYS", c_keys):
+        got = ragged_words(k0s, k1s, starts, counts)
+    want = [_stream_words(*r) for r in reads]
+    assert np.array_equal(got, np.concatenate([np.empty(0, np.uint64)] + want))
+
+
+_MIXED_RATES = st.sampled_from([0.0, 0.3, 16.0, 16.000001, 500.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    rates=st.one_of(
+        st.lists(_MIXED_RATES, min_size=1, max_size=10).map(np.array),
+        st.lists(st.lists(_MIXED_RATES, min_size=3, max_size=3), min_size=1, max_size=4)
+        .map(np.array),
+    ),
+)
+def test_batch_poisson_equals_cursor_on_mixed_rates(seed, rates):
+    s = RandomStream(seed)
+    idx = np.arange(rates.size).reshape(rates.shape)
+    with mock.patch.object(streams, "_C_READ_MAX_KEYS", 0):
+        counts, used = batch_poisson(rates, *s.child_keys(idx))
+    assert counts.shape == used.shape == rates.shape
+    for i in np.ndindex(rates.shape):
+        cur = s.child(int(idx[i])).cursor()
+        assert counts[i] == cur.poisson(float(rates[i]))
+        assert used[i] == cur.pos
 
 
 def test_child_path_algebra():

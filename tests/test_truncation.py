@@ -22,7 +22,7 @@ from levycrm.streams import (
     _absorb_arr,
     _words_to_uniform,
     batch_poisson,
-    batch_words,
+    ragged_words,
 )
 
 UNIT = Domain()
@@ -215,11 +215,9 @@ def _residual_round_totals(c, mass, ks, seed, reps):
     start = used[nz]
     b = np.broadcast_to(c + ks.astype(float), g0.shape)[nz]
     repl = np.broadcast_to(np.arange(reps)[:, None], g0.shape)[nz]
-    w = _words_to_uniform(batch_words(g0[nz], g1[nz], int(start.max() + 3 * n.max())))
+    # each live round's jump words follow its count and 2 words per location
+    u = _words_to_uniform(ragged_words(g0[nz], g1[nz], start + 2 * n, n))
     rows = np.repeat(np.arange(n.size), n)
-    ends = np.cumsum(n)
-    within = np.arange(ends[-1]) - np.repeat(ends - n, n)
-    u = w[rows, start[rows] + 2 * n[rows] + within]
     jumps = -np.expm1(np.log1p(-u) / b[rows])
     return np.bincount(repl[rows], weights=jumps, minlength=reps)
 
