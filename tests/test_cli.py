@@ -71,9 +71,11 @@ def test_worker_pool_size_does_not_change_bytes(tmp_path):
 # counts whose rate needs two chunks, and dense beta rounds (hundreds of
 # atoms per round) at a seed of their own, the default and full verify
 # suites at seed 5, CSV posterior and symmetric-gamma runs (signed jumps, a
-# numeric h column), a run written to stdout, and sparse beta rounds (2,501
-# rounds, most of them empty, over three plan blocks of up to 1,024).  A
-# changed digest is a change of the output contract, not of speed.
+# numeric h column), a run written to stdout, sparse beta rounds (2,501
+# rounds, most of them empty, over three plan blocks of up to 1,024), a beta
+# and a CSV gamma truncation table, the three density checks at a fixed K and
+# H, and a verify header that expands the default group between repeated
+# names.  A changed digest is a change of the output contract, not of speed.
 BYTE_PINS = {
     "gamma-mass40": "558260aa555c9eea07a944cb29ff5ea0205f7acb75f141ac5b08bd2eca1fae2f",
     "symmetric-gamma": "c19e950ac049ecc1377a1c8e39ec06ae07831919ea25c03cd9b4faf128e6dea0",
@@ -86,6 +88,10 @@ BYTE_PINS = {
     "symmetric-gamma-csv": "d7a5a8d38924bf6358f2d11679eb1e7e52113b936ccbd7b03c07be03812ba936",
     "beta-stdout": "b08843e7af67da18361606586346336352cad4a6650c0ad78ceba33542495a0c",
     "beta-sparse": "7b60c9d20e5c232ef365c71db9bc07dc52dd1047bd2000c39db257f9302490a5",
+    "truncation-beta": "489e2d90376557747d8ffe4394f891c92026d3de559324afbc9a221090ed6062",
+    "truncation-gamma-csv": "4651b04c70c86abb32798ccee51d52cc27ed933b53cfd87ab08932f787dca52a",
+    "verify-density-fixed-K": "009de3d4c2c356e488d401ebdef2dce204fd6492a700f322288560e92ac9652c",
+    "verify-groups": "abb9e0df79a4d6bac11911983c184b7bc104bfda10b26117b639d15078ea4aee",
 }
 
 
@@ -142,6 +148,23 @@ def test_output_bytes_are_pinned(tmp_path):
     _, got["verify-default"] = run(tmp_path, "v.jsonl", ["verify", "--seed", "5"])
     _, got["verify-all"] = run(tmp_path, "va.jsonl", [
         "verify", "--check", "all", "--replicas", "200", "--seed", "5",
+    ])
+    _, got["truncation-beta"] = run(tmp_path, "tb.jsonl", [
+        "truncation-table", "--family", "beta", "--c", "1", "--mass", "3",
+        "--K-max", "12", "--M", "10", "--seed", "1",
+    ])
+    _, got["truncation-gamma-csv"] = run(tmp_path, "tg.csv", [
+        "truncation-table", "--family", "gamma", "--mass", "2", "--K-max", "9",
+        "--H", "4", "--seed", "2", "--format", "csv",
+    ])
+    _, got["verify-density-fixed-K"] = run(tmp_path, "vd.jsonl", [
+        "verify", "--check", "beta-density", "--check", "stable-beta-density",
+        "--check", "gamma-density", "--K", "30", "--H", "20", "--sigma", "0.3",
+        "--seed", "4",
+    ])
+    _, got["verify-groups"] = run(tmp_path, "vg.jsonl", [
+        "verify", "--check", "ibp", "--check", "default", "--check", "ibp",
+        "--seed", "3",
     ])
     assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == BYTE_PINS
 
