@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import levycrm
-from levycrm import posterior, truncation
+from levycrm import cli, posterior, truncation
 from levycrm.cli import _csv_field, _emit, _json_line, main
 
 
@@ -607,6 +607,48 @@ def test_verify_failure_and_bad_check(tmp_path, capsys):
         "--out", str(tmp_path / "x.jsonl"),
     ]) == 2
     capsys.readouterr()
+
+
+def test_verify_checks_every_name_before_running_any(tmp_path, monkeypatch, capsys):
+    def must_not_run(args, root):
+        raise AssertionError("a check ran before every name was validated")
+
+    monkeypatch.setattr(cli, "_CHECKS", {
+        name: (must_not_run, gated) for name, (_, gated) in cli._CHECKS.items()
+    })
+    out = tmp_path / "x.jsonl"
+    assert main([
+        "verify", "--check", "gamma-marginal", "--check", "typo", "--seed", "1",
+        "--out", str(out),
+    ]) == 2
+    assert "unknown check 'typo'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_help_lists_every_check(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "400")  # no wrapping inside a name
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    text = capsys.readouterr().out
+    for name in [
+        "beta-density", "stable-beta-density", "gamma-density", "moment-closure",
+        "ibp", "generalized-gate", "gamma-marginal", "symmetric-variance",
+        "'default'", "'all'",
+    ]:
+        assert name in text
+
+
+@pytest.mark.parametrize("sigma", ["1.5", "-0.5", "nan"])
+def test_verify_rejects_sigma_outside_unit_interval(tmp_path, capsys, sigma):
+    # 1.5 made every partial sum NaN, which the max-error fold dropped, and
+    # -0.5 divided by zero
+    out = tmp_path / "x.jsonl"
+    assert main([
+        "verify", "--check", "stable-beta-density", "--sigma", sigma, "--seed", "1",
+        "--out", str(out),
+    ]) == 2
+    assert "--sigma must lie in [0, 1)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_generated_when_absent(tmp_path):
