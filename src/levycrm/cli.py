@@ -670,8 +670,8 @@ def _check_symmetric_variance(args, root):
             "symmetric-gamma/variance",
             target_var,
             mom.variance,
-            0.05,
-            "rel",
+            4.0 * mom.se_variance,
+            "abs",
             f"truncation-adjusted target at K={K}, H={H}",
         ),
     ]

@@ -83,7 +83,7 @@ BYTE_PINS = {
     "posterior-M4": "26552ae2b3082dacf12dca14faf9db3dace80bfb5035af4c4c65e583a2b14aac",
     "beta-dense": "5c61123240f75a8815f8ec5c43e46fb7495530a94e028afeb3f37ab1fbe1800c",
     "verify-default": "65f3dea4e86a56f1bfdaf5f8fd4f23c64e525ceb0aa4e681a3e1c999630a684b",
-    "verify-all": "62ca0c046697011ef3e85c0a37f14017a41bede312378216b335c15569b1cc31",
+    "verify-all": "2d1f77266e2f9ad7553c8e44f178203cda4ee16c5065561592afcc3b58d1d653",
     "posterior-M4-csv": "d4d347384d3785f642cc4fee6e95db3fe183208d189699420e31067111d0f2de",
     "symmetric-gamma-csv": "d7a5a8d38924bf6358f2d11679eb1e7e52113b936ccbd7b03c07be03812ba936",
     "beta-stdout": "b08843e7af67da18361606586346336352cad4a6650c0ad78ceba33542495a0c",
@@ -146,9 +146,12 @@ def test_output_bytes_are_pinned(tmp_path):
         "--replicas", "2", "--seed", "27",
     ])
     _, got["verify-default"] = run(tmp_path, "v.jsonl", ["verify", "--seed", "5"])
-    _, got["verify-all"] = run(tmp_path, "va.jsonl", [
+    code, got["verify-all"] = run(tmp_path, "va.jsonl", [
         "verify", "--check", "all", "--replicas", "200", "--seed", "5",
     ])
+    # every check passes at 200 replicas: the symmetric-gamma variance is held
+    # to 4 standard errors, not to a fixed share of the target
+    assert code == 0
     _, got["truncation-beta"] = run(tmp_path, "tb.jsonl", [
         "truncation-table", "--family", "beta", "--c", "1", "--mass", "3",
         "--K-max", "12", "--M", "10", "--seed", "1",
