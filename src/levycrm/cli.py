@@ -617,10 +617,10 @@ def _check_ibp(args, root):
     ]
 
 
-def _replica_masses(sim, params, K, H, args, root):
-    """Total mass of each of --replicas draws; replica r reads root path [r]."""
+def _replica_masses(sim, params, K, H, args, stream):
+    """Total mass of each of --replicas draws; replica r reads stream.child(r)."""
     return np.array(
-        [sim(params, K, H, root.child(r)).total_mass for r in range(args.replicas)]
+        [sim(params, K, H, stream.child(r)).total_mass for r in range(args.replicas)]
     )
 
 
@@ -756,8 +756,8 @@ def cmd_verify(args) -> int:
         failed = failed or not (gated or all(rep.passed for rep in rows))
 
     columns = ["name", "target", "computed", "tolerance", "mode", "passed", "detail"]
-    rows = [dataclasses.asdict(rep) for rep in reports]
-    _emit(args, _header(args, seed, checks=names), rows, columns)
+    records = [dataclasses.asdict(rep) for rep in reports]
+    _emit(args, _header(args, seed, checks=names), records, columns)
     return 1 if failed else 0
 
 
