@@ -16,12 +16,16 @@ Summing the round densities over k recovers nu, and simulating rounds
 like c/(c+K+1) (see the truncation module).
 
 Every round's rate, location table and jump law is a closed form in
-(params, k), known before any random word is read.  A draw therefore
-builds them once, as array rows over blocks of rounds (``_RoundPlan``),
-draws every round's count in one across-keys pass, and then reads each
-live round's locations and jumps from ``stream.child(k)``, starting where
-the count's words end.  ``round_measure`` stays the descriptive record of
-one round; the plan's floats equal its floats bit for bit.
+(params, k), known before any random word is read, so once the counts are
+drawn every word position is fixed.  Draws therefore run on the draw
+engine (``measures.draw_cells``) with a leading axis of draw keys:
+``_RoundPlan`` builds the rounds' rates and tables as array rows, a block
+of rounds at a time, and per call over at most ``measures._DRAW_BATCH``
+(draw, round) streams the engine makes one across-keys count pass, one
+ragged read of the locations and one of the jumps.  ``simulate_replicas``
+draws many replicas so; ``simulate_beta_process`` and ``simulate_round``
+are the same call over one key.  ``round_measure`` stays the descriptive
+record of one round; the plan's floats equal its floats bit for bit.
 
 The stable-beta variant adds a discount sigma in [0, 1); its rounds carry
 Beta(1-sigma, c+sigma+k) jumps with gamma-function mass factors, and the
@@ -38,17 +42,18 @@ import numpy as np
 
 from .measures import (
     BaseMeasure,
+    Cells,
     Domain,
     DomainError,
     LocationTable,
     PiecewiseConst,
     PointMeasure,
     _cell_volumes,
-    _sample_locations,
     common_edges,
+    draw_cells,
     positive_function,
 )
-from .streams import RandomStream, StreamCursor, batch_poisson
+from .streams import RandomStream
 
 
 class BetaProcessParams:
@@ -121,7 +126,7 @@ def simulate_round(
     """
     if k < 0:
         raise ValueError("round index must be >= 0")
-    return _draw_rounds(params, k, k + 1, stream)
+    return _draw(params, k, k + 1, stream.key)[0]
 
 
 def simulate_beta_process(
@@ -130,13 +135,31 @@ def simulate_beta_process(
     """Superpose rounds 0..K (inclusive) into one truncated draw.
 
     Equals the concatenation of ``simulate_round(params, k, stream)`` for
-    k in order, so raising K never changes earlier atoms.  Every round's
-    rate and location table come from one ``_RoundPlan`` built per draw,
-    a block of rounds at a time.
+    k in order, so raising K never changes earlier atoms.
     """
     if K < 0:
         raise ValueError("truncation round K must be >= 0")
-    return _draw_rounds(params, 0, K + 1, stream)
+    return _draw(params, 0, K + 1, stream.key)[0]
+
+
+def simulate_replicas(
+    params: BetaProcessParams,
+    K: int,
+    stream: RandomStream,
+    replicas: int,
+    first_round: int = 0,
+) -> list[PointMeasure]:
+    """Rounds first_round..K of ``replicas`` draws, through the draw engine.
+
+    Replica r equals ``simulate_beta_process(params, K, stream.child(r))``,
+    or ``simulate_round(params, K, stream.child(r))`` when ``first_round``
+    is K, bit for bit.
+    """
+    if not 0 <= first_round <= K:
+        raise ValueError("need 0 <= first_round <= K")
+    if replicas < 0:
+        raise ValueError("replicas must be >= 0")
+    return _draw(params, first_round, K + 1, stream.child_keys(np.arange(replicas)))
 
 
 # Rounds per plan block times table width (cells plus fixed atoms) stays near
@@ -176,46 +199,32 @@ class _RoundPlan:
         rates = cells.sum(axis=1) + atoms.sum(axis=1)
         return rates, np.cumsum(np.concatenate([cells, atoms], axis=1), axis=1)
 
+    def blocks(self, k_lo: int, k_hi: int):
+        """Rounds k_lo..k_hi-1 as engine cells, a plan block at a time."""
+        step = max(1, _PLAN_BLOCK // self.width)
+        for lo in range(k_lo, k_hi, step):
+            ks = np.arange(lo, min(lo + step, k_hi))
+            rates, cums = self.rows(ks)
+            yield Cells(
+                (ks,), rates, LocationTable(cums, self.edges, self.atoms),
+                np.arange(ks.size), np.ones(ks.size, np.int64),
+            )
 
-def _draw_rounds(
-    params: BetaProcessParams, k_lo: int, k_hi: int, stream: RandomStream
-) -> PointMeasure:
-    """Rounds k_lo..k_hi-1 superposed, each drawn from ``stream.child(k)``.
 
-    A block of rounds at a time: the plan gives their rates and tables, and
-    one across-keys Poisson pass (``batch_poisson``) draws every round's
-    count.  Each live round then reads its locations and jumps from
-    ``stream.child(k)``, starting where its count's words end.
+def _draw(params: BetaProcessParams, k_lo: int, k_hi: int, roots) -> list:
+    """Rounds k_lo..k_hi-1 of one draw per root key ``roots = (k0s, k1s)``.
+
+    Round k of a draw reads the root's ``child(k)``: a ``_RoundPlan`` gives
+    every round's rate and table, and each atom reads one jump word.
     """
-    plan = _RoundPlan(params)
-    step = max(1, _PLAN_BLOCK // plan.width)
-    parts = []
-    for lo in range(k_lo, k_hi, step):
-        ks = np.arange(lo, min(lo + step, k_hi))
-        rates, cums = plan.rows(ks)
-        k0s, k1s = stream.child_keys(ks)
-        counts, used = batch_poisson(rates, k0s, k1s)
-        for i in np.flatnonzero(counts):
-            cur = StreamCursor(int(k0s[i]), int(k1s[i]), pos=int(used[i]))
-            table = LocationTable(cums[i], plan.edges, plan.atoms)
-            parts.append(_emit_round(params, table, int(ks[i]), int(counts[i]), cur))
-    return PointMeasure.concat(params.domain, parts)
+    c = params.concentration
 
+    def jumps(k, h, locs, u):
+        # at(), not the drawn cell: a uniform of 1.0 lands on the next cell's edge
+        return -np.expm1(np.log1p(-u[:, 0]) / (c.at(locs) + k))
 
-def _emit_round(
-    params: BetaProcessParams,
-    table: LocationTable,
-    k: int,
-    n: int,
-    cur: StreamCursor,
-) -> tuple:
-    """The (locations, jumps, round_k, subround_h) columns of round k's n atoms."""
-    locs = _sample_locations(table, n, cur)
-    # at(), not the drawn cell: a uniform of 1.0 lands on the next cell's edge
-    b = params.concentration.at(locs) + k
-    u = cur.uniforms(n)
-    jumps = -np.expm1(np.log1p(-u) / b)
-    return locs, jumps, np.full(n, k), np.zeros(n, np.int64)
+    blocks = _RoundPlan(params).blocks(k_lo, k_hi)
+    return draw_cells(params.domain, roots, blocks, jumps)
 
 
 def round_mean_and_variance(

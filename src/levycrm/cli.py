@@ -54,7 +54,7 @@ from .measures import (
     UnsupportedParameterError,
 )
 from .posterior import InvalidPriorError, ObservationSet
-from .streams import RandomStream
+from .streams import MAX_POISSON_RATE, RandomStream
 
 
 class CLIError(ValueError):
@@ -197,6 +197,14 @@ def _simulate_config(args):
         raise CLIError("--mass must be positive")
     if args.replicas < 0:
         raise CLIError("--replicas must be >= 0")
+    # the busiest stream is beta round 0 or gamma cell (1, 1), at rate mass
+    # (half that for the one-sided gamma family)
+    top = args.mass / 2 if args.family == "gamma" else args.mass
+    if top > MAX_POISSON_RATE:
+        raise CLIError(
+            f"--mass {args.mass:g} gives one stream a Poisson rate of {top:g}, "
+            f"above the cap of {MAX_POISSON_RATE:g} that bounds a draw's memory"
+        )
     return K
 
 
@@ -217,10 +225,7 @@ def cmd_simulate(args) -> int:
             args, seed, l1, family=family, c=float(args.c), mass=float(args.mass),
             K=K, replicas=args.replicas,
         )
-
-        def one(r):
-            return beta.simulate_beta_process(params, K, root.child(r))
-
+        draws = beta.simulate_replicas(params, K, root, args.replicas)
     elif family in ("gamma", "symmetric-gamma"):
         if args.theta is None or args.theta <= 0.0:
             raise CLIError("gamma simulation needs --theta > 0")
@@ -238,33 +243,25 @@ def cmd_simulate(args) -> int:
             # simulation cannot run infinitely many sub-rounds; the cap is
             # part of the recorded config so the run stays reproducible
             header["H_sim_cap"] = gamma.SUBROUND_CAP
-        sim = (
-            gamma.simulate_gamma_process
-            if family == "gamma"
-            else gamma.simulate_symmetric_gamma
+        draws = gamma.simulate_replicas(
+            params, K, H, root, args.replicas, signed=family != "gamma"
         )
-
-        def one(r):
-            return sim(params, K, H, root.child(r))
-
     else:  # pragma: no cover - argparse choices guard this
         raise CLIError(f"unknown family {family!r}")
 
-    blocks = []
-    for r in range(args.replicas):
-        draw = one(r)
-        blocks.append(
-            {
-                "replica": r,
-                "family": family,
-                "k": draw.round_k,
-                # beta atoms carry no sub-round index; h serializes as null
-                "h": None if family == "beta" else draw.subround_h,
-                "location": draw.locations,
-                "jump": draw.jumps,
-                "origin": "prior",
-            }
-        )
+    blocks = [
+        {
+            "replica": r,
+            "family": family,
+            "k": draw.round_k,
+            # beta atoms carry no sub-round index; h serializes as null
+            "h": None if family == "beta" else draw.subround_h,
+            "location": draw.locations,
+            "jump": draw.jumps,
+            "origin": "prior",
+        }
+        for r, draw in enumerate(draws)
+    ]
     columns = ["replica", "family", "k", "h", "location", "jump", "origin"]
     _emit(args, header, blocks, columns)
     return 0
@@ -617,11 +614,10 @@ def _check_ibp(args, root):
     ]
 
 
-def _replica_masses(sim, params, K, H, args, stream):
-    """Total mass of each of --replicas draws; replica r reads stream.child(r)."""
-    return np.array(
-        [sim(params, K, H, stream.child(r)).total_mass for r in range(args.replicas)]
-    )
+def _replica_masses(params, K, H, args, stream, signed):
+    """Total mass of each of --replicas gamma draws; replica r reads stream.child(r)."""
+    draws = gamma.simulate_replicas(params, K, H, stream, args.replicas, signed)
+    return np.array([d.total_mass for d in draws])
 
 
 def _check_gamma_marginal(args, root):
@@ -630,9 +626,7 @@ def _check_gamma_marginal(args, root):
     from . import verify
     params = gamma.GammaProcessParams.homogeneous(1.0, 2.0)
     K, H = 199, 40
-    masses = _replica_masses(
-        gamma.simulate_gamma_process, params, K, H, args, root.child(0)
-    )
+    masses = _replica_masses(params, K, H, args, root.child(0), signed=False)
     # scipy.stats computes the Gamma(2, 1) CDF as exactly this call
     res = verify.ks_distance(masses, lambda x: special.gammainc(2.0, x))
     return [
@@ -652,9 +646,7 @@ def _check_symmetric_variance(args, root):
     from . import verify
     params = gamma.GammaProcessParams.homogeneous(1.0, 1.0)
     K, H = 100, 30
-    masses = _replica_masses(
-        gamma.simulate_symmetric_gamma, params, K, H, args, root.child(1)
-    )
+    masses = _replica_masses(params, K, H, args, root.child(1), signed=True)
     mom = verify.monte_carlo_moments(masses)
     target_var = gamma.symmetric_variance(params, K, H)
     return [
@@ -729,6 +721,11 @@ def cmd_verify(args) -> int:
         raise CLIError("--replicas must be >= 2")
     if not 0.0 <= args.sigma < 1.0:
         raise CLIError("--sigma must lie in [0, 1)")
+    if args.H is not None and _parse_h(args.H) is None:
+        raise CLIError(
+            "verify needs a finite --H: the gamma partial-sum oracle sums "
+            "sub-rounds h = 1..H (omit --H for H = 60)"
+        )
     seed = _resolve_seed(args)
     root = RandomStream(seed)
     for name in names:
@@ -827,7 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--N", type=int, default=10**6, help="feature-count size")
     sp.add_argument("--K", type=int, help="fixed K for density checks")
-    sp.add_argument("--H", help="fixed H for gamma density checks")
+    sp.add_argument("--H", help="fixed finite H for gamma density checks (default 60)")
     sp.add_argument("--sigma", type=float, default=0.5)
     sp.add_argument("--replicas", type=int, default=2000)
     _add_output_flags(sp)

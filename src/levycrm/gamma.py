@@ -14,6 +14,15 @@ exponentials and summing over k recovers nu, so superposing simulated
 subrounds for k <= K, h <= H yields a truncated draw with L1 error
 1/(K+1) plus a small h-tail (see the truncation module).
 
+Every subround's rate, location law and jump law is a closed form known
+before any random word is read, so draws run on the draw engine
+(``measures.draw_cells``) with a leading axis of draw keys: per call over
+at most ``measures._DRAW_BATCH`` (draw, k, h) streams, one across-keys
+count pass, one ragged read of the locations and one of the jumps (and
+signs).  Only live cells with h > 16 draw their jumps through a cursor.
+``simulate_replicas`` draws many replicas so; the one-draw functions are
+the same call over one key.
+
 A symmetric variant assigns each atom a fair random sign and doubles the
 subround rates; it targets the two-sided Levy density |p|^(-1) e^(-|p|/th),
 the increment law of a difference of two independent gamma processes.
@@ -43,21 +52,16 @@ import numpy as np
 
 from .measures import (
     BaseMeasure,
+    Cells,
     Domain,
     LocationTable,
     PiecewiseConst,
     PointMeasure,
-    _sample_locations,
+    draw_cells,
     location_table,
     positive_function,
 )
-from .streams import (
-    RandomStream,
-    StreamCursor,
-    _absorb_arr,
-    _GAMMA_INT_SHAPE_MAX,
-    batch_poisson,
-)
+from .streams import _GAMMA_INT_SHAPE_MAX, RandomStream
 
 # Subround cap standing in for h = infinity: beyond h = 64 every subround
 # rate is below mass * 2^-70, far under one expected atom per 1e20 draws.
@@ -150,51 +154,44 @@ def simulate_subround(
     locations, then jumps, each jump Gamma(h, th(w)/(k+1)).
     """
     rate = subround_rate(params.total_base_mass, k, h)
-    cur = stream.child(k, h).cursor()
-    n = cur.poisson(rate)
-    table = location_table(params.base)
-    cols = _emit_subround(params, table, k, h, n, cur, signed=False)
-    return PointMeasure(params.domain, *cols)
+    cells = _cells(params, np.array([k]), np.array([h]), np.array([rate]))
+    return _draw(params, cells, stream.key, signed=False)[0]
 
 
-def _emit_subround(
-    params: GammaProcessParams,
-    table: LocationTable,
-    k: int,
-    h: int,
-    n: int,
-    cur: StreamCursor,
-    signed: bool,
-) -> tuple:
-    """The (locations, jumps, round_k, subround_h) columns of n atoms."""
-    locs = _sample_locations(table, n, cur)
-    # at(), not the drawn cell: a uniform of 1.0 lands on the next cell's edge
-    scales = params.scale.at(locs) / (k + 1)
-    if h <= _GAMMA_INT_SHAPE_MAX:
-        # one batch; reads the same words the per-atom draws would read
-        u = cur.uniforms(n * h).reshape(n, h)
-        jumps = -np.log(u).sum(axis=1) * scales
-    else:
-        jumps = np.array([cur.gamma(h, s) for s in scales])
-    if signed:
-        signs = np.where(cur.uniforms(n) < 0.5, 1.0, -1.0)
-        jumps = jumps * signs
-    return locs, jumps, np.full(n, k), np.full(n, h)
+def _cells(params: GammaProcessParams, ks, hs, rates) -> Cells:
+    # every cell samples from the shape measure's one table; integer shapes
+    # up to _GAMMA_INT_SHAPE_MAX take h words per atom, larger ones fall back
+    t = location_table(params.base)
+    return Cells(
+        (ks, hs), rates, LocationTable(t.cum[None], t.edges, t.atoms),
+        np.zeros(ks.size, np.intp), np.where(hs <= _GAMMA_INT_SHAPE_MAX, hs, 0),
+    )
 
 
-def _simulate_grid(
-    params: GammaProcessParams,
-    K: int,
-    H: int | None,
-    stream: RandomStream,
-    signed: bool,
-) -> PointMeasure:
-    """Subrounds k = 1..K, h = 1..H of one draw, in (k, h) order.
+def _draw(params: GammaProcessParams, cells: Cells, roots, signed: bool) -> list:
+    """``cells`` of one draw per root key ``roots = (k0s, k1s)``, through the engine.
 
-    The count of every cell comes from one across-keys Poisson pass over
-    the cells that can be nonzero.  Every live cell then samples its
-    locations from one location table of the shape measure, built once per
-    draw, and draws its jumps (and signs) from its own stream.
+    An atom of cell (k, h) at w takes a Gamma(h, th(w)/(k+1)) magnitude: a
+    sum of h exponentials, summed per atom over a row of h words, or
+    ``StreamCursor.gamma`` beyond integer shape 16.
+    """
+    scale = params.scale
+
+    def jumps(k, h, locs, u):
+        # at(), not the drawn cell: a uniform of 1.0 lands on the next cell's edge
+        return -np.log(u).sum(axis=1) * (scale.at(locs) / (k + 1))
+
+    def fallback(cur, k, h, locs):
+        return np.array([cur.gamma(h, s) for s in scale.at(locs) / (k + 1)])
+
+    return draw_cells(params.domain, roots, [cells], jumps, fallback, signed)
+
+
+def _grid(params: GammaProcessParams, K: int, H: int | None, signed: bool) -> Cells:
+    """The cells k = 1..K, h = 1..H of a draw, in (k, h) order.
+
+    Where exp(-rate) rounds to 1, the Poisson inversion returns 0 for every
+    uniform (none exceeds 1), so those cells need no key and no cipher.
     """
     if K < 1:
         raise ValueError("need at least one round")
@@ -204,24 +201,8 @@ def _simulate_grid(
         raise ValueError("need at least one subround")
     mass = params.total_base_mass * (2.0 if signed else 1.0)
     rates = _rates_grid(mass, K, H)
-
-    # Where exp(-rate) rounds to 1, the Poisson inversion returns 0 for every
-    # uniform (none exceeds 1), so those cells need no key and no cipher.
     ii, jj = np.nonzero(np.exp(-rates) < 1.0)
-    ks = np.arange(1, K + 1, dtype=np.uint64)
-    hs = np.arange(1, H + 1, dtype=np.uint64)
-    k0s, k1s = stream.child_keys(ks)
-    g0, g1 = _absorb_arr(k0s[ii], k1s[ii], hs[jj])
-    counts, used = batch_poisson(rates[ii, jj], g0, g1)
-
-    table = location_table(params.base)
-    parts = []
-    for c in np.flatnonzero(counts):
-        cur = StreamCursor(int(g0[c]), int(g1[c]), pos=int(used[c]))
-        parts.append(_emit_subround(
-            params, table, int(ii[c]) + 1, int(jj[c]) + 1, int(counts[c]), cur, signed
-        ))
-    return PointMeasure.concat(params.domain, parts)
+    return _cells(params, ii + 1, jj + 1, rates[ii, jj])
 
 
 def simulate_gamma_process(
@@ -237,7 +218,7 @@ def simulate_gamma_process(
     concatenating ``simulate_subround`` over the grid in (k, h)
     lexicographic order.
     """
-    return _simulate_grid(params, K, H, stream, signed=False)
+    return _draw(params, _grid(params, K, H, False), stream.key, signed=False)[0]
 
 
 def simulate_symmetric_gamma(
@@ -252,7 +233,26 @@ def simulate_symmetric_gamma(
     magnitude Gamma(h, th/(k+1)) and then an independent fair sign, after
     all magnitudes of its subround.
     """
-    return _simulate_grid(params, K, H, stream, signed=True)
+    return _draw(params, _grid(params, K, H, True), stream.key, signed=True)[0]
+
+
+def simulate_replicas(
+    params: GammaProcessParams,
+    K: int,
+    H: int | None,
+    stream: RandomStream,
+    replicas: int,
+    signed: bool = False,
+) -> list[PointMeasure]:
+    """``replicas`` draws through the draw engine; replica r reads ``stream.child(r)``.
+
+    Replica r equals ``simulate_gamma_process(params, K, H, stream.child(r))``
+    (``simulate_symmetric_gamma`` when ``signed``), bit for bit.
+    """
+    if replicas < 0:
+        raise ValueError("replicas must be >= 0")
+    keys = stream.child_keys(np.arange(replicas))
+    return _draw(params, _grid(params, K, H, signed), keys, signed)
 
 
 def subround_mean_and_variance(

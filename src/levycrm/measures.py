@@ -9,17 +9,27 @@ an exact finite sum over the common grid refinement; no quadrature enters.
 
 Point measures are the simulation output: finitely many atoms held as
 columns, an (n, dim) array of locations and matching arrays of jumps and of
-the round and subround that produced each atom.
+the round and subround that produced each atom.  ``draw_cells`` is the draw
+engine both process families run on: it draws the finite Poisson processes
+(cells) of many draws at once, in a few across-keys reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
-from .streams import StreamCursor
+from .streams import (
+    StreamCursor,
+    _absorb_arr,
+    _ragged_index,
+    _words_to_uniform,
+    batch_poisson,
+    ragged_words,
+)
 
 
 class DomainError(ValueError):
@@ -433,7 +443,8 @@ class LocationTable:
 
     ``cum`` is the running sum of the masses of the grid cells that
     ``edges`` spans, in C order, then of the fixed atoms at the (m, dim)
-    ``atoms``.
+    ``atoms``.  The draw engine stacks several such sums over the same
+    edges and atoms, one row per table.
     """
 
     cum: np.ndarray
@@ -453,33 +464,189 @@ def _sample_locations(table: LocationTable, n: int, cursor: StreamCursor) -> np.
 
     Returns an (n, dim) array.  Consumes, per point, one component-choice
     uniform plus one uniform per dimension when a density cell is chosen
-    (atoms need no position draw).
+    (atoms need no position draw); the cursor ends after the words used.
     """
-    # One read of the most words n points can take, a component choice at
-    # every word, then a walk over the choices that start a point: a cell
-    # takes 1 + dim words, an atom one.  The cursor ends after the words used.
-    cum = table.cum
-    if not cum[-1] > 0:
+    if not table.cum[-1] > 0:
         raise ValueError("cannot sample from a measure with zero mass")
-    n_cells = cum.size - len(table.atoms)
-    dim = len(table.edges)
     start = cursor.pos
-    u = cursor.uniforms(n * (1 + dim))
-    comp = np.minimum(np.searchsorted(cum, u * cum[-1], side="left"), cum.size - 1)
-    steps = np.where(comp < n_cells, 1 + dim, 1).tolist()
-    first = []
-    p = 0
-    for _ in range(n):
-        first.append(p)
-        p += steps[p]
-    cursor.pos = start + p
-    first = np.array(first, dtype=np.intp)
+    u = cursor.uniforms(n * (1 + len(table.edges)))
+    stacked = LocationTable(table.cum[None], table.edges, table.atoms)
+    locs, used = _place(stacked, np.zeros(1, np.intp), np.array([n]), u)
+    cursor.pos = start + int(used[0])
+    return locs
+
+
+def _place(table: LocationTable, rows, n, u) -> tuple[np.ndarray, np.ndarray]:
+    """Locations of ``n[i]`` points for each of many streams, and the words each used.
+
+    ``table.cum`` stacks one row of cumulative masses per table, and stream
+    ``i`` samples from row ``rows[i]``; its segment of ``u``
+    holds the most words its points can take, ``n[i] (1 + dim)``.  Every
+    word gets a component choice; then a walk over the choices that start a
+    point gives each point's first word: a cell takes 1 + dim words, an
+    atom one.  Returns the points of every stream, in stream order.
+    """
+    cums = table.cum
+    width = cums.shape[1]
+    n_cells = width - len(table.atoms)
+    dim = len(table.edges)
+    word_owner, _, word0 = _ragged_index(n * (1 + dim))
+    comp = np.zeros(u.size, np.intp)
+    if width > 1:
+        # one searchsorted per distinct table, over the words that use it
+        row = rows[word_owner]
+        x = u * cums[row, -1]
+        order = np.argsort(row, kind="stable")
+        ends = np.searchsorted(row[order], np.arange(cums.shape[0] + 1))
+        for r in np.flatnonzero(np.diff(ends)):
+            sel = order[ends[r]:ends[r + 1]]
+            comp[sel] = np.searchsorted(cums[r], x[sel], side="left")
+        comp = np.minimum(comp, width - 1)
+    steps = np.where(comp < n_cells, 1 + dim, 1)
+    owner, within, _ = _ragged_index(n)
+    stride = steps.max(initial=1)
+    if np.all(steps == stride):
+        # one stride everywhere: no walk
+        first = word0[owner] + within * stride
+        used = n * stride
+    else:
+        walk, used, steps = [], [], steps.tolist()
+        for p, m in zip(word0.tolist(), n.tolist()):
+            p0 = p
+            for _ in range(m):
+                walk.append(p)
+                p += steps[p]
+            used.append(p - p0)
+        first, used = np.array(walk, dtype=np.intp), np.array(used)
     j = comp[first]
     cell = j < n_cells
-    out = np.empty((n, dim))
+    out = np.empty((first.size, dim))
     idx = np.unravel_index(j[cell], tuple(e.size - 1 for e in table.edges))
     for d, e in enumerate(table.edges):
         lo, hi = e[idx[d]], e[idx[d] + 1]
         out[cell, d] = lo + u[first[cell] + 1 + d] * (hi - lo)
     out[~cell] = table.atoms[j[~cell] - n_cells]
-    return out
+    return out, used
+
+
+# Stream keys per engine call, as posterior._RESAMPLE_BATCH: the count pass,
+# both word reads and their temporaries stay this size whatever the replicas.
+_DRAW_BATCH = 8192
+
+
+class Cells(NamedTuple):
+    """A block of the finite Poisson processes (cells) that every draw runs.
+
+    Cell ``i`` reads stream ``root.child(*(p[i] for p in path))`` of each
+    draw's root, where ``path`` holds one int64 array per level: ``(k,)``
+    for a beta round, ``(k, h)`` for a gamma sub-round.  Its count has rate
+    ``rates[i]``, its locations follow row ``row[i]`` of ``locations`` (a
+    table whose ``cum`` stacks one row per table), and each of its atoms
+    reads ``width[i]`` jump words, or calls the engine's fallback where
+    that is 0.  Its atoms' ``round_k`` and ``subround_h`` are the path's
+    first and second index (0 where there is none).
+    """
+
+    path: tuple
+    rates: np.ndarray
+    locations: LocationTable
+    row: np.ndarray
+    width: np.ndarray
+
+
+def draw_cells(domain, roots, blocks, jumps, fallback=None, signed=False) -> list:
+    """One point measure per draw key, each the superposition of the same cells.
+
+    ``roots`` holds the draws' stream keys ``(k0s, k1s)`` and ``blocks``
+    yields the cells as ``Cells`` blocks, in order.  A draw holds its cells'
+    atoms in cell order; each cell reads its stream as the count, the
+    locations (as ``_sample_locations``), ``width`` jump words per atom and,
+    if ``signed``, one sign word per atom.  ``jumps(k, h, locs, u)`` maps
+    the ``(m, width)`` uniforms of m atoms of one width to their jumps; a
+    cell of width 0 calls ``fallback(cursor, k, h, locs)`` instead, with
+    the cursor at its jump words.
+
+    The draws and cells go in calls over at most ``_DRAW_BATCH`` stream
+    keys, each three across-keys passes: one ``batch_poisson`` for the
+    counts, one ``ragged_words`` read of every live stream's location words
+    and one of its jump and sign words, from where its locations end.  Word
+    positions and float operations are a one-stream draw's, so each draw
+    equals its cells drawn for its key alone.
+    """
+    r0, r1 = (np.asarray(r, dtype=np.uint64).reshape(-1) for r in roots)
+    parts = []
+    for block in blocks:
+        for c in range(0, block.rates.size, _DRAW_BATCH):
+            sl = slice(c, c + _DRAW_BATCH)
+            cells = block._replace(
+                path=tuple(p[sl] for p in block.path), rates=block.rates[sl],
+                row=block.row[sl], width=block.width[sl],
+            )
+            per = _DRAW_BATCH // cells.rates.size
+            for lo in range(0, r0.size, per):
+                part = _draw_block(
+                    r0[lo:lo + per], r1[lo:lo + per], cells, jumps, fallback, signed
+                )
+                if part is not None:
+                    parts.append((part[0] + lo, *part[1:]))
+    ints = np.empty(0, np.int64)
+    empty = (ints, np.empty((0, domain.dim)), np.empty(0), ints, ints)
+    draw, *cols = (np.concatenate(c) for c in zip(empty, *parts))
+    # parts run block by block; a stable sort by draw puts each draw's cells
+    # back in order
+    order = np.argsort(draw, kind="stable")
+    draw, cols = draw[order], [c[order] for c in cols]
+    ends = np.searchsorted(draw, np.arange(r0.size + 1))
+    return [
+        PointMeasure(domain, *(c[a:b] for c in cols))
+        for a, b in zip(ends[:-1], ends[1:])
+    ]
+
+
+def _draw_block(r0, r1, cells, jumps, fallback, signed) -> tuple | None:
+    """(draw, locations, jumps, round_k, subround_h) of the atoms one block
+    draws, or None when every count is 0."""
+    s0, s1 = r0[:, None], r1[:, None]
+    for e in cells.path:
+        s0, s1 = _absorb_arr(s0, s1, e)
+    counts, used = batch_poisson(cells.rates, s0, s1)
+    live = np.flatnonzero(counts)
+    if live.size == 0:
+        return None
+    draw, cell = np.divmod(live, cells.rates.size)
+    n = counts.reshape(-1)[live]
+    s0, s1 = s0.reshape(-1)[live], s1.reshape(-1)[live]
+    start = used.reshape(-1)[live]
+    dim = len(cells.locations.edges)
+    u = _words_to_uniform(ragged_words(s0, s1, start, n * (1 + dim)))
+    locs, loc_words = _place(cells.locations, cells.row[cell], n, u)
+    pos = start + loc_words
+
+    k = cells.path[0][cell]
+    h = cells.path[1][cell] if len(cells.path) > 1 else np.zeros_like(k)
+    width = cells.width[cell]
+    reg = width > 0
+    words = np.where(reg, n * (width + signed), 0)
+    w = _words_to_uniform(ragged_words(s0, s1, pos, words))
+    base = np.cumsum(words) - words
+    owner, within, first = _ragged_index(n)
+    out = np.empty(owner.size)
+    wa = width[owner]
+    for g in np.flatnonzero(np.bincount(wa, minlength=1)[1:]) + 1:
+        sel = np.flatnonzero(wa == g)
+        o = owner[sel]
+        idx = (base[o] + within[sel] * g)[:, None] + np.arange(g)
+        out[sel] = jumps(k[o], h[o], locs[sel], w[idx])
+    if signed:
+        sel = np.flatnonzero(wa > 0)
+        o = owner[sel]
+        sign_u = w[base[o] + n[o] * width[o] + within[sel]]
+        out[sel] = out[sel] * np.where(sign_u < 0.5, 1.0, -1.0)
+    for i in np.flatnonzero(~reg):
+        cur = StreamCursor(s0[i], s1[i], int(pos[i]))
+        sl = slice(first[i], first[i] + n[i])
+        m = fallback(cur, int(k[i]), int(h[i]), locs[sl])
+        if signed:
+            m = m * np.where(cur.uniforms(int(n[i])) < 0.5, 1.0, -1.0)
+        out[sl] = m
+    return draw[owner], locs, out, k[owner], h[owner]

@@ -46,6 +46,11 @@ _SALT = 0x3C6EF372FE94F82A
 # split into equal chunks so the search loop stays short.
 _POISSON_CHUNK = 16.0
 
+# Largest Poisson rate one stream draws.  Its count reads rate/16 words and
+# its atoms about rate * (1 + dim + h) more, so the cap keeps one stream's
+# reads to some millions of words where a huge mass would ask for gigabytes.
+MAX_POISSON_RATE = 2.0**20
+
 # Integer gamma shapes up to this bound are drawn as sums of exponentials.
 _GAMMA_INT_SHAPE_MAX = 16
 
@@ -73,18 +78,25 @@ def _derive_key(seed: int, path: tuple[int, ...]) -> tuple[int, int]:
     return k0, k1
 
 
+# _mix64's shifts and multipliers, and the absorb constants, as numpy scalars
+# made once: building them per call cost a third of a small key derivation
+_MIX_ARR = tuple(map(np.uint64, (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31)))
+_GOLDEN_ARR, _SALT_ARR = np.uint64(_GOLDEN), np.uint64(_SALT)
+
+
 def _mix64_arr(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    s1, m1, s2, m2, s3 = _MIX_ARR
+    z = (z ^ (z >> s1)) * m1
+    z = (z ^ (z >> s2)) * m2
+    return z ^ (z >> s3)
 
 
 def _absorb_arr(k0, k1, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.asarray(e, dtype=np.uint64)
     k0 = np.asarray(k0, dtype=np.uint64)
     k1 = np.asarray(k1, dtype=np.uint64)
-    a = _mix64_arr(k0 ^ _mix64_arr(e + np.uint64(_GOLDEN)))
-    b = _mix64_arr(k1 + _mix64_arr(e ^ np.uint64(_SALT)))
+    a = _mix64_arr(k0 ^ _mix64_arr(e + _GOLDEN_ARR))
+    b = _mix64_arr(k1 + _mix64_arr(e ^ _SALT_ARR))
     return a, b
 
 
@@ -243,6 +255,7 @@ class StreamCursor:
         """
         if rate < 0 or not math.isfinite(rate):
             raise ValueError(f"Poisson rate must be finite and >= 0, got {rate}")
+        _check_rate_cap(rate)
         if rate == 0.0:
             return 0
         m = max(1, math.ceil(rate / _POISSON_CHUNK))
@@ -289,6 +302,13 @@ class StreamCursor:
             u = self.uniform()
             if math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v):
                 return d * v
+
+
+def _check_rate_cap(rate: float) -> None:
+    if rate > MAX_POISSON_RATE:
+        raise ValueError(
+            f"Poisson rate {rate:g} is above the per-stream cap {MAX_POISSON_RATE:g}"
+        )
 
 
 def _poisson_invert(rates: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -380,6 +400,7 @@ def batch_poisson(
     )
     if not np.all((rates >= 0) & (rates < math.inf)):
         raise ValueError("Poisson rates must be finite and >= 0")
+    _check_rate_cap(rates.max(initial=0.0))
     # chunk counts as in cursor.poisson: none at rate 0, at least one above
     used = np.maximum(np.ceil(rates / _POISSON_CHUNK), rates > 0).astype(np.int64)
     m = used.ravel()

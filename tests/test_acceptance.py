@@ -133,9 +133,9 @@ def test_04_moment_closure():
 def test_05_beta_monte_carlo_mean():
     t0 = time.perf_counter()
     params = beta.BetaProcessParams.homogeneous(1.0, 10.0)
+    # replica r reads RandomStream(1005, (r,))
     masses = np.array([
-        beta.simulate_beta_process(params, 9, RandomStream(1005, (r,))).total_mass
-        for r in range(2000)
+        pm.total_mass for pm in beta.simulate_replicas(params, 9, RandomStream(1005), 2000)
     ])
     se = masses.std(ddof=1) / math.sqrt(masses.size)
     target = 100.0 / 11.0
@@ -155,11 +155,10 @@ def test_05_beta_monte_carlo_mean():
 def test_06_gamma_marginal_ks():
     t0 = time.perf_counter()
     params = gamma.GammaProcessParams.homogeneous(1.0, 2.0)
+    # replica r reads RandomStream(1006, (r,))
     masses = np.array([
-        gamma.simulate_gamma_process(
-            params, 199, 40, RandomStream(1006, (r,))
-        ).total_mass
-        for r in range(2000)
+        pm.total_mass
+        for pm in gamma.simulate_replicas(params, 199, 40, RandomStream(1006), 2000)
     ])
     res = verify.ks_distance(masses, lambda x: stats.gamma.cdf(x, 2.0, scale=1.0))
     ok = res.passed
@@ -217,12 +216,9 @@ def test_08_ibp_limit():
 def test_09_symmetric_gamma_moments():
     t0 = time.perf_counter()
     params = gamma.GammaProcessParams.homogeneous(1.0, 1.0)
-    masses = np.array([
-        gamma.simulate_symmetric_gamma(
-            params, 100, 30, RandomStream(2009, (r,))
-        ).total_mass
-        for r in range(10_000)
-    ])
+    # replica r reads RandomStream(2009, (r,))
+    draws = gamma.simulate_replicas(params, 100, 30, RandomStream(2009), 10_000, signed=True)
+    masses = np.array([pm.total_mass for pm in draws])
     se = masses.std(ddof=1) / math.sqrt(masses.size)
     vtarget = gamma.symmetric_variance(params, 100, 30)
     vrel = abs(masses.var(ddof=1) - vtarget) / vtarget

@@ -7,6 +7,7 @@ density limit, the per-draw round plan against ``round_measure``, and the
 Monte Carlo behaviour of the simulator.
 """
 
+import contextlib
 import hashlib
 import math
 from unittest import mock
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from levycrm import beta, verify
+from levycrm import beta, measures, verify
 from levycrm.measures import (
     BaseMeasure,
     Domain,
@@ -26,7 +27,7 @@ from levycrm.measures import (
     _sample_locations,
     location_table,
 )
-from levycrm.streams import RandomStream
+from levycrm.streams import RandomStream, _words_to_uniform
 
 UNIT = Domain()
 
@@ -291,17 +292,25 @@ def test_round_plan_matches_round_measure(case, K, seed, block):
         assert np.array_equal(a, b)
 
 
-class OnesCursor:
-    """Stands in for a StreamCursor: location uniforms of exactly 1.0."""
+@contextlib.contextmanager
+def fixed_words(n, location_word, jump_word):
+    """Every live cell of the draw engine draws n atoms, from location words
+    that all equal ``location_word`` and jump words that all equal ``jump_word``."""
+    words = iter([location_word, jump_word])
 
-    def __init__(self, k0=0, k1=0, pos=0):
-        self.pos, self.reads = pos, 0
+    def counts(rates, k0s, k1s):
+        return np.full(np.shape(k0s), n), np.zeros(np.shape(k0s), np.int64)
 
-    def uniforms(self, n):
-        # the first read places the atoms, later reads draw their jumps
-        self.reads += 1
-        self.pos += n
-        return np.full(n, 1.0 if self.reads == 1 else 0.5)
+    def read(k0s, k1s, starts, sizes):
+        return np.full(int(np.sum(sizes)), next(words), dtype=np.uint64)
+
+    with mock.patch.object(measures, "batch_poisson", counts), \
+            mock.patch.object(measures, "ragged_words", read):
+        yield
+
+
+# a word of all ones is the uniform 1.0; 2**63 is one a little above 0.5
+ONE, HALF = 2**64 - 1, 2**63
 
 
 def test_jump_law_follows_at_on_a_cell_upper_edge():
@@ -311,19 +320,20 @@ def test_jump_law_follows_at_on_a_cell_upper_edge():
     c = PiecewiseConst(UNIT, [[0.0, 0.5, 1.0]], [1.0, 4.0])
     p = beta.BetaProcessParams(c, BaseMeasure(density))
     k = 3
-    table = location_table(beta.round_measure(p, k).measure)
-    locs, jumps, _, _ = beta._emit_round(p, table, k, 2, OnesCursor())
-    assert np.array_equal(locs, [[0.5], [0.5]])
-    assert c.at(locs).tolist() == [4.0, 4.0]
-    assert np.array_equal(jumps, -np.expm1(np.log1p(-np.full(2, 0.5)) / (4.0 + k)))
+    with fixed_words(2, ONE, HALF):
+        pm = beta.simulate_round(p, k, RandomStream(0))
+    assert np.array_equal(pm.locations, [[0.5], [0.5]])
+    assert c.at(pm.locations).tolist() == [4.0, 4.0]
+    u = _words_to_uniform(np.full(2, HALF, dtype=np.uint64))
+    assert np.array_equal(pm.jumps, -np.expm1(np.log1p(-u) / (4.0 + k)))
 
 
 def test_round_zero_monte_carlo_moments():
     # 1e4 replicas of round 0 at c=1, gamma=1: mean 1/2, variance 1/3
     p = homog(1.0, 1.0)
+    # replica r is round 0 of RandomStream(500, (r,))
     totals = np.array(
-        [beta.simulate_round(p, 0, RandomStream(500, (r,))).total_mass
-         for r in range(10_000)]
+        [pm.total_mass for pm in beta.simulate_replicas(p, 0, RandomStream(500), 10_000)]
     )
     ms = verify.monte_carlo_moments(totals)
     assert abs(ms.mean - 0.5) < 4 * ms.se_mean
@@ -333,10 +343,9 @@ def test_round_zero_monte_carlo_moments():
 def test_round_count_monte_carlo():
     # n_3 ~ Poisson(c*gamma/(c+3)) = Poisson(2.5) at c=1, gamma=10
     p = homog(1.0, 10.0)
-    counts = np.array(
-        [len(beta.simulate_round(p, 3, RandomStream(501, (r,))).atoms)
-         for r in range(10_000)]
-    )
+    # replica r is round 3 alone of RandomStream(501, (r,))
+    draws = beta.simulate_replicas(p, 3, RandomStream(501), 10_000, first_round=3)
+    counts = np.array([len(pm) for pm in draws])
     assert abs(counts.mean() - 2.5) < 3.0 * math.sqrt(2.5 / counts.size)
 
 

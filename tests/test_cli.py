@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import levycrm
-from levycrm import cli, posterior, truncation
+from levycrm import cli, measures, posterior, streams, truncation
 from levycrm.cli import _csv_field, _emit, _json_line, main
 
 
@@ -651,6 +652,40 @@ def test_verify_rejects_sigma_outside_unit_interval(tmp_path, capsys, sigma):
         "--out", str(out),
     ]) == 2
     assert "--sigma must lie in [0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_rejects_infinite_H(tmp_path, capsys):
+    # the partial-sum oracle needs a finite H; an absent --H still means 60
+    out = tmp_path / "x.jsonl"
+    assert main([
+        "verify", "--check", "gamma-density", "--H", "inf", "--seed", "1",
+        "--out", str(out),
+    ]) == 2
+    assert "finite --H" in capsys.readouterr().err
+    assert not out.exists()
+    code, data = run(tmp_path, "h.jsonl", [
+        "verify", "--check", "gamma-density", "--seed", "1",
+    ])
+    assert code == 0
+    assert jsonl_rows(data)[1]["detail"].endswith(", H=60")
+
+
+@pytest.mark.parametrize("family,flag", [
+    ("beta", "--c"), ("gamma", "--theta"), ("symmetric-gamma", "--theta"),
+])
+def test_simulate_rejects_mass_above_the_rate_cap(tmp_path, capsys, family, flag):
+    # --mass 1e9 used to ask for about 0.5 GB of count words per stream
+    out = tmp_path / "x.jsonl"
+    with mock.patch.object(streams, "ragged_words") as read, \
+            mock.patch.object(measures, "ragged_words") as engine_read:
+        assert main([
+            "simulate", "--family", family, flag, "1", "--mass", "1e9", "--K", "1",
+            "--seed", "1", "--out", str(out),
+        ]) == 2
+    read.assert_not_called()
+    engine_read.assert_not_called()
+    assert "--mass" in capsys.readouterr().err
     assert not out.exists()
 
 

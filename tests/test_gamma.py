@@ -24,7 +24,15 @@ from levycrm.measures import (
     location_table,
 )
 from levycrm.streams import RandomStream, _poisson_invert, _words_to_uniform
-from test_beta import OnesCursor, _base_2d, _fn_2d, column_digest, piecewise_cases
+from test_beta import (
+    HALF,
+    ONE,
+    _base_2d,
+    _fn_2d,
+    column_digest,
+    fixed_words,
+    piecewise_cases,
+)
 
 UNIT_MASS = gamma.GammaProcessParams.homogeneous(1.0, 1.0)
 
@@ -222,10 +230,9 @@ def test_symmetric_magnitudes_match_doubled_mass_process():
 
 
 def test_symmetric_mean_monte_carlo():
-    totals = np.array(
-        [gamma.simulate_symmetric_gamma(UNIT_MASS, 100, 30, RandomStream(601, (r,))).total_mass
-         for r in range(1500)]
-    )
+    # replica r reads RandomStream(601, (r,))
+    draws = gamma.simulate_replicas(UNIT_MASS, 100, 30, RandomStream(601), 1500, signed=True)
+    totals = np.array([pm.total_mass for pm in draws])
     ms = verify.monte_carlo_moments(totals)
     assert abs(ms.mean) < 4 * ms.se_mean
 
@@ -258,10 +265,9 @@ def test_symmetric_variance_values():
 def test_total_mass_ks_against_marginal():
     # truncated total mass at K=100 is within KS noise of Gamma(2, 1)
     p = homog(1.0, 2.0)
-    totals = np.array(
-        [gamma.simulate_gamma_process(p, 100, 30, RandomStream(603, (r,))).total_mass
-         for r in range(500)]
-    )
+    # replica r reads RandomStream(603, (r,))
+    draws = gamma.simulate_replicas(p, 100, 30, RandomStream(603), 500)
+    totals = np.array([pm.total_mass for pm in draws])
     res = verify.ks_distance(totals, lambda x: stats.gamma.cdf(x, 2.0, scale=1.0))
     assert res.statistic < res.critical_value
 
@@ -346,8 +352,13 @@ def _reference_subround(params, k, h, stream, signed):
     # subround (k, h) with a location table of its own, the way every live
     # cell drew before the grid built one table per draw
     mass = params.total_base_mass * (2.0 if signed else 1.0)
+    return reference_cell(params, k, h, gamma.subround_rate(mass, k, h), stream, signed)
+
+
+def reference_cell(params, k, h, rate, stream, signed):
+    # cell (k, h) at the given rate, drawn through one cursor
     cur = stream.child(k, h).cursor()
-    n = cur.poisson(gamma.subround_rate(mass, k, h))
+    n = cur.poisson(rate)
     if n == 0:
         return []
     locs = _sample_locations(location_table(params.base), n, cur)
@@ -392,9 +403,9 @@ def test_jump_scale_follows_at_on_a_cell_upper_edge():
     scale = PiecewiseConst(Domain(), [[0.0, 0.5, 1.0]], [0.5, 3.0])
     p = gamma.GammaProcessParams(BaseMeasure(density), scale)
     k, h = 2, 3
-    locs, jumps, _, _ = gamma._emit_subround(
-        p, location_table(p.base), k, h, 2, OnesCursor(), signed=False
-    )
-    assert np.array_equal(locs, [[0.5], [0.5]])
-    want = -np.log(np.full((2, h), 0.5)).sum(axis=1) * (3.0 / (k + 1))
-    assert np.array_equal(jumps, want)
+    with fixed_words(2, ONE, HALF):
+        pm = gamma.simulate_subround(p, k, h, RandomStream(0))
+    assert np.array_equal(pm.locations, [[0.5], [0.5]])
+    u = _words_to_uniform(np.full((2, h), HALF, dtype=np.uint64))
+    want = -np.log(u).sum(axis=1) * (3.0 / (k + 1))
+    assert np.array_equal(pm.jumps, want)

@@ -211,6 +211,23 @@ def test_poisson_zero_rate_and_validation():
         cur.poisson(math.inf)
 
 
+def test_rates_above_the_cap_raise_before_any_word_is_read():
+    # a huge rate would ask for rate/16 count words per stream; the cap
+    # refuses it up front, so nothing is allocated at or beyond the limit
+    over = streams.MAX_POISSON_RATE * 2.0
+    keys = RandomStream(1).child_keys(np.arange(3))
+    with mock.patch.object(streams, "ragged_words") as read:
+        with pytest.raises(ValueError, match="cap"):
+            batch_poisson(np.array([0.5, over, 2.0]), *keys)
+    read.assert_not_called()
+    with mock.patch.object(streams, "_stream_words") as read:
+        with pytest.raises(ValueError, match="cap"):
+            RandomStream(1).cursor().poisson(over)
+    read.assert_not_called()
+    # every rate the suite draws sits below the cap
+    assert streams.MAX_POISSON_RATE > 1e5
+
+
 def test_poisson_moments():
     # rate 5, 1e5 replicas: mean within 3 sqrt(5/n), variance within 5%
     s = RandomStream(42)
