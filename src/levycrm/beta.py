@@ -143,23 +143,18 @@ def simulate_beta_process(
 
 
 def simulate_replicas(
-    params: BetaProcessParams,
-    K: int,
-    stream: RandomStream,
-    replicas: int,
-    first_round: int = 0,
+    params: BetaProcessParams, K: int, stream: RandomStream, replicas: int
 ) -> list[PointMeasure]:
-    """Rounds first_round..K of ``replicas`` draws, through the draw engine.
+    """Rounds 0..K of ``replicas`` draws, through the draw engine.
 
     Replica r equals ``simulate_beta_process(params, K, stream.child(r))``,
-    or ``simulate_round(params, K, stream.child(r))`` when ``first_round``
-    is K, bit for bit.
+    bit for bit.
     """
-    if not 0 <= first_round <= K:
-        raise ValueError("need 0 <= first_round <= K")
+    if K < 0:
+        raise ValueError("truncation round K must be >= 0")
     if replicas < 0:
         raise ValueError("replicas must be >= 0")
-    return _draw(params, first_round, K + 1, stream.child_keys(np.arange(replicas)))
+    return _draw(params, 0, K + 1, stream.child_keys(np.arange(replicas)))
 
 
 # Rounds per plan block times table width (cells plus fixed atoms) stays near

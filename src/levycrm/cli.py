@@ -54,7 +54,7 @@ from .measures import (
     UnsupportedParameterError,
 )
 from .posterior import InvalidPriorError, ObservationSet
-from .streams import MAX_POISSON_RATE, RandomStream
+from .streams import RandomStream, RateCapError
 
 
 class CLIError(ValueError):
@@ -197,14 +197,6 @@ def _simulate_config(args):
         raise CLIError("--mass must be positive")
     if args.replicas < 0:
         raise CLIError("--replicas must be >= 0")
-    # the busiest stream is beta round 0 or gamma cell (1, 1), at rate mass
-    # (half that for the one-sided gamma family)
-    top = args.mass / 2 if args.family == "gamma" else args.mass
-    if top > MAX_POISSON_RATE:
-        raise CLIError(
-            f"--mass {args.mass:g} gives one stream a Poisson rate of {top:g}, "
-            f"above the cap of {MAX_POISSON_RATE:g} that bounds a draw's memory"
-        )
     return K
 
 
@@ -225,7 +217,7 @@ def cmd_simulate(args) -> int:
             args, seed, l1, family=family, c=float(args.c), mass=float(args.mass),
             K=K, replicas=args.replicas,
         )
-        draws = beta.simulate_replicas(params, K, root, args.replicas)
+        simulate = partial(beta.simulate_replicas, params, K, root, args.replicas)
     elif family in ("gamma", "symmetric-gamma"):
         if args.theta is None or args.theta <= 0.0:
             raise CLIError("gamma simulation needs --theta > 0")
@@ -243,11 +235,17 @@ def cmd_simulate(args) -> int:
             # simulation cannot run infinitely many sub-rounds; the cap is
             # part of the recorded config so the run stays reproducible
             header["H_sim_cap"] = gamma.SUBROUND_CAP
-        draws = gamma.simulate_replicas(
-            params, K, H, root, args.replicas, signed=family != "gamma"
+        simulate = partial(
+            gamma.simulate_replicas, params, K, H, root, args.replicas,
+            signed=family != "gamma",
         )
     else:  # pragma: no cover - argparse choices guard this
         raise CLIError(f"unknown family {family!r}")
+    try:
+        draws = simulate()
+    except RateCapError as exc:
+        # the busiest stream's rate grows with --mass; the cap bounds its memory
+        raise CLIError(f"--mass {args.mass:g} is too large: {exc}") from exc
 
     blocks = [
         {
@@ -614,19 +612,13 @@ def _check_ibp(args, root):
     ]
 
 
-def _replica_masses(params, K, H, args, stream, signed):
-    """Total mass of each of --replicas gamma draws; replica r reads stream.child(r)."""
-    draws = gamma.simulate_replicas(params, K, H, stream, args.replicas, signed)
-    return np.array([d.total_mass for d in draws])
-
-
 def _check_gamma_marginal(args, root):
     from scipy import special
 
     from . import verify
     params = gamma.GammaProcessParams.homogeneous(1.0, 2.0)
     K, H = 199, 40
-    masses = _replica_masses(params, K, H, args, root.child(0), signed=False)
+    masses = gamma.replica_masses(params, K, H, root.child(0), args.replicas)
     # scipy.stats computes the Gamma(2, 1) CDF as exactly this call
     res = verify.ks_distance(masses, lambda x: special.gammainc(2.0, x))
     return [
@@ -646,7 +638,9 @@ def _check_symmetric_variance(args, root):
     from . import verify
     params = gamma.GammaProcessParams.homogeneous(1.0, 1.0)
     K, H = 100, 30
-    masses = _replica_masses(params, K, H, args, root.child(1), signed=True)
+    masses = gamma.replica_masses(
+        params, K, H, root.child(1), args.replicas, signed=True
+    )
     mom = verify.monte_carlo_moments(masses)
     target_var = gamma.symmetric_variance(params, K, H)
     return [

@@ -465,6 +465,8 @@ def _sample_locations(table: LocationTable, n: int, cursor: StreamCursor) -> np.
     Returns an (n, dim) array.  Consumes, per point, one component-choice
     uniform plus one uniform per dimension when a density cell is chosen
     (atoms need no position draw); the cursor ends after the words used.
+    The draw engine calls ``_place`` directly; this one-stream form is kept
+    for the tests' reference draws and the benchmark tracer's binding.
     """
     if not table.cum[-1] > 0:
         raise ValueError("cannot sample from a measure with zero mass")

@@ -51,6 +51,11 @@ _POISSON_CHUNK = 16.0
 # reads to some millions of words where a huge mass would ask for gigabytes.
 MAX_POISSON_RATE = 2.0**20
 
+
+class RateCapError(ValueError):
+    """A Poisson rate above ``MAX_POISSON_RATE``."""
+
+
 # Integer gamma shapes up to this bound are drawn as sums of exponentials.
 _GAMMA_INT_SHAPE_MAX = 16
 
@@ -306,7 +311,7 @@ class StreamCursor:
 
 def _check_rate_cap(rate: float) -> None:
     if rate > MAX_POISSON_RATE:
-        raise ValueError(
+        raise RateCapError(
             f"Poisson rate {rate:g} is above the per-stream cap {MAX_POISSON_RATE:g}"
         )
 

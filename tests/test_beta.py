@@ -343,8 +343,8 @@ def test_round_zero_monte_carlo_moments():
 def test_round_count_monte_carlo():
     # n_3 ~ Poisson(c*gamma/(c+3)) = Poisson(2.5) at c=1, gamma=10
     p = homog(1.0, 10.0)
-    # replica r is round 3 alone of RandomStream(501, (r,))
-    draws = beta.simulate_replicas(p, 3, RandomStream(501), 10_000, first_round=3)
+    # replica r is simulate_round(p, 3, RandomStream(501, (r,)))
+    draws = beta._draw(p, 3, 4, RandomStream(501).child_keys(np.arange(10_000)))
     counts = np.array([len(pm) for pm in draws])
     assert abs(counts.mean() - 2.5) < 3.0 * math.sqrt(2.5 / counts.size)
 

@@ -34,27 +34,24 @@ def assert_same_draws(got, want):
 @given(
     case=piecewise_cases(),
     K=st.integers(0, 20),
-    first=st.integers(0, 20),
     seed=st.integers(0, 2**64 - 1),
     replicas=st.integers(0, 5),
 )
-def test_beta_replicas_equal_per_draw_loop(case, K, first, seed, replicas):
+def test_beta_replicas_equal_per_draw_loop(case, K, seed, replicas):
     c, base = case
     assume(base.total_mass > 0)
     p = beta.BetaProcessParams(c, base)
-    first = min(first, K)
     s = RandomStream(seed)
-    got = beta.simulate_replicas(p, K, s, replicas, first_round=first)
-    want = [
+    got = beta.simulate_replicas(p, K, s, replicas)
+    rounds = [
         PointMeasure.concat(p.domain, [
-            beta.simulate_round(p, k, s.child(r)).columns for k in range(first, K + 1)
+            beta.simulate_round(p, k, s.child(r)).columns for k in range(K + 1)
         ])
         for r in range(replicas)
     ]
-    assert_same_draws(got, want)
-    if first == 0:
-        whole = [beta.simulate_beta_process(p, K, s.child(r)) for r in range(replicas)]
-        assert_same_draws(got, whole)
+    assert_same_draws(got, rounds)
+    whole = [beta.simulate_beta_process(p, K, s.child(r)) for r in range(replicas)]
+    assert_same_draws(got, whole)
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,3 +128,20 @@ def test_keys_per_call_bound_leaves_bytes_unchanged():
         with mock.patch.object(measures, "_DRAW_BATCH", bound):
             got = draws()
         assert [column_digest(pm) for pm in got] == [column_digest(pm) for pm in want]
+
+
+def test_replica_masses_bound_leaves_masses_unchanged():
+    # blocks of 1 and 3 replicas, with keys-per-call bounds that split them
+    # further, give the masses of the per-draw loop
+    p = gamma.GammaProcessParams(_base_2d(), _fn_2d([[0.5, 2.0], [3.0, 1.0]]))
+    s = RandomStream(78)
+    for signed in (False, True):
+        one = gamma.simulate_symmetric_gamma if signed else gamma.simulate_gamma_process
+        want = [one(p, 5, 6, s.child(r)).total_mass for r in range(7)]
+        assert all(want)
+        for block, bound in ((1, 1), (3, 7), (1024, 8192)):
+            with mock.patch.object(gamma, "_MASS_BLOCK", block), \
+                    mock.patch.object(measures, "_DRAW_BATCH", bound):
+                got = gamma.replica_masses(p, 5, 6, s, 7, signed)
+            assert got.dtype == np.float64
+            assert got.tolist() == want

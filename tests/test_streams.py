@@ -217,11 +217,11 @@ def test_rates_above_the_cap_raise_before_any_word_is_read():
     over = streams.MAX_POISSON_RATE * 2.0
     keys = RandomStream(1).child_keys(np.arange(3))
     with mock.patch.object(streams, "ragged_words") as read:
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(streams.RateCapError, match="cap"):
             batch_poisson(np.array([0.5, over, 2.0]), *keys)
     read.assert_not_called()
     with mock.patch.object(streams, "_stream_words") as read:
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(streams.RateCapError, match="cap"):
             RandomStream(1).cursor().poisson(over)
     read.assert_not_called()
     # every rate the suite draws sits below the cap
