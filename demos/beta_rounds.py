@@ -10,6 +10,8 @@ process, and checks the running mass against the telescoped targets.
 
 import math
 
+import numpy as np
+
 from levycrm import beta, truncation
 from levycrm.streams import RandomStream
 
@@ -38,10 +40,10 @@ print(f"variance of rounds 0..{K}: {var_sum:.6f}")
 draw = beta.simulate_beta_process(params, K, RandomStream(7))
 total = draw.total_mass
 print()
-print(f"one draw under seed 7: {len(draw.atoms)} atoms, total mass {total:.4f}")
-largest = sorted(draw.atoms, key=lambda a: -a.jump)[:5]
-for a in largest:
-    print(f"  round {a.round_k:2d}  location {a.location[0]:.4f}  jump {a.jump:.4f}")
+print(f"one draw under seed 7: {len(draw)} atoms, total mass {total:.4f}")
+for i in np.argsort(-draw.jumps, kind="stable")[:5]:
+    print(f"  round {draw.round_k[i]:2d}  location {draw.locations[i, 0]:.4f}  "
+          f"jump {draw.jumps[i]:.4f}")
 
 print()
 print("truncation ledger (L1 error of the discarded rounds):")

@@ -38,31 +38,28 @@ for K in (1, 10, 100, 1000):
 K, H = 60, 30
 draw = gamma.simulate_gamma_process(params, K, H, RandomStream(11))
 print()
-print(f"one draw under seed 11, K={K}, H={H}: {len(draw.atoms)} atoms, "
+print(f"one draw under seed 11, K={K}, H={H}: {len(draw)} atoms, "
       f"total mass {draw.total_mass:.4f}")
 print(f"expected atoms {truncation.gamma_expected_atoms(MASS, K, H):.2f}, "
       f"L1 truncation error {truncation.gamma_l1_error(K, H):.5f}")
-biggest = sorted(draw.atoms, key=lambda a: -a.jump)[:5]
-for a in biggest:
-    print(f"  (k={a.round_k}, h={a.subround_h})  "
-          f"location {a.location[0]:.4f}  jump {a.jump:.4f}")
+for i in np.argsort(-draw.jumps, kind="stable")[:5]:
+    print(f"  (k={draw.round_k[i]}, h={draw.subround_h[i]})  "
+          f"location {draw.locations[i, 0]:.4f}  jump {draw.jumps[i]:.4f}")
 
 # the total mass of a draw is Gamma(mass, theta) once K is deep enough;
-# a crude 500-replica check keeps this demo honest without scipy
+# a crude 500-replica check keeps this demo honest without scipy; replica r
+# reads RandomStream(12).child(r)
 reps = 500
-totals = np.array([
-    gamma.simulate_gamma_process(params, 150, 30, RandomStream(12, (r,))).total_mass
-    for r in range(reps)
-])
+totals = gamma.replica_masses(params, 150, 30, RandomStream(12), reps)
 print()
 print(f"{reps} replicas at K=150: sample mean {totals.mean():.4f} "
       f"(theory {MASS * THETA:.4f}), sample var {totals.var(ddof=1):.4f} "
       f"(theory {MASS * THETA**2:.4f})")
 
 sym = gamma.simulate_symmetric_gamma(params, K, H, RandomStream(13))
-pos = sum(1 for a in sym.atoms if a.jump > 0)
+pos = np.count_nonzero(sym.jumps > 0)
 print()
-print(f"symmetric variant, same grid: {len(sym.atoms)} signed atoms "
+print(f"symmetric variant, same grid: {len(sym)} signed atoms "
       f"({pos} positive), signed mass {sym.total_mass:+.4f}")
 print(f"variance target for the signed mass: "
       f"{gamma.symmetric_variance(params, K, H):.4f} "

@@ -20,15 +20,16 @@ K_PRIOR = 60
 
 prior = beta.BetaProcessParams.homogeneous(C, MASS)
 draw = beta.simulate_beta_process(prior, K_PRIOR, RandomStream(21))
-print(f"prior draw: {len(draw.atoms)} atoms, mass {draw.total_mass:.4f}")
+print(f"prior draw: {len(draw)} atoms, mass {draw.total_mass:.4f}")
 
 obs = posterior.sample_bernoulli_data(draw, M, RandomStream(22))
-hits = [(a, m) for a, m in zip(draw.atoms, obs.counts) if m > 0]
-print(f"{M} Bernoulli rounds hit {len(hits)} distinct atoms")
+hits = np.flatnonzero(obs.counts)
+print(f"{M} Bernoulli rounds hit {hits.size} distinct atoms")
 print()
 print("  jump     count   posterior mean m_i/(c+M)")
-for a, m in sorted(hits, key=lambda t: -t[1])[:8]:
-    print(f"  {a.jump:.4f}   {m:3d}     {m / (C + M):.4f}")
+for i in hits[np.argsort(-obs.counts[hits], kind="stable")][:8]:
+    m = obs.counts[i]
+    print(f"  {draw.jumps[i]:.4f}   {m:3d}     {m / (C + M):.4f}")
 
 pp = posterior.posterior_params(prior, obs)
 print()
@@ -38,7 +39,7 @@ print(f"posterior base: continuous mass "
       f"= {pp.base_post.total_mass:.4f} total")
 
 # resample the most-observed jump and compare to its truncated mean
-atom, m_i = max(hits, key=lambda t: t[1])
+m_i = obs.counts.max()
 K = 200
 draws = posterior.resample_observed_jumps(C, M, m_i, K, RandomStream(23), 20_000)
 exact = m_i / (C + M)

@@ -8,7 +8,6 @@ it ships behind a gate that reports per-point status and the best-fit
 correction instead of failing.
 """
 
-import numpy as np
 from scipy import stats
 
 from levycrm import beta, gamma, verify
@@ -50,10 +49,8 @@ print()
 print("statistical checks on simulated draws")
 print()
 
-totals = np.array([
-    gamma.simulate_gamma_process(gp, 120, 30, RandomStream(31, (r,))).total_mass
-    for r in range(400)
-])
+# replica r reads RandomStream(31).child(r)
+totals = gamma.replica_masses(gp, 120, 30, RandomStream(31), 400)
 ks = verify.ks_distance(totals, lambda x: stats.gamma.cdf(x, 1.5, scale=2.0))
 print(f"  KS vs Gamma(1.5, 2): statistic {ks.statistic:.4f}, "
       f"critical {ks.critical_value:.4f}, "

@@ -488,22 +488,10 @@ def _place(table: LocationTable, rows, n, u) -> tuple[np.ndarray, np.ndarray]:
     point gives each point's first word: a cell takes 1 + dim words, an
     atom one.  Returns the points of every stream, in stream order.
     """
-    cums = table.cum
-    width = cums.shape[1]
-    n_cells = width - len(table.atoms)
+    n_cells = table.cum.shape[1] - len(table.atoms)
     dim = len(table.edges)
     word_owner, _, word0 = _ragged_index(n * (1 + dim))
-    comp = np.zeros(u.size, np.intp)
-    if width > 1:
-        # one searchsorted per distinct table, over the words that use it
-        row = rows[word_owner]
-        x = u * cums[row, -1]
-        order = np.argsort(row, kind="stable")
-        ends = np.searchsorted(row[order], np.arange(cums.shape[0] + 1))
-        for r in np.flatnonzero(np.diff(ends)):
-            sel = order[ends[r]:ends[r + 1]]
-            comp[sel] = np.searchsorted(cums[r], x[sel], side="left")
-        comp = np.minimum(comp, width - 1)
+    comp = _pick(table.cum, rows[word_owner], u)
     steps = np.where(comp < n_cells, 1 + dim, 1)
     owner, within, _ = _ragged_index(n)
     stride = steps.max(initial=1)
@@ -531,8 +519,29 @@ def _place(table: LocationTable, rows, n, u) -> tuple[np.ndarray, np.ndarray]:
     return out, used
 
 
-# Stream keys per engine call, as posterior._RESAMPLE_BATCH: the count pass,
-# both word reads and their temporaries stay this size whatever the replicas.
+def _pick(cums: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The entry each uniform picks from its row of stacked cumulative sums.
+
+    ``u[i]`` picks, from row ``row[i]`` of ``cums``, the first entry at or
+    above ``u[i]`` times that row's total, capped at the last entry.  One
+    ``searchsorted`` runs per distinct row, over the uniforms that use it.
+    """
+    width = cums.shape[1]
+    out = np.zeros(u.size, np.intp)
+    if width > 1:
+        x = u * cums[row, -1]
+        order = np.argsort(row, kind="stable")
+        ends = np.searchsorted(row[order], np.arange(cums.shape[0] + 1))
+        for r in np.flatnonzero(np.diff(ends)):
+            sel = order[ends[r]:ends[r + 1]]
+            out[sel] = np.searchsorted(cums[r], x[sel], side="left")
+        out = np.minimum(out, width - 1)
+    return out
+
+
+# Stream keys per batch of ``_count_pass``, the draw engine's and the
+# posterior resampler's: each batch's count pass, word reads and their
+# temporaries stay this size whatever the replicas.
 _DRAW_BATCH = 8192
 
 
@@ -556,6 +565,34 @@ class Cells(NamedTuple):
     width: np.ndarray
 
 
+def _count_pass(r0, r1, path, rates):
+    """The streams with a nonzero count among every (root, cell) pair.
+
+    Cell ``i`` of root ``j`` reads the stream keyed by ``(r0[j], r1[j])``
+    with ``tuple(p[i] for p in path)`` absorbed, and draws its count at
+    rate ``rates[j, i]``, where ``rates`` broadcasts to (roots, cells).  The
+    pairs go in flat, root-major batches of at most ``_DRAW_BATCH`` keys
+    with one ``batch_poisson`` each; every batch with a live stream yields
+    the arrays ``(root, cell, count, k0, k1, first free word)`` of its live
+    streams, in (root, cell) order.
+    """
+    rates = np.broadcast_to(rates, (r0.size, path[0].size))
+    for lo in range(0, rates.size, _DRAW_BATCH):
+        root, cell = np.divmod(
+            np.arange(lo, min(lo + _DRAW_BATCH, rates.size)), rates.shape[1]
+        )
+        k0, k1 = r0[root], r1[root]
+        for p in path:
+            k0, k1 = _absorb_arr(k0, k1, p[cell])
+        count, used = batch_poisson(rates[root, cell], k0, k1)
+        live = np.flatnonzero(count)
+        out = tuple(a[live] for a in (root, cell, count, k0, k1, used))
+        # free the batch-size arrays before the consumer runs
+        del root, cell, k0, k1, count, used
+        if live.size:
+            yield out
+
+
 def draw_cells(domain, roots, blocks, jumps, fallback=None, signed=False) -> list:
     """One point measure per draw key, each the superposition of the same cells.
 
@@ -568,29 +605,19 @@ def draw_cells(domain, roots, blocks, jumps, fallback=None, signed=False) -> lis
     cell of width 0 calls ``fallback(cursor, k, h, locs)`` instead, with
     the cursor at its jump words.
 
-    The draws and cells go in calls over at most ``_DRAW_BATCH`` stream
-    keys, each three across-keys passes: one ``batch_poisson`` for the
-    counts, one ``ragged_words`` read of every live stream's location words
-    and one of its jump and sign words, from where its locations end.  Word
-    positions and float operations are a one-stream draw's, so each draw
-    equals its cells drawn for its key alone.
+    Each block's (draw, cell) streams take their counts in ``_count_pass``,
+    a batch of at most ``_DRAW_BATCH`` keys at a time, and each batch's live
+    streams then take two across-keys reads: one ``ragged_words`` read of
+    their location words and one of their jump and sign words, from where
+    their locations end.  Word positions and float operations are a
+    one-stream draw's, so each draw equals its cells drawn for its key alone.
     """
     r0, r1 = (np.asarray(r, dtype=np.uint64).reshape(-1) for r in roots)
-    parts = []
-    for block in blocks:
-        for c in range(0, block.rates.size, _DRAW_BATCH):
-            sl = slice(c, c + _DRAW_BATCH)
-            cells = block._replace(
-                path=tuple(p[sl] for p in block.path), rates=block.rates[sl],
-                row=block.row[sl], width=block.width[sl],
-            )
-            per = _DRAW_BATCH // cells.rates.size
-            for lo in range(0, r0.size, per):
-                part = _draw_block(
-                    r0[lo:lo + per], r1[lo:lo + per], cells, jumps, fallback, signed
-                )
-                if part is not None:
-                    parts.append((part[0] + lo, *part[1:]))
+    parts = [
+        _draw_block(cells, live, jumps, fallback, signed)
+        for cells in blocks
+        for live in _count_pass(r0, r1, cells.path, cells.rates)
+    ]
     ints = np.empty(0, np.int64)
     empty = (ints, np.empty((0, domain.dim)), np.empty(0), ints, ints)
     draw, *cols = (np.concatenate(c) for c in zip(empty, *parts))
@@ -605,20 +632,10 @@ def draw_cells(domain, roots, blocks, jumps, fallback=None, signed=False) -> lis
     ]
 
 
-def _draw_block(r0, r1, cells, jumps, fallback, signed) -> tuple | None:
-    """(draw, locations, jumps, round_k, subround_h) of the atoms one block
-    draws, or None when every count is 0."""
-    s0, s1 = r0[:, None], r1[:, None]
-    for e in cells.path:
-        s0, s1 = _absorb_arr(s0, s1, e)
-    counts, used = batch_poisson(cells.rates, s0, s1)
-    live = np.flatnonzero(counts)
-    if live.size == 0:
-        return None
-    draw, cell = np.divmod(live, cells.rates.size)
-    n = counts.reshape(-1)[live]
-    s0, s1 = s0.reshape(-1)[live], s1.reshape(-1)[live]
-    start = used.reshape(-1)[live]
+def _draw_block(cells, live, jumps, fallback, signed) -> tuple:
+    """(draw, locations, jumps, round_k, subround_h) of the atoms of the live
+    streams one ``_count_pass`` batch yields."""
+    draw, cell, n, s0, s1, start = live
     dim = len(cells.locations.edges)
     u = _words_to_uniform(ragged_words(s0, s1, start, n * (1 + dim)))
     locs, loc_words = _place(cells.locations, cells.row[cell], n, u)

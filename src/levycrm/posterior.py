@@ -12,12 +12,15 @@ Beta(1, c+M+k) and location measure c mu/(c+M+k) + sum_i m_i/(c+M+k).
 
 The atomic part supports two samplers:
 
-* an observed atom's jump is resampled as a Poisson sum: for each round
-  k, draw H_k ~ Poisson(m_i/(c+M+k)) jumps Beta(1, c+M+k) and add them
-  all up.  Truncating the round sum at K biases the mean down by exactly
-  m_i/(c+M+K+1); the truncated expectation m_i (1/(c+M) - 1/(c+M+K+1))
-  is reported alongside so callers can size K.  The sum is not clamped:
-  it can exceed 1 with small probability, and callers should track that
+* an observed atom's jump is resampled as a Poisson sum: round k adds
+  H_k ~ Poisson(m_i/(c+M+k)) jumps Beta(1, c+M+k).  The rounds superpose
+  into one finite Poisson cell, drawn as the draw engine draws a cell: a
+  count at the summed rate, a round pick per jump with weight
+  proportional to its round's rate, then the jumps.  Truncating the
+  round sum at K biases the mean down by exactly m_i/(c+M+K+1); the
+  truncated expectation m_i (1/(c+M) - 1/(c+M+K+1)) is reported
+  alongside so callers can size K.  The sum is not clamped: it can
+  exceed 1 with small probability, and callers should track that
   frequency rather than hide it.
 * a new (unobserved) jump draws its round index k with weight
   1/(c+M+k), k = 0..K, then the jump from Beta(1, c+M+k).
@@ -34,18 +37,11 @@ from .measures import (
     BaseMeasure,
     PointMeasure,
     UnsupportedParameterError,
+    _count_pass,
+    _pick,
+    _union,
 )
-from .streams import (
-    RandomStream,
-    _absorb_arr,
-    _ragged_index,
-    _words_to_uniform,
-    batch_poisson,
-    ragged_words,
-)
-
-# child streams per fused generator call in resample_observed_jumps
-_RESAMPLE_BATCH = 8192
+from .streams import RandomStream, _ragged_index, _words_to_uniform, ragged_words
 
 
 class InvalidPriorError(ValueError):
@@ -191,12 +187,14 @@ def resample_observed_jumps(
     row per atom: entry ``[i, d]`` equals ``resample_observed_jump(c, M,
     m[i], K, stream.child(i, d))``.  Both hold bit for bit.
 
-    All atoms' draws share the fused passes, over blocks of at most
-    ``_RESAMPLE_BATCH`` child streams: one ``batch_poisson`` for the jump
-    counts, then one ``ragged_words`` read of each stream's ``2 n`` round
-    and jump words, starting where its count's words end.  The round
-    table ``cumsum(m / b)`` depends on the count alone, so it is built
-    once per distinct count.
+    Each (atom, draw) pair is one finite Poisson cell of the draw engine's
+    count pass (``measures._count_pass``): root ``stream.child(i)`` (or
+    ``stream`` for one count), cell ``d``, and the total of the round table
+    ``cumsum(m / b)`` as its rate; that table depends on the count alone,
+    so it is built once per distinct count.  Per count-pass batch the live
+    streams take one ``ragged_words`` read of their ``2 n`` round and jump
+    words, from where their count's words end, and pick each jump's round
+    in ``measures._pick``.
     """
     m = np.asarray(m, dtype=np.int64)
     if draws < 0:
@@ -210,40 +208,22 @@ def resample_observed_jumps(
     live = np.flatnonzero(m)
     if live.size == 0 or draws == 0:
         return out
-    if m.ndim:
-        p0, p1 = stream.child_keys(live)
-    else:
-        p0, p1 = (np.array([x], dtype=np.uint64) for x in stream.key)
+    r0, r1 = stream.child_keys(live) if m.ndim else np.array([stream.key], np.uint64).T
     ms = m.reshape(-1)[live]
-    # distinct counts by sorting: np.unique would load numpy.ma
-    srt = np.sort(ms)
-    distinct = srt[np.concatenate([[True], srt[1:] != srt[:-1]])]
+    distinct = _union(ms)
     group = np.searchsorted(distinct, ms)
     b = c + M + np.arange(K + 1, dtype=np.float64)
     cums = np.cumsum(distinct[:, None] / b, axis=1)
-    n_keys = live.size * draws
-    for lo in range(0, n_keys, _RESAMPLE_BATCH):
-        atom, d = np.divmod(np.arange(lo, min(lo + _RESAMPLE_BATCH, n_keys)), draws)
-        k0s, k1s = _absorb_arr(p0[atom], p1[atom], d)
-        g = group[atom]
-        rate = cums[g, -1]
-        counts, used = batch_poisson(rate, k0s, k1s)
-        if not counts.any():
-            continue
+    path = (np.arange(draws),)
+    for atom, d, counts, k0s, k1s, used in _count_pass(r0, r1, path, cums[group, -1:]):
         w = _words_to_uniform(ragged_words(k0s, k1s, used, 2 * counts))
         key, within, first = _ragged_index(counts)
         cat_pos = 2 * first[key] + within
-        cat_u = w[cat_pos] * rate[key]
-        gk = g[key]
-        ks = np.empty(key.size, dtype=np.int64)
-        for j in np.flatnonzero(np.bincount(gk)):
-            sel = gk == j
-            ks[sel] = np.searchsorted(cums[j], cat_u[sel], side="left")
-        ks = np.minimum(ks, K)
+        ks = _pick(cums, group[atom][key], w[cat_pos])
         vals = -np.expm1(np.log1p(-w[cat_pos + counts[key]]) / b[ks])
         # the draws with n jumps form one (draws, n) block; numpy reduces each
         # contiguous row with the pairwise sum a 1-D np.sum uses, so every
-        # total matches the one-stream function bit for bit (n = 0 gives 0.0)
+        # total matches the one-stream function bit for bit
         for n in np.flatnonzero(np.bincount(counts)):
             ds = np.flatnonzero(counts == n)
             total = vals[first[ds, None] + np.arange(n)].sum(axis=1)
@@ -302,7 +282,6 @@ def sample_new_jumps(
     cum = np.cumsum(w)
     k0s, k1s = stream.child_keys(np.arange(draws))
     words = _words_to_uniform(ragged_words(k0s, k1s, 0, 2)).reshape(draws, 2)
-    u = words[:, 0] * cum[-1]
-    ks = np.minimum(np.searchsorted(cum, u, side="left"), K)
+    ks = _pick(cum[None], np.zeros(draws, np.intp), words[:, 0])
     jumps = -np.expm1(np.log1p(-words[:, 1]) / (c + M + ks))
     return ks.astype(np.int64), jumps

@@ -5,7 +5,9 @@ few across-keys passes.  Each replica must equal the one-draw function on
 its own stream bit for bit, column for column, whatever the base
 (fixed atoms, 2-D piecewise grids, zero-mass cells), the concentration or
 scale function, the jump law (live ``h > 16`` cells go through the
-per-stream fallback), the sign words, and the keys-per-call bound.
+per-stream fallback), the sign words, and the keys-per-call bound.  The
+engine's count pass and table pick, which the posterior resampler shares,
+are checked against one-stream cursors and per-element searches.
 """
 
 from unittest import mock
@@ -145,3 +147,79 @@ def test_replica_masses_bound_leaves_masses_unchanged():
                 got = gamma.replica_masses(p, 5, 6, s, 7, signed)
             assert got.dtype == np.float64
             assert got.tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    cells=st.lists(
+        st.tuples(
+            st.integers(0, 2**64 - 1),
+            st.integers(0, 40),
+            st.sampled_from([0.0, 0.0, 0.3, 2.0, 16.0, 40.0]),
+        ),
+        min_size=1, max_size=8,
+    ),
+    levels=st.integers(1, 2),
+    per_root=st.booleans(),
+    batch=st.sampled_from([1, 3, 8192]),
+)
+def test_count_pass_yields_the_live_streams_in_order(
+    seeds, cells, levels, per_root, batch
+):
+    # rates above 16 split the count into chunks; rate 0 reads no word; a
+    # rate per (root, cell) pair is each root's rotation of the cell rates
+    first, second, rates = zip(*cells)
+    path = (np.array(first, np.uint64), np.array(second))[:levels]
+    table = np.array([np.roll(rates, j) for j in range(len(seeds))])
+    rates = table if per_root else table[0]
+    keys = zip(*(RandomStream(seed).key for seed in seeds))
+    r0, r1 = (np.array(k, dtype=np.uint64) for k in keys)
+    sizes = []
+    real = measures.batch_poisson
+
+    def spy(rates, k0s, k1s):
+        sizes.append(np.size(k0s))
+        return real(rates, k0s, k1s)
+
+    with mock.patch.object(measures, "_DRAW_BATCH", batch), \
+            mock.patch.object(measures, "batch_poisson", spy):
+        got = list(measures._count_pass(r0, r1, path, rates))
+    assert max(sizes) <= batch
+    assert sum(sizes) == len(seeds) * len(cells)
+    want = []
+    for j, seed in enumerate(seeds):
+        for i, rate in enumerate(table[j if per_root else 0].tolist()):
+            s = RandomStream(seed, tuple(int(p[i]) for p in path))
+            cur = s.cursor()
+            n = cur.poisson(rate)
+            if n:
+                want.append((j, i, n, *s.key, cur.pos))
+    for arrays in got:
+        assert arrays[2].size and arrays[2].all()
+    assert [row for arrays in got for row in zip(*(a.tolist() for a in arrays))] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_rows=st.integers(1, 4), width=st.integers(1, 5))
+def test_pick_equals_per_element_search(data, n_rows, width):
+    masses = np.array(data.draw(st.lists(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=width, max_size=width),
+        min_size=n_rows, max_size=n_rows,
+    )))
+    if data.draw(st.booleans()):
+        masses[0] = 0.0
+    cums = np.cumsum(masses, axis=1)
+    n = data.draw(st.integers(0, 30))
+    row = np.array(data.draw(st.lists(
+        st.integers(0, n_rows - 1), min_size=n, max_size=n
+    )), dtype=np.intp)
+    u = np.array(data.draw(st.lists(
+        st.floats(0.0, 1.0, exclude_min=True), min_size=n, max_size=n
+    )), dtype=np.float64)
+    got = measures._pick(cums, row, u)
+    want = [
+        min(int(np.searchsorted(cums[r], x * cums[r, -1], side="left")), width - 1)
+        for r, x in zip(row, u)
+    ]
+    assert got.tolist() == want

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from levycrm import beta, posterior, verify
+from levycrm import beta, measures, posterior, verify
 from levycrm.measures import (
     BaseMeasure,
     Domain,
@@ -212,7 +212,7 @@ def test_grouped_resample_sums_match_single_draws(seed, c, M, m_i, K, draws):
 def test_resample_over_atoms_matches_single_draws(seed, M, counts, K, draws, batch):
     # row i draws from stream.child(i); blocks of child streams may split an atom
     s = RandomStream(seed)
-    with mock.patch.object(posterior, "_RESAMPLE_BATCH", batch):
+    with mock.patch.object(measures, "_DRAW_BATCH", batch):
         bulk = posterior.resample_observed_jumps(1.0, M, np.array(counts), K, s, draws)
     single = np.array([
         [posterior.resample_observed_jump(1.0, M, m_i, K, s.child(i, d))
