@@ -21,7 +21,8 @@ cli         command-line front end (simulate / truncation-table /
 
 Names are reached through their modules (``levycrm.beta.round_measure``);
 the package itself holds only the submodules.  ``verify`` loads on first
-access, so that importing the package (and the CLI) does not import scipy.
+access, so importing the package (and the CLI) does not import it; it
+loads scipy only inside the oracles that use it.
 """
 
 __version__ = "0.1.0"
@@ -30,7 +31,7 @@ from . import beta, gamma, measures, posterior, streams, truncation
 
 
 def __getattr__(name):
-    # PEP 562: import verify (and with it scipy) only when it is asked for.
+    # PEP 562: import verify only when it is asked for.
     if name == "verify":
         from importlib import import_module
 

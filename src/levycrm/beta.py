@@ -21,8 +21,9 @@ drawn every word position is fixed.  Draws therefore run on the draw
 engine (``measures.draw_cells``) with a leading axis of draw keys:
 ``_RoundPlan`` builds the rounds' rates and tables as array rows, a block
 of rounds at a time, and per call over at most ``measures._DRAW_BATCH``
-(draw, round) streams the engine makes one across-keys count pass, one
-ragged read of the locations and one of the jumps.  ``simulate_replicas``
+(draw, round) streams the engine makes one across-keys count pass, then
+per run of at most ``measures._BATCH_ATOMS`` atoms one ragged read of the
+locations and one of the jumps.  ``simulate_replicas``
 draws many replicas so; ``simulate_beta_process`` and ``simulate_round``
 are the same call over one key.  ``round_measure`` stays the descriptive
 record of one round; the plan's floats equal its floats bit for bit.

@@ -540,9 +540,16 @@ def _pick(cums: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 # Stream keys per batch of ``_count_pass``, the draw engine's and the
-# posterior resampler's: each batch's count pass, word reads and their
-# temporaries stay this size whatever the replicas.
+# posterior resampler's: each batch's count pass stays this size whatever
+# the replicas.
 _DRAW_BATCH = 8192
+# Atoms per run of live streams that ``_count_pass`` yields: the consumers'
+# word reads and their temporaries grow with the atoms, not the keys, so a
+# batch of high-rate streams is cut into runs of at most this many (a
+# stream above it runs alone).  The benchmark's largest batch holds about
+# 128k atoms (posterior-resample, seeds 1 to 10), so no benchmark batch is
+# cut.
+_BATCH_ATOMS = 2**18
 
 
 class Cells(NamedTuple):
@@ -572,9 +579,9 @@ def _count_pass(r0, r1, path, rates):
     with ``tuple(p[i] for p in path)`` absorbed, and draws its count at
     rate ``rates[j, i]``, where ``rates`` broadcasts to (roots, cells).  The
     pairs go in flat, root-major batches of at most ``_DRAW_BATCH`` keys
-    with one ``batch_poisson`` each; every batch with a live stream yields
-    the arrays ``(root, cell, count, k0, k1, first free word)`` of its live
-    streams, in (root, cell) order.
+    with one ``batch_poisson`` each.  Each batch's live streams are yielded
+    in (root, cell) order as the arrays ``(root, cell, count, k0, k1, first
+    free word)``, in runs whose counts sum to at most ``_BATCH_ATOMS``.
     """
     rates = np.broadcast_to(rates, (r0.size, path[0].size))
     for lo in range(0, rates.size, _DRAW_BATCH):
@@ -589,8 +596,13 @@ def _count_pass(r0, r1, path, rates):
         out = tuple(a[live] for a in (root, cell, count, k0, k1, used))
         # free the batch-size arrays before the consumer runs
         del root, cell, k0, k1, count, used
-        if live.size:
-            yield out
+        ends = np.cumsum(out[2])
+        a = 0
+        while a < live.size:
+            cap = ends[a] - out[2][a] + _BATCH_ATOMS
+            b = max(int(np.searchsorted(ends, cap, side="right")), a + 1)
+            yield tuple(x[a:b] for x in out)
+            a = b
 
 
 def draw_cells(domain, roots, blocks, jumps, fallback=None, signed=False) -> list:
@@ -606,10 +618,10 @@ def draw_cells(domain, roots, blocks, jumps, fallback=None, signed=False) -> lis
     the cursor at its jump words.
 
     Each block's (draw, cell) streams take their counts in ``_count_pass``,
-    a batch of at most ``_DRAW_BATCH`` keys at a time, and each batch's live
-    streams then take two across-keys reads: one ``ragged_words`` read of
-    their location words and one of their jump and sign words, from where
-    their locations end.  Word positions and float operations are a
+    a batch of at most ``_DRAW_BATCH`` keys at a time, and each run of live
+    streams it yields then takes two across-keys reads: one ``ragged_words``
+    read of their location words and one of their jump and sign words, from
+    where their locations end.  Word positions and float operations are a
     one-stream draw's, so each draw equals its cells drawn for its key alone.
     """
     r0, r1 = (np.asarray(r, dtype=np.uint64).reshape(-1) for r in roots)
@@ -633,8 +645,8 @@ def draw_cells(domain, roots, blocks, jumps, fallback=None, signed=False) -> lis
 
 
 def _draw_block(cells, live, jumps, fallback, signed) -> tuple:
-    """(draw, locations, jumps, round_k, subround_h) of the atoms of the live
-    streams one ``_count_pass`` batch yields."""
+    """(draw, locations, jumps, round_k, subround_h) of the atoms of one run
+    of live streams that ``_count_pass`` yields."""
     draw, cell, n, s0, s1, start = live
     dim = len(cells.locations.edges)
     u = _words_to_uniform(ragged_words(s0, s1, start, n * (1 + dim)))

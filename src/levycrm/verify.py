@@ -6,9 +6,12 @@ component densities, adaptive quadrature for moments, and classical
 goodness-of-fit statistics.  Agreement between these oracles and the
 library is evidence, not tautology.
 
-Only ``scipy.special`` loads with this module; ``scipy.stats`` and
-``scipy.integrate`` (about a second to import) load inside the functions
-that use them.
+No scipy module loads with this module: ``scipy.special``,
+``scipy.stats`` and ``scipy.integrate`` load inside the functions that
+use them.  The Gamma(2, 1) CDF of the ``gamma-marginal`` check is
+``gamma2_cdf``, a bit-exact port of scipy's own route in ``math``, so
+that check and ``symmetric-variance`` (``monte_carlo_moments``) run
+without scipy.
 
 Density conventions.  All densities are per unit base mass (the
 location-marginal factor is handled separately by callers working with
@@ -31,7 +34,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .measures import DomainError, OracleError
 
@@ -89,7 +91,7 @@ def levy_density(family: str, params: dict, jump: float) -> float:
     returning 0 or inf: callers probing the support edge are always
     making a mistake worth surfacing.
     """
-    from scipy import stats
+    from scipy import special, stats
     x = float(jump)
     if family == "beta":
         c = _req(params, "c")
@@ -133,6 +135,7 @@ def _check_unit_interior(x):
 
 
 def _stable_log_norm(c, s):
+    from scipy import special
     # log of the stable-beta constant Gamma(c+1)/(Gamma(1-s)Gamma(c+s))
     return special.gammaln(c + 1.0) - special.gammaln(1.0 - s) - special.gammaln(c + s)
 
@@ -161,7 +164,7 @@ def decomposition_density_partial_sum(
     Terms are evaluated directly from their printed weight x pdf forms;
     no simulation machinery or library round code is involved.
     """
-    from scipy import stats
+    from scipy import special, stats
     x = float(jump)
     if family == "beta":
         c = _req(params, "c")
@@ -225,6 +228,7 @@ def _kh_grid(K, H):
 
 
 def _gamma_partial(theta, p, K, H):
+    from scipy import special
     # weight 1/((k+1)^h h) times Gamma(h, theta/(k+1)) pdf, in log space
     ks, hs = _kh_grid(K, H)
     logt = (
@@ -238,6 +242,7 @@ def _gamma_partial(theta, p, K, H):
 
 
 def _gamma_remainder(theta, p, K, H):
+    from scipy import special
     # Summed over all h, round k telescopes to (e^(-kx) - e^(-(k+1)x)) / p
     # with x = p / theta, so the rounds beyond K leave e^(-(K+1)x) / p.
     # Within round k the sub-rounds beyond H leave e^(-kx) / p times the
@@ -249,6 +254,7 @@ def _gamma_remainder(theta, p, K, H):
 
 
 def _generalized_partial(theta, s, p, K, H, corrected):
+    from scipy import special
     ks, hs = _kh_grid(K, H)
     if corrected:
         # weight Gamma(h-s) ((k+1)/theta)^s / (Gamma(1-s) (k+1)^h h!)
@@ -311,6 +317,7 @@ def _stable_jump_integral(c, s, r):
 
 
 def _generalized_jump_integral(theta, s, r):
+    from scipy import special
     lconst = -special.gammaln(1.0 - s)
 
     def fn(p):
@@ -384,6 +391,77 @@ class KSResult:
     @property
     def passed(self) -> bool:
         return self.statistic < self.critical_value
+
+
+# cephes constants of the igam route: MACHEP is 2**-53, MAXLOG is log(DBL_MAX)
+_MACHEP = 1.11022302462515654042e-16
+_MAXLOG = 7.09782712893383996843e2
+_CF_BIG = 4.503599627370496e15
+_CF_BIGINV = 2.22044604925031308085e-16
+# at shape 2: 2 + lanczos_g - 0.5, and sqrt(that / e) / lanczos_sum_expg_scaled(2)
+_LANCZOS_DIV = 7.524680040776729583740234375
+_LANCZOS_SCALE = 7.662793320009829
+
+
+def gamma2_cdf(x: float) -> float:
+    """The Gamma(2, 1) CDF at one ``x >= 0``, bit for bit ``gammainc(2, x)``.
+
+    A scalar port of the cephes ``igam`` route that ``scipy.special.gammainc``
+    takes at shape 2: the power series (DLMF 8.11.4) up to ``x = 2`` and
+    one minus the continued fraction (DLMF 8.9.2) above it, each times the
+    prefactor ``x^2 e^-x``, taken through the Lanczos form where ``x`` is
+    within 0.8 of 2.  It uses libm through ``math``, whose ``exp`` and
+    ``log`` are the ones cephes calls, so ``gamma-marginal`` needs no scipy.
+    """
+    if x == 0.0:
+        return 0.0
+    if x == math.inf:
+        return 1.0
+    if abs(2.0 - x) > 0.8:
+        t = 2.0 * math.log(x) - x  # less cephes lgam(2), which is 0
+        fac = 0.0 if t < -_MAXLOG else math.exp(t)
+    else:
+        fac = _LANCZOS_SCALE * (math.exp(2.0 - x) * math.pow(x / _LANCZOS_DIV, 2.0))
+    if x > 2.0:
+        if fac == 0.0:
+            return 1.0
+        y = 1.0 - 2.0  # 1 - a
+        z = x + y + 1.0
+        c = 0.0
+        pkm2, qkm2, pkm1, qkm1 = 1.0, x, x + 1.0, z * x
+        ans = pkm1 / qkm1
+        for _ in range(2000):
+            c += 1.0
+            y += 1.0
+            z += 2.0
+            yc = y * c
+            pk = pkm1 * z - pkm2 * yc
+            qk = qkm1 * z - qkm2 * yc
+            if qk != 0.0:
+                r = pk / qk
+                t = abs((ans - r) / r)
+                ans = r
+            else:
+                t = 1.0
+            pkm2, pkm1, qkm2, qkm1 = pkm1, pk, qkm1, qk
+            if abs(pk) > _CF_BIG:
+                pkm2 *= _CF_BIGINV
+                pkm1 *= _CF_BIGINV
+                qkm2 *= _CF_BIGINV
+                qkm1 *= _CF_BIGINV
+            if t <= _MACHEP:
+                break
+        return 1.0 - ans * fac
+    if fac == 0.0:
+        return 0.0
+    r, c, ans = 2.0, 1.0, 1.0
+    for _ in range(2000):
+        r += 1.0
+        c *= x / r
+        ans += c
+        if c <= _MACHEP * ans:
+            break
+    return ans * fac / 2.0
 
 
 def ks_distance(samples, cdf, significance: float = KS_SIGNIFICANCE) -> KSResult:

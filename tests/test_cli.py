@@ -75,8 +75,10 @@ def test_worker_pool_size_does_not_change_bytes(tmp_path):
 # numeric h column), a run written to stdout, sparse beta rounds (2,501
 # rounds, most of them empty, over three plan blocks of up to 1,024), a beta
 # and a CSV gamma truncation table, the three density checks at a fixed K and
-# H, and a verify header that expands the default group between repeated
-# names.  A changed digest is a change of the output contract, not of speed.
+# H, a verify header that expands the default group between repeated names,
+# and the two replica checks at 2,500 replicas, whose Gamma(2, 1) CDF reaches
+# both the Lanczos band near x = 2 and the continued fraction above it.  A
+# changed digest is a change of the output contract, not of speed.
 BYTE_PINS = {
     "gamma-mass40": "558260aa555c9eea07a944cb29ff5ea0205f7acb75f141ac5b08bd2eca1fae2f",
     "symmetric-gamma": "c19e950ac049ecc1377a1c8e39ec06ae07831919ea25c03cd9b4faf128e6dea0",
@@ -93,6 +95,7 @@ BYTE_PINS = {
     "truncation-gamma-csv": "4651b04c70c86abb32798ccee51d52cc27ed933b53cfd87ab08932f787dca52a",
     "verify-density-fixed-K": "009de3d4c2c356e488d401ebdef2dce204fd6492a700f322288560e92ac9652c",
     "verify-groups": "abb9e0df79a4d6bac11911983c184b7bc104bfda10b26117b639d15078ea4aee",
+    "verify-replica-checks": "5373eb38cd1ab0b05c9ec1e787ff7b5d038390703ee3db3b4d770da0d79b7b63",
 }
 
 
@@ -169,6 +172,10 @@ def test_output_bytes_are_pinned(tmp_path):
     _, got["verify-groups"] = run(tmp_path, "vg.jsonl", [
         "verify", "--check", "ibp", "--check", "default", "--check", "ibp",
         "--seed", "3",
+    ])
+    _, got["verify-replica-checks"] = run(tmp_path, "vr.jsonl", [
+        "verify", "--check", "gamma-marginal", "--check", "symmetric-variance",
+        "--replicas", "2500", "--seed", "3",
     ])
     assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == BYTE_PINS
 
@@ -566,6 +573,21 @@ def test_beta_and_posterior_runs_do_not_load_numpy_ma(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+def test_replica_checks_do_not_load_scipy(tmp_path):
+    # gamma-marginal takes its Gamma(2, 1) CDF from verify.gamma2_cdf
+    out = tmp_path / "v.jsonl"
+    res = _fresh_python(
+        "import sys\n"
+        "from levycrm.cli import main\n"
+        "assert main(['verify', '--check', 'gamma-marginal', '--check',\n"
+        "             'symmetric-variance', '--replicas', '80', '--seed', '1',\n"
+        f"             '--out', {str(out)!r}]) == 0\n"
+        "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+        "assert not loaded, loaded\n"
+    )
+    assert res.returncode == 0, res.stderr
+
+
 def test_verify_names_resolve_on_access():
     # the package holds submodules only; verify loads on first access
     res = _fresh_python(
@@ -574,7 +596,7 @@ def test_verify_names_resolve_on_access():
         "verify = levycrm.verify\n"
         "from levycrm import verify as again\n"
         "assert verify is again is sys.modules['levycrm.verify']\n"
-        "assert 'scipy.stats' not in sys.modules\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
         "for name in ('ks_distance', 'BetaProcessParams', 'no_such_name'):\n"
         "    try:\n"
         "        getattr(levycrm, name)\n"
@@ -586,8 +608,8 @@ def test_verify_names_resolve_on_access():
 
 
 def test_gamma_marginal_statistic_is_pinned(tmp_path):
-    # the Gamma(2, 1) reference CDF moved from scipy.stats to scipy.special;
-    # the statistic must not move by a bit
+    # the Gamma(2, 1) reference CDF moved from scipy.stats to scipy.special,
+    # then to verify.gamma2_cdf; the statistic must not move by a bit
     code, data = run(tmp_path, "vk.jsonl", [
         "verify", "--check", "gamma-marginal", "--replicas", "80", "--seed", "1",
     ])

@@ -110,8 +110,9 @@ def test_engine_cells_equal_per_cell_cursor_draws(case, cells, seed, replicas, s
 
 
 def test_keys_per_call_bound_leaves_bytes_unchanged():
-    # a bound of 1 puts every stream key in a call of its own; an odd bound
-    # splits blocks of cells and of draws unevenly
+    # a bound of 1 puts every stream key (or every live stream, for the atoms
+    # bound) in a call of its own; an odd bound splits blocks of cells and of
+    # draws unevenly
     beta_p = beta.BetaProcessParams(_fn_2d([[0.5, 2.0], [4.0, 1.0]]), _base_2d())
     gamma_p = gamma.GammaProcessParams(_base_2d(), _fn_2d([[0.5, 2.0], [3.0, 1.0]]))
     homog = gamma.GammaProcessParams.homogeneous(1.0, 3.0)
@@ -126,10 +127,11 @@ def test_keys_per_call_bound_leaves_bytes_unchanged():
 
     want = draws()
     assert all(len(pm) for pm in want)
-    for bound in (1, 7):
-        with mock.patch.object(measures, "_DRAW_BATCH", bound):
-            got = draws()
-        assert [column_digest(pm) for pm in got] == [column_digest(pm) for pm in want]
+    for name in ("_DRAW_BATCH", "_BATCH_ATOMS"):
+        for bound in (1, 7):
+            with mock.patch.object(measures, name, bound):
+                got = draws()
+            assert [column_digest(pm) for pm in got] == [column_digest(pm) for pm in want]
 
 
 def test_replica_masses_bound_leaves_masses_unchanged():
@@ -163,9 +165,10 @@ def test_replica_masses_bound_leaves_masses_unchanged():
     levels=st.integers(1, 2),
     per_root=st.booleans(),
     batch=st.sampled_from([1, 3, 8192]),
+    atoms=st.sampled_from([1, 7, 2**18]),
 )
 def test_count_pass_yields_the_live_streams_in_order(
-    seeds, cells, levels, per_root, batch
+    seeds, cells, levels, per_root, batch, atoms
 ):
     # rates above 16 split the count into chunks; rate 0 reads no word; a
     # rate per (root, cell) pair is each root's rotation of the cell rates
@@ -183,6 +186,7 @@ def test_count_pass_yields_the_live_streams_in_order(
         return real(rates, k0s, k1s)
 
     with mock.patch.object(measures, "_DRAW_BATCH", batch), \
+            mock.patch.object(measures, "_BATCH_ATOMS", atoms), \
             mock.patch.object(measures, "batch_poisson", spy):
         got = list(measures._count_pass(r0, r1, path, rates))
     assert max(sizes) <= batch
@@ -197,6 +201,8 @@ def test_count_pass_yields_the_live_streams_in_order(
                 want.append((j, i, n, *s.key, cur.pos))
     for arrays in got:
         assert arrays[2].size and arrays[2].all()
+        # a run holds at most ``atoms`` atoms, or one stream above that
+        assert arrays[2].sum() <= atoms or arrays[2].size == 1
     assert [row for arrays in got for row in zip(*(a.tolist() for a in arrays))] == want
 
 

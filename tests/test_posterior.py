@@ -208,11 +208,14 @@ def test_grouped_resample_sums_match_single_draws(seed, c, M, m_i, K, draws):
     K=st.integers(0, 1000),
     draws=st.integers(1, 12),
     batch=st.sampled_from([1, 5, 8192]),
+    atoms=st.sampled_from([1, 7, 2**18]),
 )
-def test_resample_over_atoms_matches_single_draws(seed, M, counts, K, draws, batch):
-    # row i draws from stream.child(i); blocks of child streams may split an atom
+def test_resample_over_atoms_matches_single_draws(seed, M, counts, K, draws, batch, atoms):
+    # row i draws from stream.child(i); blocks of child streams, and runs of
+    # their live streams, may split an atom
     s = RandomStream(seed)
-    with mock.patch.object(measures, "_DRAW_BATCH", batch):
+    with mock.patch.object(measures, "_DRAW_BATCH", batch), \
+            mock.patch.object(measures, "_BATCH_ATOMS", atoms):
         bulk = posterior.resample_observed_jumps(1.0, M, np.array(counts), K, s, draws)
     single = np.array([
         [posterior.resample_observed_jump(1.0, M, m_i, K, s.child(i, d))

@@ -192,6 +192,28 @@ def test_ks_distance():
         verify.ks_distance(np.array([1.0]), lambda x: x)
 
 
+def test_gamma2_cdf_equals_scipy_gammainc_bit_for_bit():
+    from scipy import special
+
+    # each branch and its edges: the prefactor x^2 e^-x cut to 0 below the
+    # last x it leaves nonzero (where 2 log x - x passes -709.78...), the
+    # series up to x = 2, the Lanczos band |2 - x| <= 0.8, the continued
+    # fraction above 2 and its own underflow to exactly 1
+    points = [0.0, 5e-324, 1.0, 1.1, 1.2, 2.0, 2.8, 30.0, 745.0, 1e300, math.inf]
+    points += [7.458340731200083e-155]
+    points += np.geomspace(1e-300, 1e-150, 2000).tolist()
+    edges = np.array(points)
+    draws = np.random.default_rng(2).gamma(2.0, 1.0, 100_000)
+    x = np.concatenate([
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf), draws
+    ])
+    got = np.array([verify.gamma2_cdf(v) for v in x.tolist()])
+    want = special.gammainc(2.0, x)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert verify.gamma2_cdf(7.4583407312000825e-155) == 0.0
+    assert verify.gamma2_cdf(7.458340731200083e-155) > 0.0
+
+
 def test_chi_square_gof():
     res = verify.chi_square_gof([55, 45], [0.5, 0.5])
     assert res.statistic == pytest.approx(1.0, rel=1e-12)
