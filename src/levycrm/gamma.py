@@ -111,10 +111,19 @@ def subround_rate(mass: float, k: int, h: int) -> float:
 
 @lru_cache(maxsize=16)
 def _rates_grid(mass: float, num_rounds: int, num_subrounds: int) -> np.ndarray:
-    g = np.empty((num_rounds, num_subrounds))
-    for i, k in enumerate(range(1, num_rounds + 1)):
-        for j, h in enumerate(range(1, num_subrounds + 1)):
-            g[i, j] = subround_rate(mass, k, h)
+    """``subround_rate(mass, k, h)`` for k = 1..num_rounds, h = 1..num_subrounds.
+
+    Each log is taken once per round or sub-round, with ``math`` as there,
+    and each cell evaluates that function's own expression, so every rate
+    is bit for bit the one it returns.
+    """
+    g = np.zeros((num_rounds, num_subrounds))
+    if mass != 0.0:
+        l1k = np.array([math.log1p(k) for k in range(1, num_rounds + 1)])
+        h = np.arange(1, num_subrounds + 1)
+        lh = np.array([math.log(x) for x in h.tolist()])
+        x = math.log(mass) - h * l1k[:, None] - lh
+        g[:] = np.reshape(list(map(math.exp, x.ravel().tolist())), x.shape)
     g.setflags(write=False)
     return g
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from .streams import (
     StreamCursor,
-    _absorb_arr,
+    _absorb_mixed,
+    _path_mix,
     _ragged_index,
     _words_to_uniform,
     batch_poisson,
@@ -582,15 +583,17 @@ def _count_pass(r0, r1, path, rates):
     with one ``batch_poisson`` each.  Each batch's live streams are yielded
     in (root, cell) order as the arrays ``(root, cell, count, k0, k1, first
     free word)``, in runs whose counts sum to at most ``_BATCH_ATOMS``.
+    A path element's half of each absorb step is mixed once per cell.
     """
     rates = np.broadcast_to(rates, (r0.size, path[0].size))
+    mixed = [_path_mix(p) for p in path]
     for lo in range(0, rates.size, _DRAW_BATCH):
         root, cell = np.divmod(
             np.arange(lo, min(lo + _DRAW_BATCH, rates.size)), rates.shape[1]
         )
         k0, k1 = r0[root], r1[root]
-        for p in path:
-            k0, k1 = _absorb_arr(k0, k1, p[cell])
+        for g, s in mixed:
+            k0, k1 = _absorb_mixed(k0, k1, g[cell], s[cell])
         count, used = batch_poisson(rates[root, cell], k0, k1)
         live = np.flatnonzero(count)
         out = tuple(a[live] for a in (root, cell, count, k0, k1, used))

@@ -13,6 +13,11 @@ seed through a 64-bit finalizer; the absorb step is bijective in the path
 element, so sibling streams always receive distinct keys.  Block ``j`` of the
 stream is the Philox output for counter ``(j, 0, 0, 0)``, giving random access
 to any position without sequential state.
+
+One stream's words come from numpy's C Philox.  Reads across many keys
+(``ragged_words``) run the cipher as numpy array ops instead
+(``_philox4x64``): its state is two lanes, ``(x0, x2)`` and ``(x1, x3)``, each
+a ``(2, m)`` array updated in place, over passes of at most 8,192 blocks.
 """
 
 from __future__ import annotations
@@ -24,19 +29,24 @@ from numpy.random import Philox
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# Weyl constants and round multipliers from the Philox4x64 reference; the
-# multipliers' 32-bit halves are split once here, not in every round.
-_M0 = np.uint64(0xD2E7470EE14C6C93)
-_M1 = np.uint64(0xCA5A826395121157)
-_W0 = np.uint64(0x9E3779B97F4A7C15)
-_W1 = np.uint64(0xBB67AE8584CAA73B)
+# Philox4x64's round multipliers as a (2, 1) column, one row per lane row of
+# ``_philox4x64`` (see there), with their 32-bit halves split once here, and
+# the key's Weyl offsets after r rounds, r * (W0, W1) mod 2**64, per round.
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
-_M0_HALVES = (_M0 >> _SH32, _M0 & _MASK32)
-_M1_HALVES = (_M1 >> _SH32, _M1 & _MASK32)
+_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_MH, _ML = _M >> _SH32, _M & _MASK32
+_WEYL = np.arange(10, dtype=np.uint64)[:, None] * np.array(
+    [0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64
+)
 
-# A C Philox read costs about 25 us per stream and an emulated call about
-# 0.5 ms whatever its size, so reads over this few streams go through C.
+# Blocks per pass of ``_philox4x64``: its lane buffers hold this many blocks
+# and are reused from pass to pass, so its temporaries stay fixed in size.
+_PHILOX_CHUNK = 8192
+
+# A C Philox read costs about 27 us per stream and an emulated call about
+# 0.42 ms at up to some hundred blocks; they break even near 16 streams
+# (2 cores, numpy 2.4), so reads over this few streams go through C.
 _C_READ_MAX_KEYS = 16
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -96,53 +106,82 @@ def _mix64_arr(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> s3)
 
 
-def _absorb_arr(k0, k1, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _path_mix(e) -> tuple[np.ndarray, np.ndarray]:
+    """The path element's half of each absorb step, which depends on e alone:
+    a caller that absorbs one element under many keys mixes it once."""
     e = np.asarray(e, dtype=np.uint64)
+    return _mix64_arr(e + _GOLDEN_ARR), _mix64_arr(e ^ _SALT_ARR)
+
+
+def _absorb_mixed(k0, k1, g, s) -> tuple[np.ndarray, np.ndarray]:
+    """``_absorb_arr`` with the element's half ``(g, s) = _path_mix(e)`` done."""
+    return _mix64_arr(k0 ^ g), _mix64_arr(k1 + s)
+
+
+def _absorb_arr(k0, k1, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k0 = np.asarray(k0, dtype=np.uint64)
     k1 = np.asarray(k1, dtype=np.uint64)
-    a = _mix64_arr(k0 ^ _mix64_arr(e + _GOLDEN_ARR))
-    b = _mix64_arr(k1 + _mix64_arr(e ^ _SALT_ARR))
-    return a, b
+    return _absorb_mixed(k0, k1, *_path_mix(e))
 
 
-def _mulhilo(m, halves, b):
-    """Full 64x64 -> 128 bit product of the constant m and b, as (hi, lo).
+def _philox4x64(k0, k1, blocks) -> np.ndarray:
+    """Philox4x64-10 output words of counters ``(blocks, 0, 0, 0)``.
 
-    ``halves`` is m's (high, low) 32-bit split.  Every partial sum below
-    stays under 2**64, so the high word is exact.
+    Returns an ``(n, 4)`` array whose row ``i`` is block ``blocks[i]`` under
+    key ``(k0[i], k1[i])``; the arguments are uint64 scalars or 1-D arrays,
+    broadcast to one length.  Serves the across-keys fan-out
+    (``ragged_words``), where one C generator per key would cost far more
+    than these array ops.
+
+    The state runs as two lanes, ``(x0, x2)`` and ``(x1, x3)``, each a
+    ``(2, m)`` array whose rows take their own multiplier (``_M``), so one
+    ufunc call serves both words of a lane.  A round is 19 calls, each
+    written in place into six lane buffers made once and reused over passes
+    of at most ``_PHILOX_CHUNK`` blocks; a round's key is the input key
+    plus its Weyl offset (``_WEYL``), made in a free buffer, so no key
+    buffer is kept.
     """
-    mh, ml = halves
-    bh = b >> _SH32
-    bl = b & _MASK32
-    t = mh * bl + ((ml * bl) >> _SH32)
-    w = (t & _MASK32) + ml * bh
-    # ufuncs, not operators: they wrap numpy scalars without a warning
-    return mh * bh + (t >> _SH32) + (w >> _SH32), np.multiply(m, b)
-
-
-def _philox4x64(key0, key1, c0, c1, c2, c3):
-    """Philox4x64-10 block function, vectorized over keys and counters.
-
-    Serves the across-keys fan-out (``ragged_words``), where one C
-    generator per key would cost far more than these array ops.
-
-    All inputs are uint64 arrays (or scalars) broadcast to a common shape;
-    returns the four output words.
-    """
-    k0, k1, x0, x1, x2, x3 = np.broadcast_arrays(
-        *(np.asarray(a, dtype=np.uint64) for a in (key0, key1, c0, c1, c2, c3))
+    k0, k1, blocks = np.broadcast_arrays(
+        *(np.asarray(a, dtype=np.uint64).reshape(-1) for a in (k0, k1, blocks))
     )
-    for r in range(10):
-        if r > 0:
-            k0 = np.add(k0, _W0)
-            k1 = np.add(k1, _W1)
-        hi0, lo0 = _mulhilo(_M0, _M0_HALVES, x0)
-        hi1, lo1 = _mulhilo(_M1, _M1_HALVES, x2)
-        x0 = hi1 ^ x1 ^ k0
-        x1 = lo1
-        x2 = hi0 ^ x3 ^ k1
-        x3 = lo0
-    return x0, x1, x2, x3
+    n = blocks.size
+    out = np.empty((n, 4), dtype=np.uint64)
+    bufs = np.empty((6, 2, min(n, _PHILOX_CHUNK)), dtype=np.uint64)
+    for lo in range(0, n, _PHILOX_CHUNK):
+        c = slice(lo, lo + _PHILOX_CHUNK)
+        a, b, hi, t, u, v = bufs[:, :, : blocks[c].size]
+        a[0], a[1] = blocks[c], 0
+        b[...] = 0
+        for weyl in _WEYL:
+            # (hi, lo) = the 128-bit product _M * a from 32-bit halves;
+            # every partial sum stays under 2**64, so hi is exact
+            np.right_shift(a, _SH32, out=hi)
+            np.bitwise_and(a, _MASK32, out=t)
+            np.multiply(_ML, t, out=u)
+            np.right_shift(u, _SH32, out=u)
+            np.multiply(_MH, t, out=t)
+            np.add(t, u, out=t)
+            np.bitwise_and(t, _MASK32, out=u)
+            np.multiply(_ML, hi, out=v)
+            np.add(u, v, out=u)
+            np.multiply(_MH, hi, out=hi)
+            np.right_shift(t, _SH32, out=t)
+            np.add(hi, t, out=hi)
+            np.right_shift(u, _SH32, out=u)
+            np.add(hi, u, out=hi)
+            np.multiply(_M, a, out=v)  # the low words
+            np.add(k0[c], weyl[0], out=t[0])
+            np.add(k1[c], weyl[1], out=t[1])
+            # x0, x2 = hi1 ^ x1 ^ k0, hi0 ^ x3 ^ k1 and x1, x3 = lo1, lo0:
+            # both lanes take their new words with the rows swapped, and the
+            # old (x1, x3) buffer takes the next round's low words
+            np.bitwise_xor(hi[::-1], b, out=a)
+            np.bitwise_xor(a, t, out=a)
+            b, v = v[::-1], b
+        rows = out[c]
+        rows[:, 0::2] = a.T
+        rows[:, 1::2] = b.T
+    return out
 
 
 def _words_to_uniform(w: np.ndarray) -> np.ndarray:
@@ -348,7 +387,12 @@ def _ragged_index(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     Row ``i`` holds ``counts[i]`` slots, laid out one row after another;
     slot ``j`` belongs to row ``owner[j]`` at position ``within[j]``.
+    Where every row holds one slot the layout is the identity, made
+    without the repeat.
     """
+    if (counts == 1).all():
+        ix = np.arange(counts.size)
+        return ix, np.zeros_like(ix), ix
     first = np.cumsum(counts) - counts
     owner = np.repeat(np.arange(counts.size), counts)
     return owner, np.arange(owner.size) - first[owner], first
@@ -378,9 +422,7 @@ def ragged_words(k0s, k1s, starts, counts) -> np.ndarray:
     b0 = starts >> 2
     n_blocks = np.where(counts > 0, ((starts + counts - 1) >> 2) - b0 + 1, 0)
     key, block, first_block = _ragged_index(n_blocks)
-    z = np.uint64(0)
-    x = _philox4x64(k0s[key], k1s[key], (b0[key] + block).astype(np.uint64), z, z, z)
-    words = np.stack(x, axis=1).reshape(-1)
+    words = _philox4x64(k0s[key], k1s[key], b0[key] + block).reshape(-1)
     seg, j, _ = _ragged_index(counts)
     return words[4 * first_block[seg] + (starts[seg] & 3) + j]
 
@@ -410,7 +452,7 @@ def batch_poisson(
     used = np.maximum(np.ceil(rates / _POISSON_CHUNK), rates > 0).astype(np.int64)
     m = used.ravel()
     u = _words_to_uniform(ragged_words(k0s, k1s, 0, used))
-    lam = np.repeat(rates.ravel() / np.maximum(m, 1), m)
+    owner, _, first = _ragged_index(m)
+    lam = (rates.ravel() / np.maximum(m, 1))[owner]
     total = np.concatenate([[0], np.cumsum(_poisson_invert(lam, u))])
-    ends = np.cumsum(m)
-    return (total[ends] - total[ends - m]).reshape(rates.shape), used
+    return (total[first + m] - total[first]).reshape(rates.shape), used

@@ -13,6 +13,7 @@ are checked against one-stream cursors and per-element searches.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -204,6 +205,23 @@ def test_count_pass_yields_the_live_streams_in_order(
         # a run holds at most ``atoms`` atoms, or one stream above that
         assert arrays[2].sum() <= atoms or arrays[2].size == 1
     assert [row for arrays in got for row in zip(*(a.tolist() for a in arrays))] == want
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+@pytest.mark.parametrize("batch", [5, 13, 8192])
+def test_count_pass_keys_are_the_child_stream_keys(levels, batch):
+    # replica roots as the engine gets them; the path's mix is made once per
+    # cell and absorbed under each root, in batches that split roots' cells
+    s = RandomStream(2**63 + 11)
+    r0, r1 = s.child_keys(np.arange(4))
+    k, h = np.divmod(np.arange(12), 3)
+    path = ((k + 1,), (k + 1, h + 1))[levels - 1]
+    with mock.patch.object(measures, "_DRAW_BATCH", batch):
+        got = list(measures._count_pass(r0, r1, path, 4.0))
+    streams = [row for arrays in got for row in zip(*(a.tolist() for a in arrays))]
+    assert len(streams) > 40
+    for root, cell, _, k0, k1, _ in streams:
+        assert (k0, k1) == s.child(root, *(int(p[cell]) for p in path)).key
 
 
 @settings(max_examples=100, deadline=None)

@@ -51,6 +51,19 @@ def test_subround_rate_examples():
         gamma.subround_rate(1.0, 1, 0)
 
 
+@pytest.mark.parametrize("mass", [0.0, 1.0, 2.0, 0.37, 1e-300, 3e5, 5e300])
+@pytest.mark.parametrize("K, H", [(1, 1), (7, 3), (199, 40), (60, gamma.SUBROUND_CAP)])
+def test_rates_grid_equals_subround_rate_bit_for_bit(mass, K, H):
+    gamma._rates_grid.cache_clear()
+    grid = gamma._rates_grid(mass, K, H)
+    want = np.array([
+        [gamma.subround_rate(mass, k, h) for h in range(1, H + 1)]
+        for k in range(1, K + 1)
+    ])
+    assert grid.shape == (K, H) and not grid.flags.writeable
+    assert np.array_equal(grid.view(np.uint64), want.view(np.uint64))
+
+
 def test_subround_rates_sum_to_log():
     # sum_h 1/((k+1)^h h) = log((k+1)/k); the h-tail at 60 is ~2^-60
     partial = math.fsum(gamma.subround_rate(1.0, 1, h) for h in range(1, 61))

@@ -6,6 +6,7 @@ draw, and the scalar draw helpers produce the documented distributions.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -37,11 +38,8 @@ def test_philox_blocks_match_numpy():
             counter=np.array([5, 0, 0, 0], dtype=np.uint64),
         )
         ref = bg.random_raw(12)
-        z = np.uint64(0)
-        mine = _philox4x64(
-            np.uint64(k0), np.uint64(k1), np.arange(6, 9, dtype=np.uint64), z, z, z
-        )
-        assert np.array_equal(ref, np.stack(mine, axis=1).reshape(-1))
+        mine = _philox4x64(np.uint64(k0), np.uint64(k1), np.arange(6, 9, dtype=np.uint64))
+        assert np.array_equal(ref, mine.reshape(-1))
 
 
 def test_frozen_words():
@@ -77,12 +75,73 @@ def test_stream_words_match_philox_blocks(k0, k1, start, n):
     # serves the across-keys fan-out must give the same words at any key
     # (key words of 2**63 and above included) and any offset
     b0, b1 = start >> 2, (start + n - 1) >> 2
-    z = np.uint64(0)
     blocks = _philox4x64(
-        np.uint64(k0), np.uint64(k1), np.arange(b0, b1 + 1, dtype=np.uint64), z, z, z
+        np.uint64(k0), np.uint64(k1), np.arange(b0, b1 + 1, dtype=np.uint64)
     )
-    ref = np.stack(blocks, axis=1).reshape(-1)[start - 4 * b0:][:n]
+    ref = blocks.reshape(-1)[start - 4 * b0:][:n]
     assert np.array_equal(_stream_words(k0, k1, start, n), ref)
+
+
+_CHUNK = streams._PHILOX_CHUNK
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    keys=st.lists(st.tuples(_KEY_WORDS, _KEY_WORDS), min_size=1, max_size=3),
+    n=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]),
+    b0=st.one_of(st.just(0), st.integers(-3, 3).map(lambda d: 2**62 + d)),
+)
+def test_philox_kernel_matches_numpy_across_passes(keys, n, b0):
+    # block i runs under key i % len(keys), at counter b0 + i: the passes of
+    # the two-lane kernel meet and end at any block, with any per-block key
+    k0, k1 = (np.array(k, dtype=np.uint64) for k in zip(*keys))
+    pick = np.arange(n) % len(keys)
+    got = _philox4x64(k0[pick], k1[pick], np.arange(b0, b0 + n, dtype=np.uint64))
+    assert got.shape == (n, 4) and got.dtype == np.uint64
+    for j, (a, b) in enumerate(keys):
+        bg = Philox(key=np.array([a, b], dtype=np.uint64), counter=(b0 - 1) % 2**256)
+        ref = bg.random_raw(4 * n).reshape(n, 4)
+        assert np.array_equal(got[pick == j], ref[pick == j])
+
+
+def test_philox_kernel_memory_is_bounded_by_its_output():
+    # five passes: the lane buffers are one pass's, reused, so the peak is
+    # the (n, 4) output plus a fixed number of (2, chunk) lane buffers
+    n = 5 * _CHUNK
+    blocks = np.arange(n, dtype=np.uint64)
+    lane = 2 * _CHUNK * 8
+    tracemalloc.start()
+    try:
+        out = _philox4x64(np.uint64(3), np.uint64(2**64 - 1), blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 7 * lane
+    assert np.array_equal(out[-1], Philox(key=np.array([3, 2**64 - 1], np.uint64),
+                                          counter=n - 2).random_raw(4))
+
+
+def _ragged_layout(counts):
+    # the general layout, built with the repeat
+    first = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - first[owner], first
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.one_of(
+        st.lists(st.just(1), max_size=20),
+        st.lists(st.sampled_from([0, 1]), max_size=20),
+        st.lists(st.integers(0, 4), max_size=20),
+    ).map(lambda c: np.array(c, dtype=np.int64))
+)
+def test_ragged_index_identity_equals_the_general_layout(counts):
+    # all ones take the identity shortcut; zeros or larger rows do not
+    got = streams._ragged_index(counts)
+    for a, b in zip(got, _ragged_layout(counts)):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
 
 
 def test_word_layout_is_position_pure():
