@@ -24,9 +24,11 @@ of rounds at a time, and per call over at most ``measures._DRAW_BATCH``
 (draw, round) streams the engine makes one across-keys count pass, then
 per run of at most ``measures._BATCH_ATOMS`` atoms one ragged read of the
 locations and one of the jumps.  ``simulate_replicas``
-draws many replicas so; ``simulate_beta_process`` and ``simulate_round``
-are the same call over one key.  ``round_measure`` stays the descriptive
-record of one round; the plan's floats equal its floats bit for bit.
+draws many replicas so, and ``simulate_beta_process`` is the same call
+over one key.  Round k of a draw reads ``stream.child(k)`` and the rounds
+run in order, so raising K only appends atoms.  ``round_measure`` stays
+the descriptive record of one round; the plan's floats equal its floats
+bit for bit.
 
 The stable-beta variant adds a discount sigma in [0, 1); its rounds carry
 Beta(1-sigma, c+sigma+k) jumps with gamma-function mass factors, and the
@@ -116,27 +118,13 @@ def round_measure(params: BetaProcessParams, k: int) -> BetaRound:
     )
 
 
-def simulate_round(
-    params: BetaProcessParams, k: int, stream: RandomStream
-) -> PointMeasure:
-    """Draw the atoms of round k.
-
-    Randomness comes from ``stream.child(k)``; the draw order is the atom
-    count, then all locations, then all jumps, so the result is a pure
-    function of (seed, path, params, k).
-    """
-    if k < 0:
-        raise ValueError("round index must be >= 0")
-    return _draw(params, k, k + 1, stream.key)[0]
-
-
 def simulate_beta_process(
     params: BetaProcessParams, K: int, stream: RandomStream
 ) -> PointMeasure:
     """Superpose rounds 0..K (inclusive) into one truncated draw.
 
-    Equals the concatenation of ``simulate_round(params, k, stream)`` for
-    k in order, so raising K never changes earlier atoms.
+    Round k reads ``stream.child(k)`` (its count, then its locations, then
+    its jumps) and the rounds run in order, so raising K only appends atoms.
     """
     if K < 0:
         raise ValueError("truncation round K must be >= 0")

@@ -48,13 +48,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__, beta, gamma, posterior, truncation
-from .measures import (
-    Domain,
-    DomainError,
-    OracleError,
-    PointMeasure,
-    UnsupportedParameterError,
-)
+from .measures import Domain, OracleError, PointMeasure
 from .posterior import InvalidPriorError, ObservationSet
 from .streams import RandomStream, RateCapError
 
@@ -833,13 +827,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        CLIError,
-        DomainError,
-        UnsupportedParameterError,
-        InvalidPriorError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:  # CLIError and every library error subclass it
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

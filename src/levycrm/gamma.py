@@ -19,10 +19,13 @@ before any random word is read, so draws run on the draw engine
 (``measures.draw_cells``) with a leading axis of draw keys: per call over
 at most ``measures._DRAW_BATCH`` (draw, k, h) streams, one across-keys
 count pass, then per run of at most ``measures._BATCH_ATOMS`` atoms one
-ragged read of the locations and one of the jumps (and signs).  Only live cells with h > 16 draw their jumps through a cursor.
+ragged read of the locations and one of the jumps (and signs).  Only
+live cells with h > 16 draw their jumps through a cursor.
 ``simulate_replicas`` draws many replicas so, and ``replica_masses`` takes
 their total masses a block of replicas at a time; the one-draw functions
-are the same call over one key.
+are the same call over one key.  Subround (k, h) of a draw reads
+``stream.child(k, h)`` and the subrounds run in (k, h) lexicographic
+order, so raising K only appends atoms.
 
 A symmetric variant assigns each atom a fair random sign and doubles the
 subround rates; it targets the two-sided Levy density |p|^(-1) e^(-|p|/th),
@@ -155,21 +158,6 @@ def subround_spec(params: GammaProcessParams, k: int, h: int) -> GammaSubround:
     )
 
 
-def simulate_subround(
-    params: GammaProcessParams, k: int, h: int, stream: RandomStream
-) -> PointMeasure:
-    """Draw the atoms of subround (k, h).
-
-    Randomness comes from ``stream.child(k, h)``; draw order is count,
-    locations, then jumps, each jump Gamma(h, th(w)/(k+1)).  A lone cell
-    pays the draw engine's fixed cost per call (about 0.3 ms), so many
-    cells or replicas draw faster through one grid or replica call.
-    """
-    rate = subround_rate(params.total_base_mass, k, h)
-    cells = _cells(params, np.array([k]), np.array([h]), np.array([rate]))
-    return _draw(params, cells, stream.key, signed=False)[0]
-
-
 def _cells(params: GammaProcessParams, ks, hs, rates) -> Cells:
     # every cell samples from the shape measure's one table; integer shapes
     # up to _GAMMA_INT_SHAPE_MAX take h words per atom, larger ones fall back
@@ -226,9 +214,10 @@ def simulate_gamma_process(
     """Superpose subrounds k = 1..K, h = 1..H.
 
     ``H=None`` means all subrounds; rates below one expected atom per 2^70
-    draws are dropped, which caps h at SUBROUND_CAP.  The result equals
-    concatenating ``simulate_subround`` over the grid in (k, h)
-    lexicographic order.
+    draws are dropped, which caps h at SUBROUND_CAP.  Subround (k, h) reads
+    ``stream.child(k, h)`` (its count, then its locations, then its jumps)
+    and the subrounds run in (k, h) lexicographic order, so raising K only
+    appends atoms.
     """
     return _draw(params, _grid(params, K, H, False), stream.key, signed=False)[0]
 

@@ -440,12 +440,12 @@ class PointMeasure:
 
 @dataclass(frozen=True)
 class LocationTable:
-    """What ``_sample_locations`` draws from: one measure's cumulative masses.
+    """What locations are drawn from: one measure's cumulative masses.
 
     ``cum`` is the running sum of the masses of the grid cells that
     ``edges`` spans, in C order, then of the fixed atoms at the (m, dim)
     ``atoms``.  The draw engine stacks several such sums over the same
-    edges and atoms, one row per table.
+    edges and atoms, one row per table, and ``_place`` draws from them.
     """
 
     cum: np.ndarray
@@ -458,25 +458,6 @@ def location_table(measure: BaseMeasure) -> LocationTable:
     cell_masses = (measure.density.values * measure.density.cell_volumes()).reshape(-1)
     cum = np.cumsum(np.concatenate([cell_masses, measure.atom_masses]))
     return LocationTable(cum, measure.density.edges, measure.atom_locations)
-
-
-def _sample_locations(table: LocationTable, n: int, cursor: StreamCursor) -> np.ndarray:
-    """n locations drawn i.i.d. from the normalized measure of a location table.
-
-    Returns an (n, dim) array.  Consumes, per point, one component-choice
-    uniform plus one uniform per dimension when a density cell is chosen
-    (atoms need no position draw); the cursor ends after the words used.
-    The draw engine calls ``_place`` directly; this one-stream form is kept
-    for the tests' reference draws and the benchmark tracer's binding.
-    """
-    if not table.cum[-1] > 0:
-        raise ValueError("cannot sample from a measure with zero mass")
-    start = cursor.pos
-    u = cursor.uniforms(n * (1 + len(table.edges)))
-    stacked = LocationTable(table.cum[None], table.edges, table.atoms)
-    locs, used = _place(stacked, np.zeros(1, np.intp), np.array([n]), u)
-    cursor.pos = start + int(used[0])
-    return locs
 
 
 def _place(table: LocationTable, rows, n, u) -> tuple[np.ndarray, np.ndarray]:
@@ -614,11 +595,12 @@ def draw_cells(domain, roots, blocks, jumps, fallback=None, signed=False) -> lis
     ``roots`` holds the draws' stream keys ``(k0s, k1s)`` and ``blocks``
     yields the cells as ``Cells`` blocks, in order.  A draw holds its cells'
     atoms in cell order; each cell reads its stream as the count, the
-    locations (as ``_sample_locations``), ``width`` jump words per atom and,
-    if ``signed``, one sign word per atom.  ``jumps(k, h, locs, u)`` maps
-    the ``(m, width)`` uniforms of m atoms of one width to their jumps; a
-    cell of width 0 calls ``fallback(cursor, k, h, locs)`` instead, with
-    the cursor at its jump words.
+    locations (per atom a component-choice word, then one word per
+    dimension where a density cell is chosen; see ``_place``), ``width``
+    jump words per atom and, if ``signed``, one sign word per atom.
+    ``jumps(k, h, locs, u)`` maps the ``(m, width)`` uniforms of m atoms of
+    one width to their jumps; a cell of width 0 calls ``fallback(cursor, k,
+    h, locs)`` instead, with the cursor at its jump words.
 
     Each block's (draw, cell) streams take their counts in ``_count_pass``,
     a batch of at most ``_DRAW_BATCH`` keys at a time, and each run of live

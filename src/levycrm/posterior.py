@@ -138,40 +138,6 @@ def posterior_params(
     return PosteriorBetaParams(c_post=c_post, base_post=base_post)
 
 
-def resample_observed_jump(
-    c: float, M: int, m_i: int, K: int, stream: RandomStream
-) -> float:
-    """One posterior draw of an observed atom's jump, rounds 0..K.
-
-    The target is a sum over rounds k = 0..K of H_k independent
-    Beta(1, c+M+k) jumps with H_k ~ Poisson(m_i/(c+M+k)).  Independent
-    Poisson counts superpose: the grand count is Poisson of the summed
-    rates, and each arrival falls in round k with probability
-    proportional to its rate.  Drawing that way is the same law and
-    needs a handful of uniforms instead of one per round.
-
-    The result is nonnegative and occasionally exceeds 1; see the
-    module docstring.  Counts m_i > M are accepted: the formulas only
-    need m_i >= 0.
-    """
-    if m_i < 0:
-        raise ValueError("m_i must be >= 0")
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    if m_i == 0:
-        return 0.0
-    cur = stream.cursor()
-    b = c + M + np.arange(K + 1, dtype=np.float64)
-    cum = np.cumsum(m_i / b)
-    n = cur.poisson(float(cum[-1]))
-    if n == 0:
-        return 0.0
-    u = cur.uniforms(n) * cum[-1]
-    ks = np.minimum(np.searchsorted(cum, u, side="left"), K)
-    v = cur.uniforms(n)
-    return float(np.sum(-np.expm1(np.log1p(-v) / b[ks])))
-
-
 def resample_observed_jumps(
     c: float,
     M: int,
@@ -180,12 +146,20 @@ def resample_observed_jumps(
     stream: RandomStream,
     draws: int,
 ) -> np.ndarray:
-    """Many resampled jumps at once, one per child stream.
+    """Resampled jumps of observed atoms, one per child stream.
 
-    With one count ``m``, entry ``d`` equals ``resample_observed_jump(c, M,
-    m, K, stream.child(d))``.  With an array of counts, the result has one
-    row per atom: entry ``[i, d]`` equals ``resample_observed_jump(c, M,
-    m[i], K, stream.child(i, d))``.  Both hold bit for bit.
+    With one count ``m``, entry ``d`` is a draw over rounds 0..K from
+    ``stream.child(d)``; with an array of counts, the result has one row
+    per atom and entry ``[i, d]`` is the draw for count ``m[i]`` from
+    ``stream.child(i, d)``.  A zero count gives 0.0 and reads no word.
+    Otherwise, with ``b = c + M + arange(K + 1)`` and rates ``m / b``, the
+    entry's stream holds, from word 0: the count's words, a Poisson count
+    ``n`` at the summed rate (chunked as in ``batch_poisson``); ``n`` round
+    words, each picking the first round whose cumulative rate reaches the
+    word's uniform times the total (capped at K); then ``n`` jump words,
+    jump ``j`` the Beta(1, b[k_j]) inverse CDF ``-expm1(log1p(-u) / b[k_j])``.
+    The entry is the sum of its ``n`` jumps, in stream order, as ``np.sum``
+    adds one contiguous row.
 
     Each (atom, draw) pair is one finite Poisson cell of the draw engine's
     count pass (``measures._count_pass``): root ``stream.child(i)`` (or
@@ -223,7 +197,7 @@ def resample_observed_jumps(
         vals = -np.expm1(np.log1p(-w[cat_pos + counts[key]]) / b[ks])
         # the draws with n jumps form one (draws, n) block; numpy reduces each
         # contiguous row with the pairwise sum a 1-D np.sum uses, so every
-        # total matches the one-stream function bit for bit
+        # total is the np.sum of its draw's jumps bit for bit
         for n in np.flatnonzero(np.bincount(counts)):
             ds = np.flatnonzero(counts == n)
             total = vals[first[ds, None] + np.arange(n)].sum(axis=1)
@@ -245,32 +219,16 @@ def resample_truncated_expectation(c: float, M: int, m_i: int, K: int) -> float:
     return m_i * (K + 1.0) / (a * (a + K + 1.0))
 
 
-def sample_new_jump(
-    c: float, M: int, K: int, stream: RandomStream
-) -> tuple[int, float]:
-    """One draw of a previously unobserved posterior jump.
-
-    The round index k is drawn from weights 1/(c+M+k), k = 0..K,
-    normalized; the jump from Beta(1, c+M+k).
-    """
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    cur = stream.cursor()
-    w = 1.0 / (c + M + np.arange(K + 1, dtype=np.float64))
-    cum = np.cumsum(w)
-    u = cur.uniform() * cum[-1]
-    k = min(int(np.searchsorted(cum, u, side="left")), K)
-    jump = cur.beta_one(c + M + k)
-    return k, jump
-
-
 def sample_new_jumps(
     c: float, M: int, K: int, stream: RandomStream, draws: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Many new-jump draws at once, one per child stream of ``stream``.
+    """New-jump draws, one per child stream of ``stream``.
 
-    Returns (round indices, jumps); entry ``d`` equals
-    ``sample_new_jump(c, M, K, stream.child(d))`` bit for bit.
+    Returns (round indices, jumps).  Entry ``d`` reads words 0 and 1 of
+    ``stream.child(d)``: word 0 picks the round k, the first whose
+    cumulative weight, with weights 1/(c+M+k) for k = 0..K, reaches the
+    word's uniform times the total (capped at K); word 1 gives the jump,
+    the Beta(1, c+M+k) inverse CDF ``-expm1(log1p(-u) / (c+M+k))``.
     """
     if K < 0:
         raise ValueError("K must be >= 0")

@@ -290,30 +290,6 @@ class StreamCursor:
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])
 
-    def poisson(self, rate: float) -> int:
-        """Poisson count by CDF inversion.
-
-        Rates above a fixed chunk size are split into ``m`` equal pieces and
-        the chunk counts summed, which keeps the inversion loop short; the
-        number of uniforms consumed is exactly ``m``.
-        """
-        if rate < 0 or not math.isfinite(rate):
-            raise ValueError(f"Poisson rate must be finite and >= 0, got {rate}")
-        _check_rate_cap(rate)
-        if rate == 0.0:
-            return 0
-        m = max(1, math.ceil(rate / _POISSON_CHUNK))
-        u = self.uniforms(m)
-        return int(_poisson_invert(np.full(m, rate / m), u).sum())
-
-    def beta_one(self, b: float) -> float:
-        """Draw from Beta(1, b) by inverting the CDF 1 - (1-x)^b.
-
-        Uses numpy's log1p/expm1 (they differ from libm by an ulp on
-        some inputs) so scalar draws match vectorized ones exactly.
-        """
-        return float(-np.expm1(np.log1p(-self.uniform()) / b))
-
     def normal(self) -> float:
         u = self.uniforms(2)
         return math.sqrt(-2.0 * math.log(u[0])) * math.cos(2.0 * math.pi * u[1])
@@ -360,7 +336,7 @@ def _poisson_invert(rates: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     Counts satisfy ``P(N <= n) >= u`` minimally.  The loop runs to the
     largest count drawn, so callers keep rates small by splitting them into
-    chunks (see ``batch_poisson`` and ``StreamCursor.poisson``).
+    chunks (see ``batch_poisson``).
     """
     lam = np.asarray(rates, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
@@ -432,13 +408,15 @@ def batch_poisson(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Poisson counts for many keyed streams at once, one per stream.
 
-    Returns ``(counts, words_used)``: entry ``i`` is what
-    ``cursor.poisson(rates[i])`` draws from position 0 of stream
-    ``(k0s[i], k1s[i])``, and the cursor's position afterwards, where that
-    stream's next draw starts.  Rates and keys broadcast to one shape.  One
-    ragged read takes each stream's ``words_used`` words, one inversion
-    runs over all of them at the stream's chunk rate, and each count is its
-    stream's sum of chunk counts (integers, so exact in any order).
+    Returns ``(counts, words_used)``: entry ``i`` is the count at rate
+    ``rates[i]`` drawn from position 0 of stream ``(k0s[i], k1s[i])``, and
+    the number of words it read, where that stream's next draw starts.
+    A nonzero rate splits into ``max(1, ceil(rate / 16))`` equal chunks,
+    one word each; a zero rate reads none.  Rates and keys broadcast to
+    one shape.  One ragged read takes each stream's ``words_used`` words,
+    one inversion runs over all of them at the stream's chunk rate, and
+    each count is its stream's sum of chunk counts (integers, so exact in
+    any order).
     """
     rates, k0s, k1s = np.broadcast_arrays(
         np.asarray(rates, dtype=np.float64),
@@ -448,7 +426,7 @@ def batch_poisson(
     if not np.all((rates >= 0) & (rates < math.inf)):
         raise ValueError("Poisson rates must be finite and >= 0")
     _check_rate_cap(rates.max(initial=0.0))
-    # chunk counts as in cursor.poisson: none at rate 0, at least one above
+    # chunk counts: none at rate 0, at least one above
     used = np.maximum(np.ceil(rates / _POISSON_CHUNK), rates > 0).astype(np.int64)
     m = used.ravel()
     u = _words_to_uniform(ragged_words(k0s, k1s, 0, used))

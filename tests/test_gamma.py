@@ -20,10 +20,10 @@ from levycrm.measures import (
     Domain,
     PiecewiseConst,
     PointMeasure,
-    _sample_locations,
     location_table,
 )
 from levycrm.streams import RandomStream, _poisson_invert, _words_to_uniform
+from reference import _sample_locations, poisson, simulate_subround
 from test_beta import (
     HALF,
     ONE,
@@ -128,7 +128,7 @@ def test_single_cell_grid_equals_subround():
     p = homog(1.0, 30.0)
     s = RandomStream(42)
     assert gamma.simulate_gamma_process(p, 1, 1, s).atoms == (
-        gamma.simulate_subround(p, 1, 1, s).atoms
+        simulate_subround(p, 1, 1, s).atoms
     )
 
 
@@ -140,7 +140,7 @@ def test_grid_is_lexicographic_concatenation():
     concat = []
     for k in range(1, 4):
         for h in range(1, 5):
-            concat.extend(gamma.simulate_subround(p, k, h, s).atoms)
+            concat.extend(simulate_subround(p, k, h, s).atoms)
     assert len(grid.atoms) > 30
     assert grid.atoms == concat
 
@@ -166,11 +166,11 @@ def test_grid_with_certain_zero_cells_is_lexicographic_concatenation():
     n_atoms = 0
     for seed in range(5):
         s = RandomStream(700 + seed)
-        concat = [a for k, h in cells for a in gamma.simulate_subround(plain, k, h, s).atoms]
+        concat = [a for k, h in cells for a in simulate_subround(plain, k, h, s).atoms]
         assert gamma.simulate_gamma_process(plain, K, None, s).atoms == concat
         n_atoms += len(concat)
         # signed atoms carry the draws of the doubled-mass cells, then a sign
-        concat2 = [a for k, h in cells for a in gamma.simulate_subround(doubled, k, h, s).atoms]
+        concat2 = [a for k, h in cells for a in simulate_subround(doubled, k, h, s).atoms]
         sym = gamma.simulate_symmetric_gamma(plain, K, None, s).atoms
         assert len(sym) == len(concat2)
         for a, b in zip(sym, concat2):
@@ -196,8 +196,8 @@ def test_simulate_validation():
 
 
 def test_empty_subround_and_atom_tags():
-    assert gamma.simulate_subround(UNIT_MASS, 5, 3, RandomStream(2)).atoms == []
-    pm = gamma.simulate_subround(homog(1.0, 5000.0), 2, 1, RandomStream(3))
+    assert simulate_subround(UNIT_MASS, 5, 3, RandomStream(2)).atoms == []
+    pm = simulate_subround(homog(1.0, 5000.0), 2, 1, RandomStream(3))
     assert len(pm.atoms) > 0
     for a in pm.atoms:
         assert a.jump > 0.0
@@ -208,8 +208,8 @@ def test_empty_subround_and_atom_tags():
 
 
 def test_jump_mean_and_locations_big_subround():
-    # subround (1, 1) at base mass 2e5: ~1e5 Exponential(1/2) jumps
-    pm = gamma.simulate_subround(homog(1.0, 2e5), 1, 1, RandomStream(600))
+    # K = H = 1, subround (1, 1) alone, at base mass 2e5: ~1e5 Exponential(1/2) jumps
+    pm = gamma.simulate_gamma_process(homog(1.0, 2e5), 1, 1, RandomStream(600))
     j = pm.jumps
     assert j.size > 50_000
     se = j.std(ddof=1) / math.sqrt(j.size)
@@ -222,7 +222,7 @@ def test_jump_mean_and_locations_big_subround():
 def test_high_shape_subround():
     # h = 17 takes the rejection-sampler branch; mean h*theta/(k+1) = 8.5
     mass = 2.0**17 * 17 * 200
-    pm = gamma.simulate_subround(homog(1.0, mass), 1, 17, RandomStream(604))
+    pm = simulate_subround(homog(1.0, mass), 1, 17, RandomStream(604))
     j = pm.jumps
     assert j.size > 100
     se = j.std(ddof=1) / math.sqrt(j.size)
@@ -371,7 +371,7 @@ def _reference_subround(params, k, h, stream, signed):
 def reference_cell(params, k, h, rate, stream, signed):
     # cell (k, h) at the given rate, drawn through one cursor
     cur = stream.child(k, h).cursor()
-    n = cur.poisson(rate)
+    n = poisson(cur, rate)
     if n == 0:
         return []
     locs = _sample_locations(location_table(params.base), n, cur)
@@ -417,7 +417,7 @@ def test_jump_scale_follows_at_on_a_cell_upper_edge():
     p = gamma.GammaProcessParams(BaseMeasure(density), scale)
     k, h = 2, 3
     with fixed_words(2, ONE, HALF):
-        pm = gamma.simulate_subround(p, k, h, RandomStream(0))
+        pm = simulate_subround(p, k, h, RandomStream(0))
     assert np.array_equal(pm.locations, [[0.5], [0.5]])
     u = _words_to_uniform(np.full((2, h), HALF, dtype=np.uint64))
     want = -np.log(u).sum(axis=1) * (3.0 / (k + 1))

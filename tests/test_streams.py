@@ -26,6 +26,7 @@ from levycrm.streams import (
     batch_poisson,
     ragged_words,
 )
+from reference import beta_one, poisson
 
 
 def test_philox_blocks_match_numpy():
@@ -230,7 +231,7 @@ def test_batch_poisson_equals_cursor_on_mixed_rates(seed, rates):
     assert counts.shape == used.shape == rates.shape
     for i in np.ndindex(rates.shape):
         cur = s.child(int(idx[i])).cursor()
-        assert counts[i] == cur.poisson(float(rates[i]))
+        assert counts[i] == poisson(cur, float(rates[i]))
         assert used[i] == cur.pos
 
 
@@ -262,12 +263,13 @@ def test_uniforms_open_interval_and_moments():
 
 
 def test_poisson_zero_rate_and_validation():
-    cur = RandomStream(1).cursor()
-    assert cur.poisson(0.0) == 0
+    key = RandomStream(1).key
+    counts, used = batch_poisson(0.0, *key)
+    assert counts == 0 and used == 0
     with pytest.raises(ValueError):
-        cur.poisson(-1.0)
+        batch_poisson(-1.0, *key)
     with pytest.raises(ValueError):
-        cur.poisson(math.inf)
+        batch_poisson(math.inf, *key)
 
 
 def test_rates_above_the_cap_raise_before_any_word_is_read():
@@ -279,9 +281,10 @@ def test_rates_above_the_cap_raise_before_any_word_is_read():
         with pytest.raises(streams.RateCapError, match="cap"):
             batch_poisson(np.array([0.5, over, 2.0]), *keys)
     read.assert_not_called()
+    # a lone key reads through numpy's C Philox, not the emulated cipher
     with mock.patch.object(streams, "_stream_words") as read:
         with pytest.raises(streams.RateCapError, match="cap"):
-            RandomStream(1).cursor().poisson(over)
+            batch_poisson(over, *RandomStream(1).key)
     read.assert_not_called()
     # every rate the suite draws sits below the cap
     assert streams.MAX_POISSON_RATE > 1e5
@@ -307,7 +310,7 @@ def test_batch_poisson_matches_cursor():
     assert counts.shape == used.shape == rates.shape
     for i, j in np.ndindex(rates.shape):
         cur = s.child(int(idx[i, j])).cursor()
-        assert counts[i, j] == cur.poisson(float(rates[i, j]))
+        assert counts[i, j] == poisson(cur, float(rates[i, j]))
         assert used[i, j] == cur.pos
     assert list(used[0]) == [0, 1, 1, 2, 3, 19]
 
@@ -322,10 +325,9 @@ def test_batch_poisson_validation():
 def test_poisson_large_rate_chunking():
     # rates above the chunk bound split into ceil(rate/16) uniforms
     s = RandomStream(13)
-    cur = s.cursor()
-    n = cur.poisson(40.0)
-    assert cur.pos == 3
-    counts = np.array([s.child(i).cursor().poisson(40.0) for i in range(3000)])
+    n, used = batch_poisson(40.0, *s.key)
+    assert used == 3
+    counts, _ = batch_poisson(np.full(3000, 40.0), *s.child_keys(np.arange(3000)))
     assert abs(counts.mean() - 40.0) < 4.0 * math.sqrt(40.0 / counts.size)
     assert n == counts[0] or n >= 0  # n itself came from a different stream
 
@@ -343,9 +345,11 @@ def test_poisson_inversion_is_quantile():
 def test_beta_one_inverts_cdf():
     s = RandomStream(21)
     u = s.cursor().uniforms(1)[0]
-    x = s.cursor().beta_one(3.0)
+    x = beta_one(s.cursor(), 3.0)
     assert x == -np.expm1(np.log1p(-u) / 3.0)
-    draws = np.array([RandomStream(21, (i,)).cursor().beta_one(3.5) for i in range(4000)])
+    draws = np.array([
+        beta_one(RandomStream(21, (i,)).cursor(), 3.5) for i in range(4000)
+    ])
     assert np.all((draws > 0) & (draws < 1))
     r = stats.kstest(draws, lambda t: stats.beta.cdf(t, 1.0, 3.5))
     assert r.pvalue > 1e-3

@@ -24,6 +24,7 @@ from levycrm.streams import (
     batch_poisson,
     ragged_words,
 )
+from reference import simulate_round
 
 UNIT = Domain()
 
@@ -230,7 +231,7 @@ def test_residual_helper_matches_simulate_round():
     want = np.array(
         [
             math.fsum(
-                beta.simulate_round(p, int(k), RandomStream(31, (r,))).total_mass
+                simulate_round(p, int(k), RandomStream(31, (r,))).total_mass
                 for k in ks
             )
             for r in range(30)
