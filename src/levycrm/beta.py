@@ -20,10 +20,11 @@ Every round's rate, location table and jump law is a closed form in
 drawn every word position is fixed.  Draws therefore run on the draw
 engine (``measures.draw_cells``) with a leading axis of draw keys:
 ``_RoundPlan`` builds the rounds' rates and tables as array rows, a block
-of rounds at a time, and per call over at most ``measures._DRAW_BATCH``
-(draw, round) streams the engine makes one across-keys count pass, then
-per run of at most ``measures._BATCH_ATOMS`` atoms one ragged read of the
-locations and one of the jumps.  ``simulate_replicas``
+of rounds at a time, and per batch of at most ``measures._DRAW_BATCH``
+(draw, round) streams the engine makes one across-keys count read; it
+pools the live streams of the batches, and per run of up to
+``measures._DRAW_BATCH`` of them and ``measures._BATCH_ATOMS`` atoms makes
+one ragged read of the locations and one of the jumps.  ``simulate_replicas``
 draws many replicas so, and ``simulate_beta_process`` is the same call
 over one key.  Round k of a draw reads ``stream.child(k)`` and the rounds
 run in order, so raising K only appends atoms.  ``round_measure`` stays

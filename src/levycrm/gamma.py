@@ -16,11 +16,12 @@ subrounds for k <= K, h <= H yields a truncated draw with L1 error
 
 Every subround's rate, location law and jump law is a closed form known
 before any random word is read, so draws run on the draw engine
-(``measures.draw_cells``) with a leading axis of draw keys: per call over
+(``measures.draw_cells``) with a leading axis of draw keys: per batch of
 at most ``measures._DRAW_BATCH`` (draw, k, h) streams, one across-keys
-count pass, then per run of at most ``measures._BATCH_ATOMS`` atoms one
-ragged read of the locations and one of the jumps (and signs).  Only
-live cells with h > 16 draw their jumps through a cursor.
+count read; the live streams of the batches are pooled, and per run of up
+to ``measures._DRAW_BATCH`` of them and ``measures._BATCH_ATOMS`` atoms
+comes one ragged read of the locations and one of the jumps (and signs).
+Only live cells with h > 16 draw their jumps through a cursor.
 ``simulate_replicas`` draws many replicas so, and ``replica_masses`` takes
 their total masses a block of replicas at a time; the one-draw functions
 are the same call over one key.  Subround (k, h) of a draw reads

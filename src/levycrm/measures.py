@@ -523,14 +523,13 @@ def _pick(cums: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 # Stream keys per batch of ``_count_pass``, the draw engine's and the
 # posterior resampler's: each batch's count pass stays this size whatever
-# the replicas.
+# the replicas.  It is also the most live streams a yielded run holds.
 _DRAW_BATCH = 8192
 # Atoms per run of live streams that ``_count_pass`` yields: the consumers'
-# word reads and their temporaries grow with the atoms, not the keys, so a
-# batch of high-rate streams is cut into runs of at most this many (a
-# stream above it runs alone).  The benchmark's largest batch holds about
-# 128k atoms (posterior-resample, seeds 1 to 10), so no benchmark batch is
-# cut.
+# word reads and their temporaries grow with the atoms, not the keys, so
+# the pooled live streams are cut into runs of at most this many (a stream
+# above it runs alone).  The benchmark's largest run holds about 128k atoms
+# (posterior-resample, seeds 1 to 10), so no benchmark run is cut by it.
 _BATCH_ATOMS = 2**18
 
 
@@ -561,13 +560,17 @@ def _count_pass(r0, r1, path, rates):
     with ``tuple(p[i] for p in path)`` absorbed, and draws its count at
     rate ``rates[j, i]``, where ``rates`` broadcasts to (roots, cells).  The
     pairs go in flat, root-major batches of at most ``_DRAW_BATCH`` keys
-    with one ``batch_poisson`` each.  Each batch's live streams are yielded
-    in (root, cell) order as the arrays ``(root, cell, count, k0, k1, first
-    free word)``, in runs whose counts sum to at most ``_BATCH_ATOMS``.
-    A path element's half of each absorb step is mixed once per cell.
+    with one ``batch_poisson`` each.  The live streams are pooled over
+    batches, so a sparse pass feeds its consumer a few full runs, not one
+    per batch: they are yielded in (root, cell) order as the arrays
+    ``(root, cell, count, k0, k1, first free word)``, in runs of
+    ``_DRAW_BATCH`` streams cut shorter where the next stream would take
+    the counts past ``_BATCH_ATOMS``, then the rest at the pass's end.  A
+    path element's half of each absorb step is mixed once per cell.
     """
     rates = np.broadcast_to(rates, (r0.size, path[0].size))
     mixed = [_path_mix(p) for p in path]
+    held = None
     for lo in range(0, rates.size, _DRAW_BATCH):
         root, cell = np.divmod(
             np.arange(lo, min(lo + _DRAW_BATCH, rates.size)), rates.shape[1]
@@ -578,15 +581,15 @@ def _count_pass(r0, r1, path, rates):
         count, used = batch_poisson(rates[root, cell], k0, k1)
         live = np.flatnonzero(count)
         out = tuple(a[live] for a in (root, cell, count, k0, k1, used))
+        held = out if held is None else tuple(map(np.concatenate, zip(held, out)))
         # free the batch-size arrays before the consumer runs
-        del root, cell, k0, k1, count, used
-        ends = np.cumsum(out[2])
-        a = 0
-        while a < live.size:
-            cap = ends[a] - out[2][a] + _BATCH_ATOMS
-            b = max(int(np.searchsorted(ends, cap, side="right")), a + 1)
-            yield tuple(x[a:b] for x in out)
-            a = b
+        del root, cell, k0, k1, count, used, live
+        last = lo + _DRAW_BATCH >= rates.size
+        while held[0].size >= _DRAW_BATCH or (last and held[0].size):
+            ends = np.cumsum(held[2][:_DRAW_BATCH])
+            b = max(int(np.searchsorted(ends, _BATCH_ATOMS, side="right")), 1)
+            yield tuple(x[:b] for x in held)
+            held = tuple(x[b:] for x in held)
 
 
 def draw_cells(domain, roots, blocks, jumps, fallback=None, signed=False) -> list:
@@ -603,11 +606,13 @@ def draw_cells(domain, roots, blocks, jumps, fallback=None, signed=False) -> lis
     h, locs)`` instead, with the cursor at its jump words.
 
     Each block's (draw, cell) streams take their counts in ``_count_pass``,
-    a batch of at most ``_DRAW_BATCH`` keys at a time, and each run of live
-    streams it yields then takes two across-keys reads: one ``ragged_words``
-    read of their location words and one of their jump and sign words, from
-    where their locations end.  Word positions and float operations are a
-    one-stream draw's, so each draw equals its cells drawn for its key alone.
+    a batch of at most ``_DRAW_BATCH`` keys at a time, which pools the live
+    streams of its batches into runs of up to ``_DRAW_BATCH`` streams and
+    ``_BATCH_ATOMS`` atoms.  Each run takes two across-keys reads: one
+    ``ragged_words`` read of its location words and one of its jump and
+    sign words, from where its locations end.  Word positions and float
+    operations are a one-stream draw's, so each draw equals its cells drawn
+    for its key alone.
     """
     r0, r1 = (np.asarray(r, dtype=np.uint64).reshape(-1) for r in roots)
     parts = [

@@ -165,10 +165,11 @@ def resample_observed_jumps(
     count pass (``measures._count_pass``): root ``stream.child(i)`` (or
     ``stream`` for one count), cell ``d``, and the total of the round table
     ``cumsum(m / b)`` as its rate; that table depends on the count alone,
-    so it is built once per distinct count.  Each run of live streams that
-    the count pass yields takes one ``ragged_words`` read of its ``2 n``
-    round and jump words per stream, from where the count's words end, and
-    picks each jump's round in ``measures._pick``.
+    so it is built once per distinct count.  The count pass pools the live
+    streams of its batches into runs of up to ``measures._DRAW_BATCH``
+    streams; each run takes one ``ragged_words`` read of its ``2 n`` round
+    and jump words per stream, from where the count's words end, and picks
+    each jump's round in ``measures._pick``.
     """
     m = np.asarray(m, dtype=np.int64)
     if draws < 0:

@@ -416,7 +416,10 @@ def batch_poisson(
     one shape.  One ragged read takes each stream's ``words_used`` words,
     one inversion runs over all of them at the stream's chunk rate, and
     each count is its stream's sum of chunk counts (integers, so exact in
-    any order).
+    any order).  Where no rate exceeds one chunk and the C read would not
+    serve, every count is one word: word 0 of block 0, read for every key
+    in one ``_philox4x64`` call and inverted at the stream's rate, with no
+    ragged layout (a zero rate inverts to 0 and still reports 0 words).
     """
     rates, k0s, k1s = np.broadcast_arrays(
         np.asarray(rates, dtype=np.float64),
@@ -425,7 +428,12 @@ def batch_poisson(
     )
     if not np.all((rates >= 0) & (rates < math.inf)):
         raise ValueError("Poisson rates must be finite and >= 0")
-    _check_rate_cap(rates.max(initial=0.0))
+    top = rates.max(initial=0.0)
+    _check_rate_cap(top)
+    if top <= _POISSON_CHUNK and rates.size > _C_READ_MAX_KEYS:
+        u = _words_to_uniform(_philox4x64(k0s, k1s, 0)[:, 0])
+        counts = _poisson_invert(rates.ravel(), u).reshape(rates.shape)
+        return counts, (rates > 0).astype(np.int64)
     # chunk counts: none at rate 0, at least one above
     used = np.maximum(np.ceil(rates / _POISSON_CHUNK), rates > 0).astype(np.int64)
     m = used.ravel()

@@ -136,6 +136,29 @@ def test_keys_per_call_bound_leaves_bytes_unchanged():
             assert [column_digest(pm) for pm in got] == [column_digest(pm) for pm in want]
 
 
+def test_sparse_grid_pools_live_streams_into_few_draw_calls():
+    # a K x H grid of mostly empty cells: a batch of 64 keys holds a few live
+    # streams, pooled over batches until one draw call can take 64 of them
+    p = gamma.GammaProcessParams.homogeneous(1.0, 2.0)
+    s = RandomStream(91)
+    want = gamma.simulate_replicas(p, 40, 12, s, 24)
+    keys = 24 * len(gamma._grid(p, 40, 12, False).rates)
+    runs = []
+    real = measures._draw_block
+
+    def spy(cells, live, *rest):
+        runs.append(live[2].size)
+        return real(cells, live, *rest)
+
+    with mock.patch.object(measures, "_DRAW_BATCH", 64), \
+            mock.patch.object(measures, "_draw_block", spy):
+        got = gamma.simulate_replicas(p, 40, 12, s, 24)
+    batches = -(-keys // 64)
+    assert len(runs) == -(-sum(runs) // 64) < batches / 4
+    assert runs[:-1] == [64] * (len(runs) - 1)
+    assert [column_digest(pm) for pm in got] == [column_digest(pm) for pm in want]
+
+
 def test_replica_masses_bound_leaves_masses_unchanged():
     # blocks of 1 and 3 replicas, with keys-per-call bounds that split them
     # further, give the masses of the per-draw loop
@@ -201,10 +224,16 @@ def test_count_pass_yields_the_live_streams_in_order(
             n = poisson(cur, rate)
             if n:
                 want.append((j, i, n, *s.key, cur.pos))
-    for arrays in got:
-        assert arrays[2].size and arrays[2].all()
+    for arrays, after in zip(got, got[1:] + [None]):
+        n = arrays[2]
+        assert n.size and n.all()
         # a run holds at most ``atoms`` atoms, or one stream above that
-        assert arrays[2].sum() <= atoms or arrays[2].size == 1
+        assert n.sum() <= atoms or n.size == 1
+        # live streams are pooled over batches: a run before the pass's last
+        # holds ``batch`` of them, or ends where the next would pass ``atoms``
+        assert n.size <= batch
+        if after is not None:
+            assert n.size == batch or n.sum() + after[2][0] > atoms
     assert [row for arrays in got for row in zip(*(a.tolist() for a in arrays))] == want
 
 

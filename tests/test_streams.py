@@ -326,10 +326,34 @@ def test_poisson_large_rate_chunking():
     # rates above the chunk bound split into ceil(rate/16) uniforms
     s = RandomStream(13)
     n, used = batch_poisson(40.0, *s.key)
-    assert used == 3
+    cur = s.cursor()
+    assert n == poisson(cur, 40.0)
+    assert used == cur.pos == 3
     counts, _ = batch_poisson(np.full(3000, 40.0), *s.child_keys(np.arange(3000)))
     assert abs(counts.mean() - 40.0) < 4.0 * math.sqrt(40.0 / counts.size)
-    assert n == counts[0] or n >= 0  # n itself came from a different stream
+
+
+def test_one_word_counts_equal_the_cursor_and_the_chunked_path():
+    # more keys than the C read serves and no rate above one chunk: every
+    # count is word 0 of its stream, read without the ragged layout
+    s = RandomStream(2**64 - 5)
+    rates = np.tile([0.0, 5e-324, 1e-3, 0.7, 3.5, 15.999, 16.0], 9)
+    assert rates.size > streams._C_READ_MAX_KEYS
+    k0s, k1s = s.child_keys(np.arange(rates.size))
+    with mock.patch.object(streams, "ragged_words", side_effect=AssertionError):
+        counts, used = batch_poisson(rates, k0s, k1s)
+    assert counts.dtype == used.dtype == np.int64
+    assert counts.any()
+    for i, rate in enumerate(rates.tolist()):
+        cur = s.child(i).cursor()
+        assert counts[i] == poisson(cur, rate)
+        assert used[i] == cur.pos
+    # one rate above the chunk sends the same keys down the chunked path
+    more, more_used = batch_poisson(
+        np.append(rates, 16.5), np.append(k0s, k0s[0]), np.append(k1s, k1s[0])
+    )
+    assert more.tolist()[:-1] == counts.tolist()
+    assert more_used.tolist() == used.tolist() + [2]
 
 
 def test_poisson_inversion_is_quantile():
