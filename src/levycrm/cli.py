@@ -364,31 +364,44 @@ def _field(path, lineno, rec, name, kinds, kindname):
     return v
 
 
+def _add_location(path, lineno, rec, locs) -> None:
+    """Append the record's location to ``locs``, whose first fixes the dimension."""
+    loc = _field(path, lineno, rec, "location", list, "an array")
+    if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in loc):
+        raise CLIError(
+            f"parse error at {path}:{lineno}: location entries must be numbers"
+        )
+    if locs and len(loc) != len(locs[0]):
+        raise CLIError(
+            f"parse error at {path}:{lineno}: location dimension changed"
+        )
+    locs.append(loc)
+
+
 def _read_prior_draw(path) -> PointMeasure:
     locs, jumps, ks = [], [], []
-    dim = None
     for lineno, rec in _read_jsonl(path):
         if "command" in rec:  # header line from a simulate run
             continue
-        loc = _field(path, lineno, rec, "location", list, "an array")
+        _add_location(path, lineno, rec, locs)
         jump = _field(path, lineno, rec, "jump", (int, float), "a number")
-        if dim is None:
-            dim = len(loc)
-        elif len(loc) != dim:
-            raise CLIError(
-                f"parse error at {path}:{lineno}: location dimension changed"
-            )
         if not 0.0 < float(jump) < 1.0:
             raise InvalidPriorError(
                 f"prior jump at {path}:{lineno} lies outside (0, 1)"
             )
-        k = rec.get("k", 0)
-        locs.append(loc)
+        k = rec.get("k")
+        if k is not None and (
+            not isinstance(k, int) or isinstance(k, bool) or not 0 <= k < 2**63
+        ):
+            raise CLIError(
+                f"parse error at {path}:{lineno}: "
+                "field 'k' must be a nonnegative integer"
+            )
         jumps.append(float(jump))
-        ks.append(int(k) if k is not None else 0)
+        ks.append(k or 0)
     if not jumps:
         raise CLIError(f"{path} holds no prior atoms")
-    return PointMeasure(Domain(dim=dim), locs, jumps, ks)
+    return PointMeasure(Domain(dim=len(locs[0])), locs, jumps, ks)
 
 
 def _read_observations(path, M: int) -> ObservationSet:
@@ -397,13 +410,12 @@ def _read_observations(path, M: int) -> ObservationSet:
     for lineno, rec in _read_jsonl(path):
         if "command" in rec:
             continue
-        loc = _field(path, lineno, rec, "location", list, "an array")
+        _add_location(path, lineno, rec, locs)
         count = _field(path, lineno, rec, "count", int, "an integer")
         if not 0 <= count <= M:
             raise CLIError(
                 f"parse error at {path}:{lineno}: count must lie in [0, {M}]"
             )
-        locs.append(loc)
         counts.append(count)
     if not locs:
         raise CLIError(f"{path} holds no observations")

@@ -294,6 +294,10 @@ class BaseMeasure:
         masses = np.atleast_1d(np.asarray(atom_masses, dtype=np.float64))
         if locs.shape[0] != masses.shape[0]:
             raise ValueError("atom locations and masses must align")
+        if locs.ndim != 2 or locs.shape[1] != self.domain.dim:
+            raise ValueError(
+                f"atom locations must be points of dimension {self.domain.dim}"
+            )
         if locs.shape[0] and not np.all(self.domain.contains(locs)):
             raise DomainError("atom outside the domain")
         if np.any(masses < 0) or not np.all(np.isfinite(masses)):

@@ -14,10 +14,11 @@ element, so sibling streams always receive distinct keys.  Block ``j`` of the
 stream is the Philox output for counter ``(j, 0, 0, 0)``, giving random access
 to any position without sequential state.
 
-One stream's words come from numpy's C Philox.  Reads across many keys
-(``ragged_words``) run the cipher as numpy array ops instead
-(``_philox4x64``): its state is two lanes, ``(x0, x2)`` and ``(x1, x3)``, each
-a ``(2, m)`` array updated in place, over passes of at most 8,192 blocks.
+Every word comes from one implementation of the cipher, ``_philox4x64``,
+which runs it as numpy array ops: its state is two lanes, ``(x0, x2)`` and
+``(x1, x3)``, each a ``(2, m)`` array updated in place, over passes of at most
+8,192 blocks.  ``ragged_words`` reads any ranges of any keys through one call
+of it, and a cursor read is that call over the cursor's own key.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.random import Philox
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -43,11 +43,6 @@ _WEYL = np.arange(10, dtype=np.uint64)[:, None] * np.array(
 # Blocks per pass of ``_philox4x64``: its lane buffers hold this many blocks
 # and are reused from pass to pass, so its temporaries stay fixed in size.
 _PHILOX_CHUNK = 8192
-
-# A C Philox read costs about 27 us per stream and an emulated call about
-# 0.42 ms at up to some hundred blocks; they break even near 16 streams
-# (2 cores, numpy 2.4), so reads over this few streams go through C.
-_C_READ_MAX_KEYS = 16
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _SALT = 0x3C6EF372FE94F82A
@@ -129,9 +124,8 @@ def _philox4x64(k0, k1, blocks) -> np.ndarray:
 
     Returns an ``(n, 4)`` array whose row ``i`` is block ``blocks[i]`` under
     key ``(k0[i], k1[i])``; the arguments are uint64 scalars or 1-D arrays,
-    broadcast to one length.  Serves the across-keys fan-out
-    (``ragged_words``), where one C generator per key would cost far more
-    than these array ops.
+    broadcast to one length.  Every word the package reads comes from here,
+    through ``ragged_words`` or ``batch_poisson``'s one-word read.
 
     The state runs as two lanes, ``(x0, x2)`` and ``(x1, x3)``, each a
     ``(2, m)`` array whose rows take their own multiplier (``_M``), so one
@@ -189,26 +183,6 @@ def _words_to_uniform(w: np.ndarray) -> np.ndarray:
     # 53 bits are all ones round to exactly 1.0.  Mapping them below 1 would
     # change draws, so it needs a stream-version field in the output header.
     return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
-
-
-def _stream_words(k0: int, k1: int, start: int, n: int) -> np.ndarray:
-    """Words ``start .. start+n-1`` of the stream keyed by (k0, k1).
-
-    Word ``i`` is word ``i % 4`` of the Philox block with counter ``i // 4``.
-    numpy's C Philox computes the same cipher; it increments its counter
-    before each block, so it starts one block back.  The key goes in as a
-    uint64 array: numpy does not keep Python ints of 2**63 or more intact.
-    """
-    if n <= 0:
-        return np.empty(0, dtype=np.uint64)
-    b0 = start >> 2
-    b1 = (start + n - 1) >> 2
-    bitgen = Philox(
-        key=np.array([k0, k1], dtype=np.uint64), counter=(b0 - 1) % 2**256
-    )
-    words = bitgen.random_raw(4 * (b1 - b0 + 1))
-    off = start - 4 * b0
-    return words[off:off + n]
 
 
 class RandomStream:
@@ -274,12 +248,12 @@ class StreamCursor:
     __slots__ = ("_k0", "_k1", "pos")
 
     def __init__(self, k0: int, k1: int, pos: int = 0):
-        self._k0 = int(k0)
-        self._k1 = int(k1)
+        self._k0 = np.uint64(k0)
+        self._k1 = np.uint64(k1)
         self.pos = pos
 
     def words(self, n: int) -> np.ndarray:
-        w = _stream_words(self._k0, self._k1, self.pos, n)
+        w = ragged_words(self._k0, self._k1, self.pos, n)
         self.pos += w.size
         return w
 
@@ -289,10 +263,6 @@ class StreamCursor:
 
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])
-
-    def normal(self) -> float:
-        u = self.uniforms(2)
-        return math.sqrt(-2.0 * math.log(u[0])) * math.cos(2.0 * math.pi * u[1])
 
     def gamma(self, shape: float, scale: float = 1.0) -> float:
         """Draw from Gamma(shape, scale).
@@ -312,15 +282,18 @@ class StreamCursor:
         return self._gamma_mt(shape) * scale
 
     def _gamma_mt(self, a: float) -> float:
+        # a try reads a Box-Muller normal's two words, then the squeeze's
+        # uniform; a try rejected on v <= 0 gives that uniform back
         d = a - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
         while True:
-            x = self.normal()
+            u = self.uniforms(3)
+            x = math.sqrt(-2.0 * math.log(u[0])) * math.cos(2.0 * math.pi * u[1])
             v = (1.0 + c * x) ** 3
             if v <= 0.0:
+                self.pos -= 1
                 continue
-            u = self.uniform()
-            if math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v):
+            if math.log(u[2]) < 0.5 * x * x + d - d * v + d * math.log(v):
                 return d * v
 
 
@@ -377,12 +350,11 @@ def _ragged_index(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def ragged_words(k0s, k1s, starts, counts) -> np.ndarray:
     """Words ``starts[i] .. starts[i]+counts[i]-1`` of every keyed stream.
 
-    The segments are concatenated in key order, and segment ``i`` equals
-    ``_stream_words(k0s[i], k1s[i], starts[i], counts[i])``: nonpositive
-    counts give empty segments.  Arguments broadcast to one shape, read in
-    C order.  One ``_philox4x64`` call evaluates exactly the blocks the
-    ranges touch; reads over at most ``_C_READ_MAX_KEYS`` streams take
-    each stream's words from numpy's C Philox instead.
+    The segments are concatenated in key order; word ``j`` of a stream is
+    word ``j % 4`` of its Philox block with counter ``j // 4``, and
+    nonpositive counts give empty segments.  Arguments broadcast to one
+    shape, read in C order.  One ``_philox4x64`` call evaluates exactly the
+    blocks the ranges touch, for one key or for many.
     """
     k0s, k1s, starts, counts = (a.ravel() for a in np.broadcast_arrays(
         np.asarray(k0s, dtype=np.uint64),
@@ -390,11 +362,6 @@ def ragged_words(k0s, k1s, starts, counts) -> np.ndarray:
         np.asarray(starts, dtype=np.int64),
         np.maximum(np.asarray(counts, dtype=np.int64), 0),
     ))
-    if k0s.size <= _C_READ_MAX_KEYS:
-        reads = zip(k0s.tolist(), k1s.tolist(), starts.tolist(), counts.tolist())
-        return np.concatenate(
-            [np.empty(0, np.uint64)] + [_stream_words(*r) for r in reads]
-        )
     b0 = starts >> 2
     n_blocks = np.where(counts > 0, ((starts + counts - 1) >> 2) - b0 + 1, 0)
     key, block, first_block = _ragged_index(n_blocks)
@@ -416,10 +383,10 @@ def batch_poisson(
     one shape.  One ragged read takes each stream's ``words_used`` words,
     one inversion runs over all of them at the stream's chunk rate, and
     each count is its stream's sum of chunk counts (integers, so exact in
-    any order).  Where no rate exceeds one chunk and the C read would not
-    serve, every count is one word: word 0 of block 0, read for every key
-    in one ``_philox4x64`` call and inverted at the stream's rate, with no
-    ragged layout (a zero rate inverts to 0 and still reports 0 words).
+    any order).  Where no rate exceeds one chunk, a lone key included,
+    every count is one word: word 0 of block 0, read for every key in one
+    ``_philox4x64`` call and inverted at the stream's rate, with no ragged
+    layout (a zero rate inverts to 0 and still reports 0 words).
     """
     rates, k0s, k1s = np.broadcast_arrays(
         np.asarray(rates, dtype=np.float64),
@@ -430,7 +397,7 @@ def batch_poisson(
         raise ValueError("Poisson rates must be finite and >= 0")
     top = rates.max(initial=0.0)
     _check_rate_cap(top)
-    if top <= _POISSON_CHUNK and rates.size > _C_READ_MAX_KEYS:
+    if top <= _POISSON_CHUNK:
         u = _words_to_uniform(_philox4x64(k0s, k1s, 0)[:, 0])
         counts = _poisson_invert(rates.ravel(), u).reshape(rates.shape)
         return counts, (rates > 0).astype(np.int64)

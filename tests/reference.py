@@ -8,6 +8,9 @@ must reproduce: the count, then the locations, then the jumps.
 ``simulate_round`` and ``simulate_subround`` draw one cell of one draw
 through the engine.  The comparison tests hold the library to these draws
 bit for bit, and the tests of these functions' own laws keep them right.
+
+``stream_words`` reads one stream's words from numpy's C Philox, the
+oracle that holds the library's own Philox kernel to Philox4x64-10.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.random import Philox
 
 from levycrm import beta, gamma
 from levycrm.measures import LocationTable, PointMeasure, _place
@@ -25,6 +29,26 @@ from levycrm.streams import (
     _check_rate_cap,
     _poisson_invert,
 )
+
+
+def stream_words(k0: int, k1: int, start: int, n: int) -> np.ndarray:
+    """Words ``start .. start+n-1`` of the stream keyed by (k0, k1).
+
+    Word ``i`` is word ``i % 4`` of the Philox block with counter ``i // 4``.
+    numpy's C Philox computes the same cipher; it increments its counter
+    before each block, so it starts one block back.  The key goes in as a
+    uint64 array: numpy does not keep Python ints of 2**63 or more intact.
+    """
+    if n <= 0:
+        return np.empty(0, dtype=np.uint64)
+    b0 = start >> 2
+    b1 = (start + n - 1) >> 2
+    bitgen = Philox(
+        key=np.array([k0, k1], dtype=np.uint64), counter=(b0 - 1) % 2**256
+    )
+    words = bitgen.random_raw(4 * (b1 - b0 + 1))
+    off = start - 4 * b0
+    return words[off:off + n]
 
 
 def poisson(cursor: StreamCursor, rate: float) -> int:

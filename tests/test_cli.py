@@ -492,6 +492,45 @@ def test_posterior_malformed_inputs(tmp_path, capsys):
     ])
     assert code == 2
     assert f"{bad_prior}:2" in capsys.readouterr().err
+    # a round index that is not a nonnegative integer, a location entry that
+    # is not a number, and a location dimension that changes are each named
+    # at their line, in either file
+    good_prior = '{"location": [0.2], "jump": 0.4, "k": 1}\n'
+    good_obs = '{"location": [0.2], "count": 1}\n'
+    prior_lines = [
+        '{"location": [0.6], "jump": 0.1, "k": "x"}',
+        '{"location": [0.6], "jump": 0.1, "k": 2.7}',
+        '{"location": [0.6], "jump": 0.1, "k": -1}',
+        '{"location": [0.6], "jump": 0.1, "k": true}',
+        '{"location": ["x"], "jump": 0.1}',
+        '{"location": [null], "jump": 0.1}',
+        '{"location": [0.6, 0.1], "jump": 0.1}',
+    ]
+    obs_lines = [
+        '{"location": ["x"], "count": 1}',
+        '{"location": [false], "count": 1}',
+        '{"location": [0.6, 0.1], "count": 1}',
+    ]
+    cases = [(good_prior + line + "\n", good_obs) for line in prior_lines]
+    cases += [(good_prior, good_obs + line + "\n") for line in obs_lines]
+    for prior_text, obs_text in cases:
+        bad_prior.write_text(prior_text)
+        bad.write_text(obs_text)
+        code = main([
+            "posterior", "--c", "1", "--M", "2", "--prior", str(bad_prior),
+            "--obs", str(bad), "--seed", "1", "--out", str(tmp_path / "x.jsonl"),
+        ])
+        assert code == 2
+        named = bad_prior if prior_text != good_prior else bad
+        assert f"{named}:2" in capsys.readouterr().err, (prior_text, obs_text)
+    # locations of one dimension throughout, but not the prior's
+    bad.write_text('{"location": [0.2, 0.7], "count": 1}\n')
+    code = main([
+        "posterior", "--c", "1", "--M", "2", "--prior", str(prior),
+        "--obs", str(bad), "--seed", "1", "--out", str(tmp_path / "x.jsonl"),
+    ])
+    assert code == 2
+    assert "dimension 1" in capsys.readouterr().err
     code = main([
         "posterior", "--c", "1", "--M", "2", "--prior", str(tmp_path / "nope.jsonl"),
         "--obs", str(obs), "--seed", "1", "--out", str(tmp_path / "x.jsonl"),
@@ -568,7 +607,8 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_beta_and_posterior_runs_do_not_load_numpy_ma(tmp_path):
-    # np.unique and np.union1d import numpy.ma, a start-up cost of its own
+    # np.unique and np.union1d import numpy.ma, a start-up cost of its own;
+    # numpy.random, another, serves only the tests' C Philox oracle
     prior, obs = _write_posterior_inputs(tmp_path)
     out = tmp_path / "x.jsonl"
     res = _fresh_python(
@@ -580,12 +620,14 @@ def test_beta_and_posterior_runs_do_not_load_numpy_ma(tmp_path):
         f"             '--prior', {str(prior)!r}, '--obs', {str(obs)!r},\n"
         f"             '--out', {str(out)!r}]) == 0\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma loaded'\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random loaded'\n"
     )
     assert res.returncode == 0, res.stderr
 
 
 def test_replica_checks_do_not_load_scipy(tmp_path):
-    # gamma-marginal takes its Gamma(2, 1) CDF from verify.gamma2_cdf
+    # gamma-marginal takes its Gamma(2, 1) CDF from verify.gamma2_cdf; no
+    # word read loads numpy.random either
     out = tmp_path / "v.jsonl"
     res = _fresh_python(
         "import sys\n"
@@ -595,6 +637,7 @@ def test_replica_checks_do_not_load_scipy(tmp_path):
         f"             '--out', {str(out)!r}]) == 0\n"
         "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
         "assert not loaded, loaded\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random loaded'\n"
     )
     assert res.returncode == 0, res.stderr
 

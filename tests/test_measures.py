@@ -120,6 +120,12 @@ def test_base_measure_invariants():
             atom_locations=np.array([[0.5], [0.5]]),
             atom_masses=np.array([1.0, 1.0]),
         )
+    # atom locations must have the domain's dimension, whatever their count
+    for locs, masses in ([[0.5, 0.7]], [1.0]), ([[0.2, 0.3], [0.6, 0.1]], [1.0, 2.0]):
+        with pytest.raises(ValueError, match="dimension 1"):
+            BaseMeasure(PiecewiseConst.constant(UNIT, 1.0), locs, masses)
+    with pytest.raises(ValueError, match="dimension 1"):
+        BaseMeasure(PiecewiseConst.constant(UNIT, 1.0), np.empty((0, 2)), [])
     # negative densities are rejected at the measure level; PiecewiseConst
     # itself also represents signed functions
     neg = PiecewiseConst(UNIT, [np.array([0.0, 0.5, 1.0])], np.array([1.0, -1.0]))

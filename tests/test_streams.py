@@ -22,11 +22,10 @@ from levycrm.streams import (
     StreamCursor,
     _philox4x64,
     _poisson_invert,
-    _stream_words,
     batch_poisson,
     ragged_words,
 )
-from reference import beta_one, poisson
+from reference import beta_one, poisson, stream_words
 
 
 def test_philox_blocks_match_numpy():
@@ -46,14 +45,14 @@ def test_philox_blocks_match_numpy():
 def test_frozen_words():
     # golden values pin the key derivation and the block-to-word layout
     s = RandomStream(0)
-    w = _stream_words(*s.key, 0, 4)
+    w = s.cursor().words(4)
     assert [hex(int(x)) for x in w] == [
         "0x8d095b181f351512",
         "0x4a76a55c00dc1b79",
         "0xbaaff128a5626a89",
         "0x87e35bf5e18bd8cf",
     ]
-    wc = _stream_words(*s.child(3, 1).key, 0, 2)
+    wc = s.child(3, 1).cursor().words(2)
     assert [hex(int(x)) for x in wc] == ["0x3c477e94400bbddd", "0x2c97f09cf4a28640"]
 
 
@@ -72,15 +71,13 @@ _KEY_WORDS = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0,
     n=st.integers(1, 300),
 )
 def test_stream_words_match_philox_blocks(k0, k1, start, n):
-    # single-stream reads use numpy's C Philox; the array emulation that
-    # serves the across-keys fan-out must give the same words at any key
-    # (key words of 2**63 and above included) and any offset
-    b0, b1 = start >> 2, (start + n - 1) >> 2
-    blocks = _philox4x64(
-        np.uint64(k0), np.uint64(k1), np.arange(b0, b1 + 1, dtype=np.uint64)
-    )
-    ref = blocks.reshape(-1)[start - 4 * b0:][:n]
-    assert np.array_equal(_stream_words(k0, k1, start, n), ref)
+    # a one-key read and a cursor read give numpy's C Philox words at any
+    # key (key words of 2**63 and above included) and any offset
+    want = stream_words(k0, k1, start, n)
+    assert np.array_equal(ragged_words(k0, k1, start, n), want)
+    cur = StreamCursor(k0, k1, start)
+    assert np.array_equal(cur.words(n), want)
+    assert cur.pos == start + n
 
 
 _CHUNK = streams._PHILOX_CHUNK
@@ -147,15 +144,15 @@ def test_ragged_index_identity_equals_the_general_layout(counts):
 
 def test_word_layout_is_position_pure():
     s = RandomStream(99)
-    full = _stream_words(*s.key, 0, 40)
+    full = s.cursor().words(40)
     for start, n in [(0, 1), (3, 5), (7, 9), (31, 9), (5, 0)]:
-        assert np.array_equal(_stream_words(*s.key, start, n), full[start : start + n])
+        assert np.array_equal(s.cursor(start).words(n), full[start : start + n])
 
 
 def test_cursor_reads_match_direct_words():
     # values must not depend on read sizes
     s = RandomStream(2024)
-    direct = _stream_words(*s.key, 0, 600)
+    direct = stream_words(*s.key, 0, 600)
     cur = s.cursor()
     got = np.concatenate([cur.words(n) for n in (1, 2, 4, 120, 128, 300, 45)])
     assert np.array_equal(got, direct)
@@ -172,7 +169,7 @@ def test_split_cursor_reads_equal_one_read(start, pieces):
     cur = s.cursor(start)
     got = np.concatenate([np.empty(0, np.uint64)] + [cur.words(n) for n in pieces])
     total = sum(max(n, 0) for n in pieces)
-    assert np.array_equal(got, _stream_words(*s.key, start, total))
+    assert np.array_equal(got, stream_words(*s.key, start, total))
     assert cur.pos == start + total
 
 
@@ -197,17 +194,15 @@ def test_ragged_words_matches_cursor():
         ),
         max_size=12,
     ),
-    c_keys=st.sampled_from([0, streams._C_READ_MAX_KEYS]),
 )
-def test_ragged_words_equal_per_key_reads(reads, c_keys):
-    # the emulated cipher and the per-stream C reads give the same words
+def test_ragged_words_equal_per_key_reads(reads):
+    # one read over many keys gives each key's C Philox words in key order
     k0s, k1s, starts, counts = (
         np.array([r[i] for r in reads], dtype=t)
         for i, t in enumerate([np.uint64, np.uint64, np.int64, np.int64])
     )
-    with mock.patch.object(streams, "_C_READ_MAX_KEYS", c_keys):
-        got = ragged_words(k0s, k1s, starts, counts)
-    want = [_stream_words(*r) for r in reads]
+    got = ragged_words(k0s, k1s, starts, counts)
+    want = [stream_words(*r) for r in reads]
     assert np.array_equal(got, np.concatenate([np.empty(0, np.uint64)] + want))
 
 
@@ -226,8 +221,7 @@ _MIXED_RATES = st.sampled_from([0.0, 0.3, 16.0, 16.000001, 500.0])
 def test_batch_poisson_equals_cursor_on_mixed_rates(seed, rates):
     s = RandomStream(seed)
     idx = np.arange(rates.size).reshape(rates.shape)
-    with mock.patch.object(streams, "_C_READ_MAX_KEYS", 0):
-        counts, used = batch_poisson(rates, *s.child_keys(idx))
+    counts, used = batch_poisson(rates, *s.child_keys(idx))
     assert counts.shape == used.shape == rates.shape
     for i in np.ndindex(rates.shape):
         cur = s.child(int(idx[i])).cursor()
@@ -274,15 +268,13 @@ def test_poisson_zero_rate_and_validation():
 
 def test_rates_above_the_cap_raise_before_any_word_is_read():
     # a huge rate would ask for rate/16 count words per stream; the cap
-    # refuses it up front, so nothing is allocated at or beyond the limit
+    # refuses it up front, so nothing is allocated at or beyond the limit,
+    # for many keys and for a lone key alike
     over = streams.MAX_POISSON_RATE * 2.0
     keys = RandomStream(1).child_keys(np.arange(3))
-    with mock.patch.object(streams, "ragged_words") as read:
+    with mock.patch.object(streams, "_philox4x64") as read:
         with pytest.raises(streams.RateCapError, match="cap"):
             batch_poisson(np.array([0.5, over, 2.0]), *keys)
-    read.assert_not_called()
-    # a lone key reads through numpy's C Philox, not the emulated cipher
-    with mock.patch.object(streams, "_stream_words") as read:
         with pytest.raises(streams.RateCapError, match="cap"):
             batch_poisson(over, *RandomStream(1).key)
     read.assert_not_called()
@@ -334,11 +326,10 @@ def test_poisson_large_rate_chunking():
 
 
 def test_one_word_counts_equal_the_cursor_and_the_chunked_path():
-    # more keys than the C read serves and no rate above one chunk: every
-    # count is word 0 of its stream, read without the ragged layout
+    # no rate above one chunk: every count is word 0 of its stream, read
+    # without the ragged layout
     s = RandomStream(2**64 - 5)
     rates = np.tile([0.0, 5e-324, 1e-3, 0.7, 3.5, 15.999, 16.0], 9)
-    assert rates.size > streams._C_READ_MAX_KEYS
     k0s, k1s = s.child_keys(np.arange(rates.size))
     with mock.patch.object(streams, "ragged_words", side_effect=AssertionError):
         counts, used = batch_poisson(rates, k0s, k1s)
@@ -348,6 +339,17 @@ def test_one_word_counts_equal_the_cursor_and_the_chunked_path():
         cur = s.child(i).cursor()
         assert counts[i] == poisson(cur, rate)
         assert used[i] == cur.pos
+    # batches of 1 to 16 keys, and a lone key given as Python ints, take
+    # the same one-word path
+    with mock.patch.object(streams, "ragged_words", side_effect=AssertionError):
+        for n in range(1, 17):
+            few, few_used = batch_poisson(rates[:n], k0s[:n], k1s[:n])
+            assert few.tolist() == counts.tolist()[:n]
+            assert few_used.tolist() == used.tolist()[:n]
+        for i, rate in enumerate(rates.tolist()[:16]):
+            one, one_used = batch_poisson(rate, *s.child(i).key)
+            assert one.shape == one_used.shape == ()
+            assert (int(one), int(one_used)) == (counts[i], used[i])
     # one rate above the chunk sends the same keys down the chunked path
     more, more_used = batch_poisson(
         np.append(rates, 16.5), np.append(k0s, k0s[0]), np.append(k1s, k1s[0])
@@ -386,6 +388,46 @@ def test_gamma_draw_distribution(shape):
     assert np.all(draws > 0)
     r = stats.kstest(draws, lambda t: stats.gamma.cdf(t, shape, scale=2.0))
     assert r.pvalue > 1e-3
+
+
+def _gamma_two_reads(cur, shape):
+    # StreamCursor.gamma as it read before: each squeeze try read the
+    # normal's two words, then the uniform in a read of its own, and a try
+    # rejected on v <= 0 read no uniform; returns the draw and the number
+    # of such rejections
+    a = shape + 1.0 if shape < 1.0 else shape
+    d = a - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    rejected = 0
+    while True:
+        u = cur.uniforms(2)
+        x = math.sqrt(-2.0 * math.log(u[0])) * math.cos(2.0 * math.pi * u[1])
+        v = (1.0 + c * x) ** 3
+        if v <= 0.0:
+            rejected += 1
+            continue
+        if math.log(cur.uniform()) < 0.5 * x * x + d - d * v + d * math.log(v):
+            break
+    g = d * v
+    if shape < 1.0:
+        g *= cur.uniform() ** (1.0 / shape)
+    return g, rejected
+
+
+@pytest.mark.parametrize("shape", [0.05, 0.6, 3.7, 17.0, 20.5])
+def test_gamma_squeeze_reads_the_words_of_the_two_read_loop(shape):
+    # one read of three words per try, one word given back on v <= 0: the
+    # same draws at the same stream positions as two reads per try
+    s = RandomStream(17, (129,))
+    new, old = s.cursor(), s.cursor()
+    rejected = 0
+    for _ in range(40):
+        g, r = _gamma_two_reads(old, shape)
+        assert new.gamma(shape) == g
+        assert new.pos == old.pos
+        rejected += r
+    if shape == 0.05:
+        assert rejected > 0
 
 
 def test_gamma_validation():
