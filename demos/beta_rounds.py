@@ -48,11 +48,13 @@ for i in np.argsort(-draw.jumps, kind="stable")[:5]:
 print()
 print("truncation ledger (L1 error of the discarded rounds):")
 print(" K    superposition   stick-breaking   expected atoms")
+# one pass builds every row; expected atoms is the running sum of round rates
+table = truncation.beta_table(params, 49)
 for k in (0, 4, 9, 19, 49):
-    l1 = truncation.beta_l1_error(params, k)
-    sb, _ = truncation.stick_breaking_bounds(params.concentration, MASS, k)
-    atoms, _ = truncation.expected_atoms_and_round_budget(C, MASS, k)
-    print(f"{k:3d}   {l1:.6f}        {sb:.6e}     {atoms:8.2f}")
+    l1, sb = table["l1_error"][k], table["stick_breaking_l1"][k]
+    print(f"{k:3d}   {l1:.6f}        {sb:.6e}     {table['expected_atoms'][k]:8.2f}")
+print("expected atoms grow like c*mass*log K, so the rounds an atom budget E")
+print("needs grow like exp(E/(c*mass))")
 
 print()
 print("which construction truncates tighter at fixed K:")

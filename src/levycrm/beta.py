@@ -28,8 +28,7 @@ one ragged read of the locations and one of the jumps.  ``simulate_replicas``
 draws many replicas so, and ``simulate_beta_process`` is the same call
 over one key.  Round k of a draw reads ``stream.child(k)`` and the rounds
 run in order, so raising K only appends atoms.  ``round_measure`` stays
-the descriptive record of one round; the plan's floats equal its floats
-bit for bit.
+the descriptive record of one round, built from the plan's masses.
 
 The stable-beta variant adds a discount sigma in [0, 1); its rounds carry
 Beta(1-sigma, c+sigma+k) jumps with gamma-function mass factors, and the
@@ -109,14 +108,19 @@ class BetaRound:
 
 
 def round_measure(params: BetaProcessParams, k: int) -> BetaRound:
-    """Round k: jumps Beta(1, c+k), locations from mu_k = c/(c+k) mu."""
+    """Round k: jumps Beta(1, c+k), locations from mu_k = c/(c+k) mu.
+
+    mu_k is row k of ``_RoundPlan.masses``, the one evaluator of the round law.
+    """
     if k < 0:
         raise ValueError("round index must be >= 0")
-    c = params.concentration
-    mu_k = params.base.scaled(c.map(lambda v: v / (v + k)))
-    return BetaRound(
-        k=k, measure=mu_k, jump_shape_a=1.0, jump_shape_b=c.map(lambda v: v + k)
+    plan = _RoundPlan(params)
+    density, atoms = plan.masses(np.array([k]))
+    mu_k = BaseMeasure(
+        PiecewiseConst(params.domain, plan.edges, density[0]), plan.atoms, atoms[0]
     )
+    jump_b = params.concentration.map(lambda v: v + k)
+    return BetaRound(k=k, measure=mu_k, jump_shape_a=1.0, jump_shape_b=jump_b)
 
 
 def simulate_beta_process(
@@ -156,11 +160,12 @@ class _RoundPlan:
     """The rates and location tables of a draw's rounds, before any word is read.
 
     mu_k = c/(c+k) mu is a closed form in (params, k): on the common grid of
-    the density and c, round k's cell masses are density * c/(c+k) * volume
-    and its atom masses atom_mass * c(atom)/(c(atom)+k).  ``rows`` evaluates
-    these for many k at once in ``round_measure``'s elementwise order, and
-    sums each row with the reductions behind ``BaseMeasure.total_mass``, so
-    every float equals what ``round_measure(params, k)`` gives.
+    the density and c, round k's density is density * c/(c+k) and its atom
+    masses atom_mass * c(atom)/(c(atom)+k).  ``masses`` evaluates these for
+    many k at once, the one place the round law is written; ``rows`` takes
+    cell masses as density * volume and sums each row with the reductions
+    behind ``BaseMeasure.total_mass``, so every rate equals
+    ``round_measure(params, k).rate`` and the integral of c/(c+k) against mu.
     """
 
     def __init__(self, params: BetaProcessParams):
@@ -174,13 +179,17 @@ class _RoundPlan:
         self._c_atoms = c.at(base.atom_locations)
         self.width = self._density.size + self._atom_masses.size
 
+    def masses(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Densities on the grid and atom masses of rounds ``ks``, a row each."""
+        k_cells = ks.reshape((-1,) + (1,) * self._density.ndim)
+        density = self._density * (self._c_cells / (self._c_cells + k_cells))
+        atoms = self._atom_masses * (self._c_atoms / (self._c_atoms + ks[:, None]))
+        return density, atoms
+
     def rows(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rates and cumulative location tables of rounds ``ks``, a row each."""
-        k_atoms = ks[:, None]
-        k_cells = ks.reshape((-1,) + (1,) * self._density.ndim)
-        fac = self._c_cells / (self._c_cells + k_cells)
-        cells = (self._density * fac * self._volumes).reshape(ks.size, -1)
-        atoms = self._atom_masses * (self._c_atoms / (self._c_atoms + k_atoms))
+        density, atoms = self.masses(ks)
+        cells = (density * self._volumes).reshape(ks.size, -1)
         rates = cells.sum(axis=1) + atoms.sum(axis=1)
         return rates, np.cumsum(np.concatenate([cells, atoms], axis=1), axis=1)
 

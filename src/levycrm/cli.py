@@ -48,7 +48,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__, beta, gamma, posterior, truncation
-from .measures import Domain, OracleError, PointMeasure
+from .measures import OracleError, PointMeasure
 from .posterior import InvalidPriorError, ObservationSet
 from .streams import RandomStream, RateCapError
 
@@ -271,7 +271,6 @@ def cmd_truncation_table(args) -> int:
         raise CLIError("--K-max must be >= 0")
     # the table draws nothing: without --seed the header records null
     seed = None if args.seed is None else _resolve_seed(args)
-    rows = []
     if args.family == "beta":
         if args.c is None or args.c <= 0.0:
             raise CLIError("beta tables need --c > 0")
@@ -282,48 +281,24 @@ def cmd_truncation_table(args) -> int:
             args, seed, family="beta", c=float(args.c), mass=float(args.mass),
             M=args.M, K_max=args.K_max,
         )
-        for K in range(args.K_max + 1):
-            rep = truncation.beta_truncation_report(params, K, args.M)
-            stick_l1, _ = truncation.stick_breaking_bounds(
-                args.c, args.mass, K, args.M
-            )
-            rows.append(
-                {
-                    "K": K,
-                    "l1_error": rep.l1_error,
-                    "marginal_bound": rep.marginal_bound,
-                    "expected_atoms": rep.expected_atoms,
-                    "stick_breaking_l1": stick_l1,
-                }
-            )
-        columns = [
-            "K",
-            "l1_error",
-            "marginal_bound",
-            "expected_atoms",
-            "stick_breaking_l1",
-        ]
+        table = truncation.beta_table(params, args.K_max, args.M)
     elif args.family == "gamma":
         H = _parse_h(args.H)
+        h = "inf" if H is None else H
         header = _header(
-            args, seed, family="gamma", mass=float(args.mass),
-            H="inf" if H is None else H, K_max=args.K_max,
+            args, seed, family="gamma", mass=float(args.mass), H=h, K_max=args.K_max
         )
-        for K in range(1, args.K_max + 1):
-            rep = truncation.gamma_truncation_report(args.mass, K, H)
-            rows.append(
-                {
-                    "K": K,
-                    "H": "inf" if H is None else H,
-                    "l1_error": rep.l1_error,
-                    "marginal_bound": None,
-                    "expected_atoms": rep.expected_atoms,
-                }
-            )
-        columns = ["K", "H", "l1_error", "marginal_bound", "expected_atoms"]
+        cols = truncation.gamma_table(args.mass, args.K_max, H)
+        table = {
+            "K": cols["K"],
+            "H": h,
+            "l1_error": cols["l1_error"],
+            "marginal_bound": None,
+            "expected_atoms": cols["expected_atoms"],
+        }
     else:  # pragma: no cover - argparse choices guard this
         raise CLIError(f"unknown family {args.family!r}")
-    _emit(args, header, rows, columns)
+    _emit(args, header, [table], list(table))
     return 0
 
 
@@ -364,28 +339,34 @@ def _field(path, lineno, rec, name, kinds, kindname):
     return v
 
 
-def _add_location(path, lineno, rec, locs) -> None:
-    """Append the record's location to ``locs``, whose first fixes the dimension."""
+def _add_location(path, lineno, rec, locs, domain) -> None:
+    """Append the record's location to ``locs``: a point of ``domain``."""
     loc = _field(path, lineno, rec, "location", list, "an array")
     if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in loc):
         raise CLIError(
             f"parse error at {path}:{lineno}: location entries must be numbers"
         )
-    if locs and len(loc) != len(locs[0]):
+    if len(loc) != domain.dim:
         raise CLIError(
-            f"parse error at {path}:{lineno}: location dimension changed"
+            f"parse error at {path}:{lineno}: location must have dimension "
+            f"{domain.dim}"
+        )
+    # false for NaN, so a non-finite entry never passes
+    if not all(lo <= x <= hi for x, (lo, hi) in zip(loc, domain.bounds.tolist())):
+        raise CLIError(
+            f"parse error at {path}:{lineno}: location {loc} lies outside {domain!r}"
         )
     locs.append(loc)
 
 
-def _read_prior_draw(path) -> PointMeasure:
+def _read_prior_draw(path, domain) -> PointMeasure:
     locs, jumps, ks = [], [], []
     for lineno, rec in _read_jsonl(path):
         if "command" in rec:  # header line from a simulate run
             continue
-        _add_location(path, lineno, rec, locs)
+        _add_location(path, lineno, rec, locs, domain)
         jump = _field(path, lineno, rec, "jump", (int, float), "a number")
-        if not 0.0 < float(jump) < 1.0:
+        if not 0 < jump < 1:  # compared exactly: a huge integer never reaches float()
             raise InvalidPriorError(
                 f"prior jump at {path}:{lineno} lies outside (0, 1)"
             )
@@ -401,16 +382,20 @@ def _read_prior_draw(path) -> PointMeasure:
         ks.append(k or 0)
     if not jumps:
         raise CLIError(f"{path} holds no prior atoms")
-    return PointMeasure(Domain(dim=len(locs[0])), locs, jumps, ks)
+    return PointMeasure(domain, locs, jumps, ks)
 
 
-def _read_observations(path, M: int) -> ObservationSet:
-    locs = []
-    counts = []
+def _read_observations(path, M: int, domain) -> ObservationSet:
+    locs, counts, seen = [], [], {}
     for lineno, rec in _read_jsonl(path):
         if "command" in rec:
             continue
-        _add_location(path, lineno, rec, locs)
+        _add_location(path, lineno, rec, locs, domain)
+        first = seen.setdefault(tuple(locs[-1]), lineno)
+        if first != lineno:
+            raise CLIError(
+                f"parse error at {path}:{lineno}: location repeats line {first}"
+            )
         count = _field(path, lineno, rec, "count", int, "an integer")
         if not 0 <= count <= M:
             raise CLIError(
@@ -440,9 +425,9 @@ def cmd_posterior(args) -> int:
     root = RandomStream(seed)
     c, M, K = float(args.c), args.M, args.K
 
-    prior_draw = _read_prior_draw(args.prior)
-    obs = _read_observations(args.obs, M)
     prior = beta.BetaProcessParams.homogeneous(c, args.mass)
+    prior_draw = _read_prior_draw(args.prior, prior.domain)
+    obs = _read_observations(args.obs, M, prior.domain)
     pp = posterior.posterior_params(prior, obs)
 
     header = _header(

@@ -14,6 +14,16 @@ that tail exactly:
 * gamma superposition: 1/(K+1), plus sum_{k<=K} 1/(k (k+1)^(H+1)) when
   the subround index is also truncated at H.
 
+A truncation table lists these for every K up to K_max, with the expected
+atom count of the truncated draw.  One function per family builds it in
+one pass over K, each row a running sum over the last: ``beta_table``
+takes one tail integral per K and accumulates the round plan's rates
+(``beta._RoundPlan``, the one evaluator of the round law c/(c+k) mu), and
+``gamma_table`` accumulates the per-round tail terms and log-series sums.
+The scalar routes are the same arithmetic: ``beta_l1_error`` and
+``beta_marginal_bound`` share the tail integral, and ``gamma_l1_error`` and
+``gamma_expected_atoms`` are row K of ``gamma_table``.
+
 Everything in this module is exact arithmetic on the closed forms; Monte
 Carlo validation of the same quantities lives in the test suite, clearly
 separated so formula and simulation evidence stay distinguishable.
@@ -22,22 +32,20 @@ separated so formula and simulation evidence stay distinguishable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .beta import BetaProcessParams
+import numpy as np
+
+from .beta import BetaProcessParams, _RoundPlan
 from .measures import UnsupportedParameterError
 
 
-@dataclass(frozen=True)
-class TruncationReport:
-    """One row of a truncation table."""
-
-    family: str
-    K: int
-    H: int | float | None
-    l1_error: float
-    marginal_bound: float | None
-    expected_atoms: float
+def _tail_mass(params: BetaProcessParams, K: int) -> float:
+    """int c/(c+K+1) mu(dw), the tail integral behind both beta bounds."""
+    if K < 0:
+        raise ValueError("K must be >= 0")
+    # v + K + 1 adds as (v + K) + 1, which is not always round K+1's v + (K+1)
+    f = params.concentration.map(lambda v: v / (v + K + 1))
+    return params.base.integral_against(f)
 
 
 def beta_l1_error(params: BetaProcessParams, K: int) -> float:
@@ -45,10 +53,7 @@ def beta_l1_error(params: BetaProcessParams, K: int) -> float:
 
     Equals int c/(c+K+1) mu(dw) / gamma; c/(c+K+1) for constant c.
     """
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    f = params.concentration.map(lambda v: v / (v + K + 1))
-    return params.base.integral_against(f) / params.total_base_mass
+    return _tail_mass(params, K) / params.total_base_mass
 
 
 def beta_marginal_bound(params: BetaProcessParams, K: int, M: int) -> float:
@@ -56,13 +61,9 @@ def beta_marginal_bound(params: BetaProcessParams, K: int, M: int) -> float:
 
         1 - exp(-M int c/(c+K+1) mu(dw))
     """
-    if K < 0:
-        raise ValueError("K must be >= 0")
     if M < 1:
         raise ValueError("M must be >= 1")
-    f = params.concentration.map(lambda v: v / (v + K + 1))
-    tail_mass = params.base.integral_against(f)
-    return -math.expm1(-M * tail_mass)
+    return -math.expm1(-M * _tail_mass(params, K))
 
 
 def _require_constant_c(c) -> float:
@@ -91,130 +92,106 @@ def stick_breaking_bounds(
     return l1, marginal
 
 
-def gamma_l1_error(K: int, H: int | float | None = None) -> float:
-    """L1 distance left after subrounds k <= K, h <= H.
+def beta_table(params: BetaProcessParams, K_max: int, M: int | None = None) -> dict:
+    """The beta truncation table's columns, an entry per K = 0..K_max.
 
-    1/(K+1) for the full subround family (H infinite); a finite H adds
-    sum_{k=1}^{K} 1/(k (k+1)^(H+1)).
+    ``l1_error`` and ``marginal_bound`` (None without M) take one tail
+    integral per K.  ``expected_atoms``, the atom count rounds 0..K expect,
+    is the running sum of the round plan's rates int c/(c+k) mu(dw), valid
+    for piecewise c as well.  ``stick_breaking_l1`` is the stick-breaking
+    construction's L1 distance, None unless c is constant.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    if K_max < 0:
+        raise ValueError("K_max must be >= 0")
+    if M is not None and M < 1:
+        raise ValueError("M must be >= 1")
+    ks = range(K_max + 1)
+    tails = [_tail_mass(params, K) for K in ks]
+    c, mass = params.concentration, params.total_base_mass
+    rates = np.concatenate([b.rates for b in _RoundPlan(params).blocks(0, K_max + 1)])
+    return {
+        "K": np.arange(K_max + 1),
+        "l1_error": np.array([t / mass for t in tails]),
+        # per row through math, as the scalar routes: numpy's expm1 rounds otherwise
+        "marginal_bound": None if M is None else np.array(
+            [-math.expm1(-M * t) for t in tails]
+        ),
+        "expected_atoms": np.cumsum(rates),
+        "stick_breaking_l1": np.array(
+            [stick_breaking_bounds(c, mass, K)[0] for K in ks]
+        ) if c.is_constant else None,
+    }
+
+
+def _finite_h(H: int | float | None) -> int | None:
+    """H as an int >= 1, or None when it is infinite."""
     if H is None or H == math.inf:
-        return 1.0 / (K + 1)
-    H = int(H)
-    if H < 1:
+        return None
+    if int(H) < 1:
         raise ValueError("H must be >= 1 (or infinite)")
-    extra = 0.0
-    for k in range(1, K + 1):
-        extra += math.exp(-math.log(k) - (H + 1) * math.log1p(k))
-    return 1.0 / (K + 1) + extra
+    return int(H)
 
 
-def expected_atoms_and_round_budget(
-    c: float, gamma_mass: float, K: int
-) -> tuple[float, str]:
-    """Expected atom count of rounds 0..K and a note on the round budget.
-
-        E(I_K) = sum_{k=0}^{K} c gamma / (c + k)
-
-    The sum grows like c gamma log K, so the number of rounds needed for
-    a given atom budget grows exponentially in that budget; the note
-    states the tabulated relationship rather than asserting a rate.
-    """
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    if c <= 0 or gamma_mass <= 0:
-        raise ValueError("c and gamma_mass must be positive")
-    e = c * gamma_mass * math.fsum(1.0 / (c + k) for k in range(K + 1))
-    note = (
-        f"rounds 0..{K} contribute {e:.6g} expected atoms; "
-        f"the round count needed scales like exp(E/(c*gamma)) as the "
-        f"atom budget E grows"
-    )
-    return e, note
+def _gamma_l1_column(K_max: int, H: int | None) -> list:
+    """1/(K+1) for K = 1..K_max, plus at finite H the running sum over k <= K
+    of 1/(k (k+1)^(H+1))."""
+    extra, column = 0.0, []
+    for k in range(1, K_max + 1):
+        if H is not None:
+            extra += math.exp(-math.log(k) - (H + 1) * math.log1p(k))
+        column.append(1.0 / (k + 1) + extra)
+    return column
 
 
-def gamma_expected_atoms(gamma_mass: float, K: int, H: int | float | None = None):
-    """Expected atom count of gamma subrounds k <= K, h <= H.
-
-    Summing the subround rates gives gamma sum_{k=1}^{K} log((k+1)/k)
-    = gamma log(K+1) at H infinite; finite H subtracts each k's
-    series tail, accumulated term by term until it underflows.
-    """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if H is None or H == math.inf:
-        return gamma_mass * math.log(K + 1.0)
-    H = int(H)
-    if H < 1:
-        raise ValueError("H must be >= 1 (or infinite)")
-    total = 0.0
-    for k in range(1, K + 1):
+def _gamma_expected_column(gamma_mass: float, K_max: int, H: int | None) -> list:
+    """gamma times the running sum of each round's log series cut at h = H."""
+    if H is None:
+        return [gamma_mass * math.log(K + 1.0) for K in range(1, K_max + 1)]
+    total, column = 0.0, []
+    for k in range(1, K_max + 1):
         x = 1.0 / (k + 1.0)
-        term = x
-        s = term
+        term = s = x
         for h in range(2, H + 1):
             term *= x * (h - 1) / h
             s += term
             if term < 1e-300:
                 break
         total += s
-    return gamma_mass * total
+        column.append(gamma_mass * total)
+    return column
 
 
-def beta_truncation_report(
-    params: BetaProcessParams, K: int, M: int | None = None
-) -> TruncationReport:
-    """Superposition-construction row: bounds plus expected atoms.
+def gamma_table(gamma_mass: float, K_max: int, H: int | float | None = None) -> dict:
+    """The gamma truncation table's columns, an entry per K = 1..K_max.
 
-    The expected atom count sums the round masses int c/(c+k) mu(dw),
-    valid for piecewise c as well.
+    ``l1_error`` is 1/(K+1); a finite H adds the running sum of
+    1/(k (k+1)^(H+1)) over k <= K.  ``expected_atoms`` sums the subround
+    rates, gamma sum_{k<=K} log((k+1)/k) = gamma log(K+1) at H infinite; a
+    finite H keeps a running sum of each round's log series cut at h = H,
+    accumulated term by term until it underflows.
     """
-    mass = params.total_base_mass
-    expected = 0.0
-    for k in range(K + 1):
-        f = params.concentration.map(lambda v, kk=k: v / (v + kk))
-        expected += params.base.integral_against(f)
-    return TruncationReport(
-        family="beta-superposition",
-        K=K,
-        H=None,
-        l1_error=beta_l1_error(params, K),
-        marginal_bound=None if M is None else beta_marginal_bound(params, K, M),
-        expected_atoms=expected,
-    )
+    if K_max < 0:
+        raise ValueError("K_max must be >= 0")
+    H = _finite_h(H)
+    return {
+        "K": np.arange(1, K_max + 1),
+        "l1_error": np.array(_gamma_l1_column(K_max, H)),
+        "expected_atoms": np.array(_gamma_expected_column(gamma_mass, K_max, H)),
+    }
 
 
-def stick_breaking_report(
-    c: float, gamma_mass: float, K: int, M: int | None = None
-) -> TruncationReport:
-    """Stick-breaking-construction row.
-
-    That construction draws gamma Poisson(gamma) atoms per round, so
-    rounds 0..K carry (K+1) gamma expected atoms.
-    """
-    l1, marginal = stick_breaking_bounds(c, gamma_mass, K, M)
-    return TruncationReport(
-        family="beta-stick-breaking",
-        K=K,
-        H=None,
-        l1_error=l1,
-        marginal_bound=marginal,
-        expected_atoms=(K + 1) * gamma_mass,
-    )
+def gamma_l1_error(K: int, H: int | float | None = None) -> float:
+    """L1 distance left after subrounds k <= K, h <= H: row K of ``gamma_table``."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    return _gamma_l1_column(K, _finite_h(H))[-1]
 
 
-def gamma_truncation_report(
-    gamma_mass: float, K: int, H: int | float | None = None
-) -> TruncationReport:
-    return TruncationReport(
-        family="gamma-superposition",
-        K=K,
-        H=math.inf if H is None else H,
-        l1_error=gamma_l1_error(K, H),
-        marginal_bound=None,
-        expected_atoms=gamma_expected_atoms(gamma_mass, K, H),
-    )
+def gamma_expected_atoms(gamma_mass: float, K: int, H: int | float | None = None):
+    """Expected atom count of subrounds k <= K, h <= H: row K of ``gamma_table``."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    return _gamma_expected_column(gamma_mass, K, _finite_h(H))[-1]
 
 
 def crossover_ranges(c: float, K_max: int) -> list[tuple[int, int, str]]:

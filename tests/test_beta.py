@@ -3,8 +3,9 @@
 Round k of the decomposition is a finite Poisson process with base
 c/(c+k) mu and jumps Beta(1, c+k); the checks here pin the exact round
 arithmetic, the telescoping identities, the stable-beta factors, the IBP
-density limit, the per-draw round plan against ``round_measure``, and the
-Monte Carlo behaviour of the simulator.
+density limit, the per-draw round plan against the integrals of c/(c+k)
+against mu and against ``round_measure``'s tables, and the Monte Carlo
+behaviour of the simulator.
 """
 
 import contextlib
@@ -277,9 +278,12 @@ def test_round_plan_matches_round_measure(case, K, seed, block):
     plan = beta._RoundPlan(p)
     rates, cums = plan.rows(np.arange(K + 1))
     for k in range(K + 1):
+        # round_measure is built from the plan; the integral of c/(c+k)
+        # against mu is the route that does not go through it
+        assert rates[k] == base.integral_against(c.map(lambda v: v / (v + k)))
         rnd = beta.round_measure(p, k)
         table = location_table(rnd.measure)
-        assert rates[k] == rnd.rate
+        assert rnd.rate == rates[k]
         assert np.array_equal(cums[k], table.cum)
         assert all(np.array_equal(a, b) for a, b in zip(plan.edges, table.edges))
     s = RandomStream(seed)

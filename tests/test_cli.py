@@ -76,9 +76,12 @@ def test_worker_pool_size_does_not_change_bytes(tmp_path):
 # rounds, most of them empty, over three plan blocks of up to 1,024), a beta
 # and a CSV gamma truncation table, the three density checks at a fixed K and
 # H, a verify header that expands the default group between repeated names,
-# and the two replica checks at 2,500 replicas, whose Gamma(2, 1) CDF reaches
-# both the Lanczos band near x = 2 and the continued fraction above it.  A
-# changed digest is a change of the output contract, not of speed.
+# the two replica checks at 2,500 replicas, whose Gamma(2, 1) CDF reaches
+# both the Lanczos band near x = 2 and the continued fraction above it, and
+# two 151-row truncation tables: beta at a non-integer c, where the tail
+# c/(c+K+1) differs in the last bit from round K+1's rate for some K, and
+# gamma at H = 40 as CSV.  A changed digest is a change of the output
+# contract, not of speed.
 BYTE_PINS = {
     "gamma-mass40": "558260aa555c9eea07a944cb29ff5ea0205f7acb75f141ac5b08bd2eca1fae2f",
     "symmetric-gamma": "c19e950ac049ecc1377a1c8e39ec06ae07831919ea25c03cd9b4faf128e6dea0",
@@ -96,6 +99,8 @@ BYTE_PINS = {
     "verify-density-fixed-K": "009de3d4c2c356e488d401ebdef2dce204fd6492a700f322288560e92ac9652c",
     "verify-groups": "abb9e0df79a4d6bac11911983c184b7bc104bfda10b26117b639d15078ea4aee",
     "verify-replica-checks": "5373eb38cd1ab0b05c9ec1e787ff7b5d038390703ee3db3b4d770da0d79b7b63",
+    "truncation-beta-c0.37": "9e014c1a51c6ab3b838cd6a06b8b5760c61ee94774947e6f53a655e344713a02",
+    "truncation-gamma-H40-csv": "9f814664e3a36c33c56666afd760d53592f746a9179d9f2a036c03cdb134207e",
 }
 
 
@@ -176,6 +181,14 @@ def test_output_bytes_are_pinned(tmp_path):
     _, got["verify-replica-checks"] = run(tmp_path, "vr.jsonl", [
         "verify", "--check", "gamma-marginal", "--check", "symmetric-variance",
         "--replicas", "2500", "--seed", "3",
+    ])
+    _, got["truncation-beta-c0.37"] = run(tmp_path, "tb37.jsonl", [
+        "truncation-table", "--family", "beta", "--c", "0.37", "--mass", "11.3",
+        "--K-max", "150", "--M", "7",
+    ])
+    _, got["truncation-gamma-H40-csv"] = run(tmp_path, "tg40.csv", [
+        "truncation-table", "--family", "gamma", "--mass", "0.7", "--K-max", "150",
+        "--H", "40", "--format", "csv",
     ])
     assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == BYTE_PINS
 
@@ -275,6 +288,26 @@ def test_truncation_table_gamma(tmp_path):
         "--H", "1", "--seed", "0",
     ])
     assert jsonl_rows(data)[1]["l1_error"] == pytest.approx(0.75, rel=1e-15)
+
+
+def test_beta_truncation_table_takes_one_integral_per_row(tmp_path):
+    # each row adds one tail integral to the running sums of the row before;
+    # re-summing every row from round 0 took 20,703 integrals here
+    calls = []
+    integral_against = measures.BaseMeasure.integral_against
+
+    def spy(self, *args, **kwargs):
+        calls.append(None)
+        return integral_against(self, *args, **kwargs)
+
+    with mock.patch.object(measures.BaseMeasure, "integral_against", spy):
+        code, data = run(tmp_path, "t.jsonl", [
+            "truncation-table", "--family", "beta", "--c", "1",
+            "--K-max", "200", "--M", "10",
+        ])
+    assert code == 0
+    assert len(jsonl_rows(data)) == 1 + 201
+    assert 0 < len(calls) <= 200 + 2
 
 
 def test_truncation_table_without_seed_is_deterministic(tmp_path):
@@ -506,10 +539,26 @@ def test_posterior_malformed_inputs(tmp_path, capsys):
         '{"location": [null], "jump": 0.1}',
         '{"location": [0.6, 0.1], "jump": 0.1}',
     ]
+    # and so are a location outside the unit domain, a non-finite one, and an
+    # observation location given twice, whatever its counts
+    prior_lines += [
+        '{"location": [1.5], "jump": 0.1}',
+        '{"location": [NaN], "jump": 0.1}',
+        '{"location": [-Infinity], "jump": 0.1}',
+        '{"location": [7.0, -3.0], "jump": 0.1}',
+        '{"location": [0.6], "jump": 1' + "0" * 400 + '}',
+    ]
     obs_lines = [
         '{"location": ["x"], "count": 1}',
         '{"location": [false], "count": 1}',
         '{"location": [0.6, 0.1], "count": 1}',
+        '{"location": [1.5], "count": 1}',
+        '{"location": [-0.25], "count": 0}',
+        '{"location": [NaN], "count": 1}',
+        '{"location": [Infinity], "count": 0}',
+        '{"location": [0.2], "count": 2}',
+        '{"location": [0.2], "count": 0}',
+        '{"location": [0.20], "count": 1}',
     ]
     cases = [(good_prior + line + "\n", good_obs) for line in prior_lines]
     cases += [(good_prior, good_obs + line + "\n") for line in obs_lines]
@@ -523,14 +572,25 @@ def test_posterior_malformed_inputs(tmp_path, capsys):
         assert code == 2
         named = bad_prior if prior_text != good_prior else bad
         assert f"{named}:2" in capsys.readouterr().err, (prior_text, obs_text)
-    # locations of one dimension throughout, but not the prior's
+    # locations of one dimension throughout, but not the prior's, in either file
     bad.write_text('{"location": [0.2, 0.7], "count": 1}\n')
     code = main([
         "posterior", "--c", "1", "--M", "2", "--prior", str(prior),
         "--obs", str(bad), "--seed", "1", "--out", str(tmp_path / "x.jsonl"),
     ])
     assert code == 2
-    assert "dimension 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "dimension 1" in err and f"{bad}:1" in err
+    bad_prior.write_text(
+        '{"location": [0.2, 0.9], "jump": 0.4}\n{"location": [7.0, -3.0], "jump": 0.3}\n'
+    )
+    code = main([
+        "posterior", "--c", "1", "--M", "2", "--prior", str(bad_prior),
+        "--obs", str(obs), "--seed", "1", "--out", str(tmp_path / "x.jsonl"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "dimension 1" in err and f"{bad_prior}:1" in err
     code = main([
         "posterior", "--c", "1", "--M", "2", "--prior", str(tmp_path / "nope.jsonl"),
         "--obs", str(obs), "--seed", "1", "--out", str(tmp_path / "x.jsonl"),

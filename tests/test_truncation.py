@@ -1,5 +1,8 @@
 """Truncation error bounds: exact values, monotonicity, MC validation.
 
+The one-pass tables are held row by row, bit for bit, to the scalar
+routes and to sums re-done from the first round.
+
 The Monte Carlo check at the bottom simulates the residual rounds
 directly and compares their mean mass against the difference of L1
 bounds, tying the closed forms to the simulator.
@@ -9,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levycrm import beta, truncation
 from levycrm.measures import (
@@ -121,16 +126,19 @@ def test_gamma_l1_subround_gap():
     assert all(b < a for a, b in zip(ks, ks[1:]))
 
 
-def test_expected_atoms_and_round_budget():
-    e, note = truncation.expected_atoms_and_round_budget(1.0, 1.0, 0)
-    assert e == 1.0
-    e, _ = truncation.expected_atoms_and_round_budget(1.0, 1.0, 2)
-    assert e == pytest.approx(11.0 / 6.0, rel=1e-15)
-    e, note = truncation.expected_atoms_and_round_budget(1.0, 10.0, 9)
-    assert e == pytest.approx(29.289682539682538, rel=1e-13)
-    assert "rounds 0..9" in note
+def test_beta_table_expected_atoms():
+    # E(I_K) = sum_{k<=K} c mass/(c+k)
+    t = truncation.beta_table(homog(1.0, 1.0), 2)
+    assert t["expected_atoms"][0] == 1.0
+    assert t["expected_atoms"][2] == pytest.approx(11.0 / 6.0, rel=1e-15)
+    t = truncation.beta_table(homog(1.0, 10.0), 9)
+    assert t["expected_atoms"][9] == pytest.approx(29.289682539682538, rel=1e-13)
+    # round 0 mass is the full base mass whatever c is
+    assert truncation.beta_table(piecewise_params(), 0)["expected_atoms"][0] == (
+        pytest.approx(1.0, rel=1e-12)
+    )
     with pytest.raises(ValueError):
-        truncation.expected_atoms_and_round_budget(0.0, 1.0, 3)
+        truncation.beta_table(homog(1.0, 1.0), -1)
 
 
 def test_gamma_expected_atoms():
@@ -151,26 +159,96 @@ def test_gamma_expected_atoms():
         truncation.gamma_expected_atoms(1.0, 0)
 
 
-def test_truncation_reports():
-    rep = truncation.beta_truncation_report(homog(1.0, 10.0), 9, M=3)
-    assert rep.family == "beta-superposition"
-    assert rep.K == 9 and rep.H is None
-    assert rep.l1_error == truncation.beta_l1_error(homog(1.0, 10.0), 9)
-    assert rep.marginal_bound == truncation.beta_marginal_bound(homog(1.0, 10.0), 9, 3)
-    assert rep.expected_atoms == pytest.approx(29.289682539682538, rel=1e-12)
-    # round 0 mass is the full base mass whatever c is
-    assert truncation.beta_truncation_report(piecewise_params(), 0).expected_atoms == (
-        pytest.approx(1.0, rel=1e-12)
-    )
-    rep = truncation.stick_breaking_report(1.0, 2.0, 9)
-    assert rep.family == "beta-stick-breaking"
-    assert rep.expected_atoms == 20.0
-    assert rep.marginal_bound is None
-    rep = truncation.gamma_truncation_report(1.0, 9)
-    assert rep.family == "gamma-superposition"
-    assert rep.H == math.inf
-    assert rep.l1_error == pytest.approx(0.1, rel=1e-15)
-    assert rep.expected_atoms == pytest.approx(math.log(10.0), rel=1e-15)
+def test_truncation_tables():
+    p = homog(1.0, 10.0)
+    t = truncation.beta_table(p, 9, M=3)
+    assert list(t) == [
+        "K", "l1_error", "marginal_bound", "expected_atoms", "stick_breaking_l1",
+    ]
+    assert t["K"].tolist() == list(range(10))
+    assert t["l1_error"][9] == truncation.beta_l1_error(p, 9)
+    assert t["marginal_bound"][9] == truncation.beta_marginal_bound(p, 9, 3)
+    assert t["stick_breaking_l1"][9] == 0.0009765625
+    # no marginal column without M, no stick-breaking one for piecewise c
+    assert truncation.beta_table(p, 9)["marginal_bound"] is None
+    assert truncation.beta_table(piecewise_params(), 3)["stick_breaking_l1"] is None
+    with pytest.raises(ValueError):
+        truncation.beta_table(p, 9, M=0)
+    t = truncation.gamma_table(1.0, 9)
+    assert t["K"].tolist() == list(range(1, 10))
+    assert t["l1_error"][-1] == pytest.approx(0.1, rel=1e-15)
+    assert t["expected_atoms"][-1] == pytest.approx(math.log(10.0), rel=1e-15)
+    assert truncation.gamma_table(1.0, 0)["K"].size == 0
+    with pytest.raises(ValueError):
+        truncation.gamma_table(1.0, 3, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.floats(0.05, 20.0).filter(lambda v: v != round(v)),
+    c2=st.one_of(st.none(), st.floats(0.05, 20.0)),
+    mass=st.floats(0.01, 100.0),
+    K_max=st.integers(0, 60),
+    M=st.one_of(st.none(), st.integers(1, 10**4)),
+)
+def test_beta_table_rows_equal_scalar_routes(c, c2, mass, K_max, M):
+    if c2 is None:
+        p = homog(c, mass)
+    else:
+        pw = PiecewiseConst(UNIT, [np.array([0.0, 0.3, 1.0])], np.array([c, c2]))
+        p = beta.BetaProcessParams(pw, BaseMeasure.uniform(UNIT, mass))
+    t = truncation.beta_table(p, K_max, M)
+    rate_sum = integral_sum = 0.0
+    for K in range(K_max + 1):
+        # expected atoms: the sequential sum of the round rates, and of the
+        # integrals of c/(c+k) against mu, which do not go through the plan
+        rate_sum += beta.round_measure(p, K).rate
+        integral_sum += p.base.integral_against(
+            p.concentration.map(lambda v: v / (v + K))
+        )
+        assert t["K"][K] == K
+        assert t["expected_atoms"][K] == rate_sum == integral_sum
+        assert t["l1_error"][K] == truncation.beta_l1_error(p, K)
+        if M is not None:
+            assert t["marginal_bound"][K] == truncation.beta_marginal_bound(p, K, M)
+        if c2 is None:
+            stick, _ = truncation.stick_breaking_bounds(c, mass, K)
+            assert t["stick_breaking_l1"][K] == stick
+
+
+def _resummed_gamma_row(gamma_mass, K, H):
+    """(l1_error, expected_atoms) of row K, re-summed from k = 1."""
+    if H is None or H == math.inf:
+        return 1.0 / (K + 1), gamma_mass * math.log(K + 1.0)
+    extra = total = 0.0
+    for k in range(1, K + 1):
+        extra += math.exp(-math.log(k) - (H + 1) * math.log1p(k))
+        x = 1.0 / (k + 1.0)
+        term = s = x
+        for h in range(2, H + 1):
+            term *= x * (h - 1) / h
+            s += term
+            if term < 1e-300:
+                break
+        total += s
+    return 1.0 / (K + 1) + extra, gamma_mass * total
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    mass=st.floats(0.01, 100.0),
+    K_max=st.integers(0, 60),
+    H=st.one_of(st.none(), st.just(math.inf), st.integers(1, 40)),
+)
+def test_gamma_table_rows_equal_scalar_routes(mass, K_max, H):
+    t = truncation.gamma_table(mass, K_max, H)
+    assert t["K"].tolist() == list(range(1, K_max + 1))
+    for i, K in enumerate(range(1, K_max + 1)):
+        l1, atoms = _resummed_gamma_row(mass, K, H)
+        assert t["l1_error"][i] == truncation.gamma_l1_error(K, H) == l1
+        assert t["expected_atoms"][i] == (
+            truncation.gamma_expected_atoms(mass, K, H)
+        ) == atoms
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 5.0])
