@@ -666,7 +666,7 @@ def _check_generalized_gate(args, root):
                 name=f"generalized-gate/sigma={s:g}",
                 target=0.0,
                 computed=gate.max_rel_err_printed,
-                tolerance=1e-3,
+                tolerance=verify.GATE_PRINTED_TOL,
                 mode="abs",
                 passed=gate.printed_all_ok,
                 detail=(
@@ -826,6 +826,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:  # CLIError and every library error subclass it
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a run too large for memory is refused, not failed
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 2
 
 

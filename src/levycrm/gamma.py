@@ -16,11 +16,10 @@ subrounds for k <= K, h <= H yields a truncated draw with L1 error
 
 Every subround's rate, location law and jump law is a closed form known
 before any random word is read, so draws run on the draw engine
-(``measures.draw_cells``) with a leading axis of draw keys: per batch of
-at most ``measures._DRAW_BATCH`` (draw, k, h) streams, one across-keys
-count read; the live streams of the batches are pooled, and per run of up
-to ``measures._DRAW_BATCH`` of them and ``measures._BATCH_ATOMS`` atoms
-comes one ragged read of the locations and one of the jumps (and signs).
+(``measures.draw_cells``) with a leading axis of draw keys.  ``_grid``
+rates the (k, h) cells with ``_rates_grid``, the one evaluator of the
+subround rate, and hands them to the engine floor(``measures._DRAW_BATCH``
+/ H) rounds at a time, so a draw's memory does not grow with K.
 Only live cells with h > 16 draw their jumps through a cursor.
 ``simulate_replicas`` draws many replicas so, and ``replica_masses`` takes
 their total masses a block of replicas at a time; the one-draw functions
@@ -51,10 +50,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from . import measures
 from .measures import (
     BaseMeasure,
     Cells,
@@ -101,35 +100,28 @@ class GammaProcessParams:
 
 
 def subround_rate(mass: float, k: int, h: int) -> float:
-    """Expected atom count of subround (k, h): mass / ((k+1)^h h).
-
-    Evaluated in log space so deep subrounds underflow cleanly to zero
-    instead of overflowing the power.
-    """
+    """Expected atom count mass / ((k+1)^h h) of subround (k, h): one cell
+    of ``_rates_grid``."""
     if k < 1 or h < 1:
         raise ValueError("subround indices start at k = 1, h = 1")
-    if mass == 0.0:
-        return 0.0
-    return math.exp(math.log(mass) - h * math.log1p(k) - math.log(h))
+    return float(_rates_grid(mass, np.array([k]), np.array([h]))[0, 0])
 
 
-@lru_cache(maxsize=16)
-def _rates_grid(mass: float, num_rounds: int, num_subrounds: int) -> np.ndarray:
-    """``subround_rate(mass, k, h)`` for k = 1..num_rounds, h = 1..num_subrounds.
+def _rates_grid(mass: float, ks: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """mass / ((k+1)^h h) of subrounds (k, h), a row per k in ``ks`` and a
+    column per h in ``hs``.
 
-    Each log is taken once per round or sub-round, with ``math`` as there,
-    and each cell evaluates that function's own expression, so every rate
-    is bit for bit the one it returns.
+    Evaluated in log space so deep subrounds underflow cleanly to zero
+    instead of overflowing the power.  Each log and exp goes through
+    ``math``, one value at a time, so a rate is the same bits in whatever
+    block it is evaluated.
     """
-    g = np.zeros((num_rounds, num_subrounds))
-    if mass != 0.0:
-        l1k = np.array([math.log1p(k) for k in range(1, num_rounds + 1)])
-        h = np.arange(1, num_subrounds + 1)
-        lh = np.array([math.log(x) for x in h.tolist()])
-        x = math.log(mass) - h * l1k[:, None] - lh
-        g[:] = np.reshape(list(map(math.exp, x.ravel().tolist())), x.shape)
-    g.setflags(write=False)
-    return g
+    if mass == 0.0:
+        return np.zeros((ks.size, hs.size))
+    l1k = np.array([math.log1p(k) for k in ks.tolist()])
+    lh = np.array([math.log(h) for h in hs.tolist()])
+    x = math.log(mass) - hs * l1k[:, None] - lh
+    return np.fromiter(map(math.exp, x.ravel().tolist()), float).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -169,8 +161,9 @@ def _cells(params: GammaProcessParams, ks, hs, rates) -> Cells:
     )
 
 
-def _draw(params: GammaProcessParams, cells: Cells, roots, signed: bool) -> list:
-    """``cells`` of one draw per root key ``roots = (k0s, k1s)``, through the engine.
+def _draw(params: GammaProcessParams, blocks, roots, signed: bool) -> list:
+    """The cells of ``blocks`` (``Cells``, in order) of one draw per root key
+    ``roots = (k0s, k1s)``, through the engine.
 
     An atom of cell (k, h) at w takes a Gamma(h, th(w)/(k+1)) magnitude: a
     sum of h exponentials, summed per atom over a row of h words, or
@@ -185,11 +178,13 @@ def _draw(params: GammaProcessParams, cells: Cells, roots, signed: bool) -> list
     def fallback(cur, k, h, locs):
         return np.array([cur.gamma(h, s) for s in scale.at(locs) / (k + 1)])
 
-    return draw_cells(params.domain, roots, [cells], jumps, fallback, signed)
+    return draw_cells(params.domain, roots, blocks, jumps, fallback, signed)
 
 
-def _grid(params: GammaProcessParams, K: int, H: int | None, signed: bool) -> Cells:
-    """The cells k = 1..K, h = 1..H of a draw, in (k, h) order.
+def _grid(params: GammaProcessParams, K: int, H: int | None, signed: bool):
+    """The cells k = 1..K, h = 1..H of a draw, in (k, h) order: a generator of
+    ``Cells`` blocks of floor(``measures._DRAW_BATCH`` / H) rounds (at least
+    one).  K and H are checked at the call, before any block is built.
 
     Where exp(-rate) rounds to 1, the Poisson inversion returns 0 for every
     uniform (none exceeds 1), so those cells need no key and no cipher.
@@ -201,9 +196,15 @@ def _grid(params: GammaProcessParams, K: int, H: int | None, signed: bool) -> Ce
     if H < 1:
         raise ValueError("need at least one subround")
     mass = params.total_base_mass * (2.0 if signed else 1.0)
-    rates = _rates_grid(mass, K, H)
-    ii, jj = np.nonzero(np.exp(-rates) < 1.0)
-    return _cells(params, ii + 1, jj + 1, rates[ii, jj])
+    hs = np.arange(1, H + 1)
+    step = max(1, measures._DRAW_BATCH // H)
+
+    def block(ks):
+        rates = _rates_grid(mass, ks, hs)
+        ii, jj = np.nonzero(np.exp(-rates) < 1.0)
+        return _cells(params, ks[ii], hs[jj], rates[ii, jj])
+
+    return (block(np.arange(lo, min(lo + step, K + 1))) for lo in range(1, K + 1, step))
 
 
 def simulate_gamma_process(
@@ -273,16 +274,17 @@ def replica_masses(
     """Total mass of each of ``replicas`` draws; replica r reads ``stream.child(r)``.
 
     Equals the masses of ``simulate_replicas(params, K, H, stream, replicas,
-    signed)``, but draws ``_MASS_BLOCK`` replicas per engine call and keeps
-    only their masses.
+    signed)``, but draws ``_MASS_BLOCK`` replicas per engine call, with the
+    grid's blocks built afresh for each, and keeps only their masses.
     """
     if replicas < 0:
         raise ValueError("replicas must be >= 0")
-    cells = _grid(params, K, H, signed)
+    _grid(params, K, H, signed)  # a bad K or H raises even at zero replicas
     masses = np.empty(replicas)
     for lo in range(0, replicas, _MASS_BLOCK):
         hi = min(lo + _MASS_BLOCK, replicas)
-        draws = _draw(params, cells, stream.child_keys(np.arange(lo, hi)), signed)
+        keys = stream.child_keys(np.arange(lo, hi))
+        draws = _draw(params, _grid(params, K, H, signed), keys, signed)
         masses[lo:hi] = [d.total_mass for d in draws]
     return masses
 

@@ -22,7 +22,8 @@ takes one tail integral per K and accumulates the round plan's rates
 ``gamma_table`` accumulates the per-round tail terms and log-series sums.
 The scalar routes are the same arithmetic: ``beta_l1_error`` and
 ``beta_marginal_bound`` share the tail integral, and ``gamma_l1_error`` and
-``gamma_expected_atoms`` are row K of ``gamma_table``.
+``gamma_expected_atoms`` are row K of ``gamma_table``: they run its
+column generators and keep only the last row.
 
 Everything in this module is exact arithmetic on the closed forms; Monte
 Carlo validation of the same quantities lives in the test suite, clearly
@@ -32,6 +33,7 @@ separated so formula and simulation evidence stay distinguishable.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -132,23 +134,24 @@ def _finite_h(H: int | float | None) -> int | None:
     return int(H)
 
 
-def _gamma_l1_column(K_max: int, H: int | None) -> list:
+def _gamma_l1_column(K_max: int, H: int | None):
     """1/(K+1) for K = 1..K_max, plus at finite H the running sum over k <= K
-    of 1/(k (k+1)^(H+1))."""
-    extra, column = 0.0, []
+    of 1/(k (k+1)^(H+1)), yielded row by row."""
+    extra = 0.0
     for k in range(1, K_max + 1):
         if H is not None:
             extra += math.exp(-math.log(k) - (H + 1) * math.log1p(k))
-        column.append(1.0 / (k + 1) + extra)
-    return column
+        yield 1.0 / (k + 1) + extra
 
 
-def _gamma_expected_column(gamma_mass: float, K_max: int, H: int | None) -> list:
-    """gamma times the running sum of each round's log series cut at h = H."""
-    if H is None:
-        return [gamma_mass * math.log(K + 1.0) for K in range(1, K_max + 1)]
-    total, column = 0.0, []
+def _gamma_expected_column(gamma_mass: float, K_max: int, H: int | None):
+    """gamma times the running sum of each round's log series cut at h = H,
+    yielded row by row."""
+    total = 0.0
     for k in range(1, K_max + 1):
+        if H is None:
+            yield gamma_mass * math.log(k + 1.0)
+            continue
         x = 1.0 / (k + 1.0)
         term = s = x
         for h in range(2, H + 1):
@@ -157,8 +160,7 @@ def _gamma_expected_column(gamma_mass: float, K_max: int, H: int | None) -> list
             if term < 1e-300:
                 break
         total += s
-        column.append(gamma_mass * total)
-    return column
+        yield gamma_mass * total
 
 
 def gamma_table(gamma_mass: float, K_max: int, H: int | float | None = None) -> dict:
@@ -175,8 +177,10 @@ def gamma_table(gamma_mass: float, K_max: int, H: int | float | None = None) -> 
     H = _finite_h(H)
     return {
         "K": np.arange(1, K_max + 1),
-        "l1_error": np.array(_gamma_l1_column(K_max, H)),
-        "expected_atoms": np.array(_gamma_expected_column(gamma_mass, K_max, H)),
+        "l1_error": np.fromiter(_gamma_l1_column(K_max, H), float, K_max),
+        "expected_atoms": np.fromiter(
+            _gamma_expected_column(gamma_mass, K_max, H), float, K_max
+        ),
     }
 
 
@@ -184,43 +188,34 @@ def gamma_l1_error(K: int, H: int | float | None = None) -> float:
     """L1 distance left after subrounds k <= K, h <= H: row K of ``gamma_table``."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    return _gamma_l1_column(K, _finite_h(H))[-1]
+    return deque(_gamma_l1_column(K, _finite_h(H)), maxlen=1).pop()
 
 
 def gamma_expected_atoms(gamma_mass: float, K: int, H: int | float | None = None):
     """Expected atom count of subrounds k <= K, h <= H: row K of ``gamma_table``."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    return _gamma_expected_column(gamma_mass, K, _finite_h(H))[-1]
+    return deque(_gamma_expected_column(gamma_mass, K, _finite_h(H)), maxlen=1).pop()
 
 
 def crossover_ranges(c: float, K_max: int) -> list[tuple[int, int, str]]:
     """Maximal K ranges on which each beta bound is the smaller one.
 
     Compares the superposition bound c/(c+K+1) with the stick-breaking
-    bound (c/(c+1))^(K+1) for K = 0..K_max and reports contiguous ranges
-    labeled by the winner ('superposition', 'stick-breaking', or 'tie').
-    No global ordering holds; the label can change with K.
+    bound (c/(c+1))^(K+1) for K = 0..K_max, the ``l1_error`` and
+    ``stick_breaking_l1`` columns of ``beta_table`` at base mass 1, and
+    reports contiguous ranges labeled by the winner ('superposition',
+    'stick-breaking', or 'tie').  No global ordering holds; the label can
+    change with K.
     """
-    if K_max < 0:
-        raise ValueError("K_max must be >= 0")
-
-    def winner(K):
-        sup = c / (c + K + 1.0)
-        stick = (c / (c + 1.0)) ** (K + 1)
-        if sup < stick:
-            return "superposition"
-        if stick < sup:
-            return "stick-breaking"
-        return "tie"
-
-    ranges = []
-    start = 0
-    label = winner(0)
+    table = beta_table(BetaProcessParams.homogeneous(c, 1.0), K_max)
+    sup, stick = table["l1_error"], table["stick_breaking_l1"]
+    labels = np.where(sup < stick, "superposition",
+                      np.where(stick < sup, "stick-breaking", "tie")).tolist()
+    ranges, start = [], 0
     for K in range(1, K_max + 1):
-        w = winner(K)
-        if w != label:
-            ranges.append((start, K - 1, label))
-            start, label = K, w
-    ranges.append((start, K_max, label))
+        if labels[K] != labels[K - 1]:
+            ranges.append((start, K - 1, labels[K - 1]))
+            start = K
+    ranges.append((start, K_max, labels[K_max]))
     return ranges

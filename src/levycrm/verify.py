@@ -40,6 +40,10 @@ from .measures import DomainError, OracleError
 KS_SIGNIFICANCE = 1e-3
 CHI2_SIGNIFICANCE = 1e-3
 QUAD_ABS_TOL = 1e-9
+# The generalized-gamma gate's scale and truncation, and the relative errors
+# under which a point passes with the printed and the corrected weights.
+GATE_THETA, GATE_K, GATE_H = 1.0, 200, 60
+GATE_PRINTED_TOL, GATE_CORRECTED_TOL = 1e-3, 1e-6
 
 
 @dataclass(frozen=True)
@@ -464,11 +468,11 @@ def gamma2_cdf(x: float) -> float:
     return ans * fac / 2.0
 
 
-def ks_distance(samples, cdf, significance: float = KS_SIGNIFICANCE) -> KSResult:
+def ks_distance(samples, cdf) -> KSResult:
     """Sup-norm distance between the empirical CDF and a reference CDF.
 
     The companion critical value is the large-sample one-sample bound
-    sqrt(ln(2/a)/2)/sqrt(n) at significance a.
+    sqrt(ln(2/a)/2)/sqrt(n) at significance a = ``KS_SIGNIFICANCE``.
     """
     x = np.sort(np.asarray(samples, dtype=np.float64))
     n = x.size
@@ -479,7 +483,7 @@ def ks_distance(samples, cdf, significance: float = KS_SIGNIFICANCE) -> KSResult
     d_plus = float(np.max(grid - f))
     d_minus = float(np.max(f - (grid - 1.0 / n)))
     stat = max(d_plus, d_minus)
-    crit = math.sqrt(math.log(2.0 / significance) / 2.0) / math.sqrt(n)
+    crit = math.sqrt(math.log(2.0 / KS_SIGNIFICANCE) / 2.0) / math.sqrt(n)
     return KSResult(statistic=stat, critical_value=crit, n=n)
 
 
@@ -494,10 +498,9 @@ class ChiSquareResult:
         return self.statistic < self.critical_value
 
 
-def chi_square_gof(
-    counts, probs, significance: float = CHI2_SIGNIFICANCE
-) -> ChiSquareResult:
-    """Pearson chi-square against given cell probabilities."""
+def chi_square_gof(counts, probs) -> ChiSquareResult:
+    """Pearson chi-square against given cell probabilities, at significance
+    ``CHI2_SIGNIFICANCE``."""
     from scipy import stats
     obs = np.asarray(counts, dtype=np.float64)
     p = np.asarray(probs, dtype=np.float64)
@@ -508,7 +511,7 @@ def chi_square_gof(
     exp = obs.sum() * p
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = obs.size - 1
-    crit = float(stats.chi2.ppf(1.0 - significance, dof))
+    crit = float(stats.chi2.ppf(1.0 - CHI2_SIGNIFICANCE, dof))
     return ChiSquareResult(statistic=stat, critical_value=crit, dof=dof)
 
 
@@ -580,17 +583,12 @@ class GateReport:
     points: tuple = field(default=())
 
 
-def generalized_gamma_gate(
-    sigma,
-    theta=1.0,
-    grid=None,
-    K=200,
-    H=60,
-    printed_tol=1e-3,
-    corrected_tol=1e-6,
-) -> GateReport:
+def generalized_gamma_gate(sigma, grid=None) -> GateReport:
+    """The gate at scale ``GATE_THETA`` and truncation ``GATE_K``, ``GATE_H``,
+    on ``grid`` (default 50 jumps from 0.05 to 5)."""
     if grid is None:
         grid = np.linspace(0.05, 5.0, 50)
+    theta, K, H = GATE_THETA, GATE_K, GATE_H
     pts = []
     ratios = []
     for p in np.asarray(grid, dtype=np.float64):
@@ -618,8 +616,8 @@ def generalized_gamma_gate(
                 corrected=corrected,
                 rel_err_printed=rp,
                 rel_err_corrected=rc,
-                printed_ok=rp < printed_tol,
-                corrected_ok=rc < corrected_tol,
+                printed_ok=rp < GATE_PRINTED_TOL,
+                corrected_ok=rc < GATE_CORRECTED_TOL,
             )
         )
     return GateReport(

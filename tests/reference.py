@@ -117,9 +117,11 @@ def simulate_subround(
     Randomness comes from ``stream.child(k, h)``; draw order is count,
     locations, then jumps, each jump Gamma(h, th(w)/(k+1)).
     """
-    rate = gamma.subround_rate(params.total_base_mass, k, h)
+    mass = params.total_base_mass
+    # the rate's log-space closed form, written here apart from gamma._rates_grid
+    rate = math.exp(math.log(mass) - h * math.log1p(k) - math.log(h)) if mass else 0.0
     cells = gamma._cells(params, np.array([k]), np.array([h]), np.array([rate]))
-    return gamma._draw(params, cells, stream.key, signed=False)[0]
+    return gamma._draw(params, [cells], stream.key, signed=False)[0]
 
 
 def resample_observed_jump(

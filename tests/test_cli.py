@@ -615,6 +615,26 @@ def test_bad_flags_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_out_of_memory_exits_2_and_writes_nothing(tmp_path, capsys):
+    # a replica count too large for memory is a usage error, not a failed
+    # check; the allocation is refused by a patch, not by this host
+    out = tmp_path / "x.jsonl"
+    runs = [
+        ("levycrm.gamma.replica_masses", "Unable to allocate 21.8 TiB",
+         ["verify", "--check", "gamma-marginal", "--replicas", "3000000000000"]),
+        ("levycrm.beta.simulate_replicas", "",
+         ["simulate", "--family", "beta", "--c", "1", "--K", "5",
+          "--replicas", "100000000000"]),
+    ]
+    for target, message, argv in runs:
+        with mock.patch(target, side_effect=MemoryError(message)):
+            assert main(argv + ["--seed", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: out of memory{': ' + message if message else ''}\n"
+        assert not out.exists()
+
+
 def test_verify_default_passes_with_gate_reported(tmp_path):
     code, data = run(tmp_path, "v.jsonl", ["verify", "--seed", "5"])
     assert code == 0

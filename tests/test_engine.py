@@ -10,6 +10,7 @@ engine's count pass and table pick, which the posterior resampler shares,
 are checked against one-stream cursors and per-element searches.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -100,7 +101,7 @@ def test_engine_cells_equal_per_cell_cursor_draws(case, cells, seed, replicas, s
     ks, hs, rates = (np.array(v) for v in zip(*cells))
     s = RandomStream(seed)
     block = gamma._cells(p, ks, hs, rates)
-    got = gamma._draw(p, block, s.child_keys(np.arange(replicas)), signed)
+    got = gamma._draw(p, [block], s.child_keys(np.arange(replicas)), signed)
     want = [
         PointMeasure.concat(p.domain, [
             part for k, h, rate in cells
@@ -137,26 +138,37 @@ def test_keys_per_call_bound_leaves_bytes_unchanged():
 
 
 def test_sparse_grid_pools_live_streams_into_few_draw_calls():
-    # a K x H grid of mostly empty cells: a batch of 64 keys holds a few live
-    # streams, pooled over batches until one draw call can take 64 of them
+    # a K x H grid of mostly empty cells: a batch of 64 (or 32) keys holds a
+    # few live streams, pooled over the batches of a block of cells until one
+    # draw call can take 64 (32) of them; the batch also cuts the grid into
+    # blocks of 64 // 12 = 5 (32 // 12 = 2) rounds, each with its own count pass
     p = gamma.GammaProcessParams.homogeneous(1.0, 2.0)
     s = RandomStream(91)
     want = gamma.simulate_replicas(p, 40, 12, s, 24)
-    keys = 24 * len(gamma._grid(p, 40, 12, False).rates)
-    runs = []
     real = measures._draw_block
+    for batch in (32, 64):
+        runs = {}
 
-    def spy(cells, live, *rest):
-        runs.append(live[2].size)
-        return real(cells, live, *rest)
+        def spy(cells, live, *rest):
+            # run sizes per block; holding the block keeps its id unique
+            runs.setdefault(id(cells), (cells, []))[1].append(live[2].size)
+            return real(cells, live, *rest)
 
-    with mock.patch.object(measures, "_DRAW_BATCH", 64), \
-            mock.patch.object(measures, "_draw_block", spy):
-        got = gamma.simulate_replicas(p, 40, 12, s, 24)
-    batches = -(-keys // 64)
-    assert len(runs) == -(-sum(runs) // 64) < batches / 4
-    assert runs[:-1] == [64] * (len(runs) - 1)
-    assert [column_digest(pm) for pm in got] == [column_digest(pm) for pm in want]
+        with mock.patch.object(measures, "_DRAW_BATCH", batch), \
+                mock.patch.object(measures, "_draw_block", spy):
+            blocks = list(gamma._grid(p, 40, 12, False))
+            got = gamma.simulate_replicas(p, 40, 12, s, 24)
+        step = batch // 12
+        assert [b.path[0].max() for b in blocks] == list(range(step, 41, step))
+        batches = sum(-(-24 * b.rates.size // batch) for b in blocks)
+        sizes = [n for _, n in runs.values()]
+        assert sum(map(len, sizes)) < batches / 4
+        for n in sizes:
+            assert len(n) == -(-sum(n) // batch)
+            assert n[:-1] == [batch] * (len(n) - 1)
+        # at 32, a block's live streams fill more than one run
+        assert max(map(len, sizes)) > 1 or batch == 64
+        assert [column_digest(pm) for pm in got] == [column_digest(pm) for pm in want]
 
 
 def test_replica_masses_bound_leaves_masses_unchanged():
@@ -174,6 +186,52 @@ def test_replica_masses_bound_leaves_masses_unchanged():
                 got = gamma.replica_masses(p, 5, 6, s, 7, signed)
             assert got.dtype == np.float64
             assert got.tolist() == want
+
+
+def test_gamma_blocks_of_rounds_leave_draws_unchanged():
+    # a budget of 16 cells cuts the grid into blocks of 16 // H rounds (one
+    # round each at H = None); every cell keeps its stream key and its place
+    # in its draw, so the draws and masses are those of one block
+    p = gamma.GammaProcessParams(_base_2d(), _fn_2d([[0.5, 2.0], [3.0, 1.0]]))
+    s = RandomStream(79)
+
+    def draws():
+        out, masses = [], []
+        for K, H in ((40, 5), (23, None)):
+            out += [
+                gamma.simulate_gamma_process(p, K, H, s.child(9)),
+                gamma.simulate_symmetric_gamma(p, K, H, s.child(10)),
+                *gamma.simulate_replicas(p, K, H, s, 3),
+                *gamma.simulate_replicas(p, K, H, s, 3, signed=True),
+            ]
+            masses += [gamma.replica_masses(p, K, H, s, 5, signed).tobytes()
+                       for signed in (False, True)]
+        return [column_digest(pm) for pm in out], masses
+
+    # verify's gamma-marginal grid is one block
+    homog = gamma.GammaProcessParams.homogeneous(1.0, 2.0)
+    assert len(list(gamma._grid(homog, 199, 40, False))) == 1
+    assert len(list(gamma._grid(p, 40, 5, False))) == 1
+    want = draws()
+    assert all(len(pm) for pm in gamma.simulate_replicas(p, 40, 5, s, 3))
+    with mock.patch.object(measures, "_DRAW_BATCH", 16):
+        assert len(list(gamma._grid(p, 40, 5, False))) == 14
+        assert len(list(gamma._grid(p, 23, None, True))) == 23
+        assert draws() == want
+
+
+def test_huge_K_gamma_draw_holds_a_block_of_rates_at_a_time():
+    # K x 64 rates would take 2.4 MiB at K = 5000, and building them through
+    # Python lists several times that; a block holds at most 8,192
+    p = gamma.GammaProcessParams.homogeneous(1.0, 2.0)
+    tracemalloc.start()
+    try:
+        pm = gamma.simulate_gamma_process(p, 5000, None, RandomStream(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pm) > 10
+    assert peak < 4 * 2**20
 
 
 @settings(max_examples=60, deadline=None)

@@ -54,14 +54,21 @@ def test_subround_rate_examples():
 @pytest.mark.parametrize("mass", [0.0, 1.0, 2.0, 0.37, 1e-300, 3e5, 5e300])
 @pytest.mark.parametrize("K, H", [(1, 1), (7, 3), (199, 40), (60, gamma.SUBROUND_CAP)])
 def test_rates_grid_equals_subround_rate_bit_for_bit(mass, K, H):
-    gamma._rates_grid.cache_clear()
-    grid = gamma._rates_grid(mass, K, H)
-    want = np.array([
+    # both routes against the log-space closed form, evaluated per cell here
+    def rate(k, h):
+        if mass == 0.0:
+            return 0.0
+        return math.exp(math.log(mass) - h * math.log1p(k) - math.log(h))
+
+    want = np.array([[rate(k, h) for h in range(1, H + 1)] for k in range(1, K + 1)])
+    grid = gamma._rates_grid(mass, np.arange(1, K + 1), np.arange(1, H + 1))
+    scalar = np.array([
         [gamma.subround_rate(mass, k, h) for h in range(1, H + 1)]
         for k in range(1, K + 1)
     ])
-    assert grid.shape == (K, H) and not grid.flags.writeable
+    assert grid.shape == (K, H)
     assert np.array_equal(grid.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(scalar.view(np.uint64), want.view(np.uint64))
 
 
 def test_subround_rates_sum_to_log():
@@ -160,7 +167,8 @@ def test_grid_with_certain_zero_cells_is_lexicographic_concatenation():
     # mass 1, K = 50, all subrounds: most (k, h) cells have exp(-rate) == 1
     # and are skipped without a key, which must not shift any other cell
     K, H = 50, gamma.SUBROUND_CAP
-    assert np.count_nonzero(np.exp(-gamma._rates_grid(1.0, K, H)) == 1.0) > K * H // 2
+    rates = gamma._rates_grid(1.0, np.arange(1, K + 1), np.arange(1, H + 1))
+    assert np.count_nonzero(np.exp(-rates) == 1.0) > K * H // 2
     plain, doubled = homog(1.0, 1.0), homog(1.0, 2.0)
     cells = [(k, h) for k in range(1, K + 1) for h in range(1, H + 1)]
     n_atoms = 0
@@ -193,6 +201,14 @@ def test_simulate_validation():
         gamma.simulate_gamma_process(UNIT_MASS, 0, 1, RandomStream(1))
     with pytest.raises(ValueError):
         gamma.simulate_gamma_process(UNIT_MASS, 1, 0, RandomStream(1))
+    # a bad K or H raises at the grid's call, before any block is built, and
+    # so even where no replica is drawn
+    for K, H in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError):
+            gamma._grid(UNIT_MASS, K, H, False)
+        for many in (gamma.simulate_replicas, gamma.replica_masses):
+            with pytest.raises(ValueError):
+                many(UNIT_MASS, K, H, RandomStream(1), 0)
 
 
 def test_empty_subround_and_atom_tags():

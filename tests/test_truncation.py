@@ -9,6 +9,7 @@ bounds, tying the closed forms to the simulator.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,21 @@ def test_gamma_table_rows_equal_scalar_routes(mass, K_max, H):
         assert t["expected_atoms"][i] == (
             truncation.gamma_expected_atoms(mass, K, H)
         ) == atoms
+
+
+def test_gamma_scalar_bounds_keep_one_row():
+    # row K of the table without the K rows before it: a list of them would
+    # hold 10^5 floats, about 3 MiB
+    tracemalloc.start()
+    try:
+        l1 = truncation.gamma_l1_error(10**5)
+        atoms = truncation.gamma_expected_atoms(2.0, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert l1 == 1.0 / (10**5 + 1)
+    assert atoms == 2.0 * math.log(10**5 + 1.0)
+    assert peak < 2**18
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 5.0])
