@@ -20,11 +20,12 @@ Every round's rate, location table and jump law is a closed form in
 drawn every word position is fixed.  Draws therefore run on the draw
 engine (``measures.draw_cells``) with a leading axis of draw keys:
 ``_RoundPlan`` builds the rounds' rates and tables as array rows, a block
-of rounds at a time, and per batch of at most ``measures._DRAW_BATCH``
-(draw, round) streams the engine makes one across-keys count read; it
-pools the live streams of the batches, and per run of up to
-``measures._DRAW_BATCH`` of them and ``measures._BATCH_ATOMS`` atoms makes
-one ragged read of the locations and one of the jumps.  ``simulate_replicas``
+of about ``measures._DRAW_BATCH`` table entries at a time, and per batch
+of at most ``measures._DRAW_BATCH`` (draw, round) streams the engine makes
+one across-keys count read; it pools the live streams of the batches, and
+per run of up to ``measures._DRAW_BATCH`` of them and
+``measures._BATCH_ATOMS`` atoms makes one ragged read of the locations and
+one of the jumps.  ``simulate_replicas``
 draws many replicas so, and ``simulate_beta_process`` is the same call
 over one key.  Round k of a draw reads ``stream.child(k)`` and the rounds
 run in order, so raising K only appends atoms.  ``round_measure`` stays
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import measures
 from .measures import (
     BaseMeasure,
     Cells,
@@ -151,11 +153,6 @@ def simulate_replicas(
     return _draw(params, 0, K + 1, stream.child_keys(np.arange(replicas)))
 
 
-# Rounds per plan block times table width (cells plus fixed atoms) stays near
-# this many floats, so a draw's tables take bounded memory whatever K is.
-_PLAN_BLOCK = 1 << 10
-
-
 class _RoundPlan:
     """The rates and location tables of a draw's rounds, before any word is read.
 
@@ -194,8 +191,9 @@ class _RoundPlan:
         return rates, np.cumsum(np.concatenate([cells, atoms], axis=1), axis=1)
 
     def blocks(self, k_lo: int, k_hi: int):
-        """Rounds k_lo..k_hi-1 as engine cells, a plan block at a time."""
-        step = max(1, _PLAN_BLOCK // self.width)
+        """Rounds k_lo..k_hi-1 as engine cells, ``measures._DRAW_BATCH`` //
+        width rounds a block, so a draw's tables take bounded memory."""
+        step = max(1, measures._DRAW_BATCH // self.width)
         for lo in range(k_lo, k_hi, step):
             ks = np.arange(lo, min(lo + step, k_hi))
             rates, cums = self.rows(ks)

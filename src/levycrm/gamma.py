@@ -65,11 +65,14 @@ from .measures import (
     location_table,
     positive_function,
 )
-from .streams import _GAMMA_INT_SHAPE_MAX, RandomStream
+from .streams import RandomStream
 
 # Subround cap standing in for h = infinity: beyond h = 64 every subround
 # rate is below mass * 2^-70, far under one expected atom per 1e20 draws.
 SUBROUND_CAP = 64
+
+# Largest jump shape h drawn as a sum of h exponentials (see ``_cells``).
+_GAMMA_INT_SHAPE_MAX = 16
 
 
 class GammaProcessParams:
@@ -166,8 +169,8 @@ def _draw(params: GammaProcessParams, blocks, roots, signed: bool) -> list:
     ``roots = (k0s, k1s)``, through the engine.
 
     An atom of cell (k, h) at w takes a Gamma(h, th(w)/(k+1)) magnitude: a
-    sum of h exponentials, summed per atom over a row of h words, or
-    ``StreamCursor.gamma`` beyond integer shape 16.
+    sum of h exponentials, summed per atom over a row of h words, or beyond
+    ``_GAMMA_INT_SHAPE_MAX`` ``StreamCursor.gamma``'s Marsaglia-Tsang squeeze.
     """
     scale = params.scale
 
@@ -188,6 +191,8 @@ def _grid(params: GammaProcessParams, K: int, H: int | None, signed: bool):
 
     Where exp(-rate) rounds to 1, the Poisson inversion returns 0 for every
     uniform (none exceeds 1), so those cells need no key and no cipher.
+    Rates fall along a row and down a column, in floats too, so a block is
+    rated only over the sub-rounds its first round keeps live.
     """
     if K < 1:
         raise ValueError("need at least one round")
@@ -200,7 +205,8 @@ def _grid(params: GammaProcessParams, K: int, H: int | None, signed: bool):
     step = max(1, measures._DRAW_BATCH // H)
 
     def block(ks):
-        rates = _rates_grid(mass, ks, hs)
+        width = np.count_nonzero(np.exp(-_rates_grid(mass, ks[:1], hs)) < 1.0)
+        rates = _rates_grid(mass, ks, hs[:width])
         ii, jj = np.nonzero(np.exp(-rates) < 1.0)
         return _cells(params, ks[ii], hs[jj], rates[ii, jj])
 

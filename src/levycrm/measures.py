@@ -527,8 +527,9 @@ def _pick(cums: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 # Stream keys per batch of ``_count_pass``, the draw engine's and the
 # posterior resampler's: each batch's count pass stays this size whatever
-# the replicas.  It is also the most live streams a yielded run holds, and
-# the most (k, h) cells in a block of ``gamma._grid`` (199 x 40 is one block).
+# the replicas.  It also bounds the live streams a yielded run holds, the
+# (k, h) cells in a block of ``gamma._grid`` (199 x 40 is one block) and
+# the table entries, rounds times width, of ``beta._RoundPlan.blocks``.
 _DRAW_BATCH = 8192
 # Atoms per run of live streams that ``_count_pass`` yields: the consumers'
 # word reads and their temporaries grow with the atoms, not the keys, so

@@ -10,7 +10,8 @@ or how many sibling streams exist.
 The generator is Philox4x64-10, a counter-based block cipher.  A stream's
 128-bit key is derived by absorbing the path elements one at a time into the
 seed through a 64-bit finalizer; the absorb step is bijective in the path
-element, so sibling streams always receive distinct keys.  Block ``j`` of the
+element, so sibling streams always receive distinct keys.  The absorb is
+numpy array ops (``_absorb_arr``), on one key or on many.  Block ``j`` of the
 stream is the Philox output for counter ``(j, 0, 0, 0)``, giving random access
 to any position without sequential state.
 
@@ -44,9 +45,6 @@ _WEYL = np.arange(10, dtype=np.uint64)[:, None] * np.array(
 # and are reused from pass to pass, so its temporaries stay fixed in size.
 _PHILOX_CHUNK = 8192
 
-_GOLDEN = 0x9E3779B97F4A7C15
-_SALT = 0x3C6EF372FE94F82A
-
 # Largest Poisson rate drawn in a single inversion pass; larger rates are
 # split into equal chunks so the search loop stays short.
 _POISSON_CHUNK = 16.0
@@ -61,40 +59,14 @@ class RateCapError(ValueError):
     """A Poisson rate above ``MAX_POISSON_RATE``."""
 
 
-# Integer gamma shapes up to this bound are drawn as sums of exponentials.
-_GAMMA_INT_SHAPE_MAX = 16
-
-
-def _mix64(z: int) -> int:
-    """Finalizer of splitmix64, a bijection on 64-bit integers."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-def _absorb(k0: int, k1: int, e: int) -> tuple[int, int]:
-    # Bijective in e for fixed (k0, k1), so siblings can never collide.
-    k0 = _mix64(k0 ^ _mix64((e + _GOLDEN) & _MASK64))
-    k1 = _mix64((k1 + _mix64(e ^ _SALT)) & _MASK64)
-    return k0, k1
-
-
-def _derive_key(seed: int, path: tuple[int, ...]) -> tuple[int, int]:
-    k0 = _mix64(seed)
-    k1 = _mix64((seed + _GOLDEN) & _MASK64)
-    for e in path:
-        k0, k1 = _absorb(k0, k1, e)
-    return k0, k1
-
-
-# _mix64's shifts and multipliers, and the absorb constants, as numpy scalars
-# made once: building them per call cost a third of a small key derivation
+# splitmix64's shifts and multipliers, and the absorb constants, as numpy
+# scalars made once: building them per call cost a third of an absorb
 _MIX_ARR = tuple(map(np.uint64, (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31)))
-_GOLDEN_ARR, _SALT_ARR = np.uint64(_GOLDEN), np.uint64(_SALT)
+_GOLDEN_ARR, _SALT_ARR = np.uint64(0x9E3779B97F4A7C15), np.uint64(0x3C6EF372FE94F82A)
 
 
 def _mix64_arr(z: np.ndarray) -> np.ndarray:
+    """Finalizer of splitmix64, a bijection on 64-bit words, elementwise."""
     s1, m1, s2, m2, s3 = _MIX_ARR
     z = (z ^ (z >> s1)) * m1
     z = (z ^ (z >> s2)) * m2
@@ -114,9 +86,20 @@ def _absorb_mixed(k0, k1, g, s) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _absorb_arr(k0, k1, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    k0 = np.asarray(k0, dtype=np.uint64)
-    k1 = np.asarray(k1, dtype=np.uint64)
+    """Keys ``(k0, k1)`` with path elements ``e`` absorbed, elementwise;
+    bijective in e for fixed (k0, k1), so siblings can never collide."""
     return _absorb_mixed(k0, k1, *_path_mix(e))
+
+
+def _derive_key(seed: int, path: tuple[int, ...]) -> tuple[int, int]:
+    """Key of stream (seed, path): the seed mixed into two words, then each
+    path element absorbed in turn.  The words are one-element arrays, since
+    the wrapping multiplies warn on overflow for numpy scalars."""
+    k = np.array([seed], np.uint64)
+    k0, k1 = _mix64_arr(k), _mix64_arr(k + _GOLDEN_ARR)
+    for e in path:
+        k0, k1 = _absorb_arr(k0, k1, np.array([e], np.uint64))
+    return int(k0[0]), int(k1[0])
 
 
 def _philox4x64(k0, k1, blocks) -> np.ndarray:
@@ -265,26 +248,13 @@ class StreamCursor:
         return float(self.uniforms(1)[0])
 
     def gamma(self, shape: float, scale: float = 1.0) -> float:
-        """Draw from Gamma(shape, scale).
-
-        Integer shapes up to 16 are sums of exponentials; other shapes use
-        the Marsaglia-Tsang squeeze, with the boost ``G(a) = G(a+1) U^{1/a}``
-        for shape below one.
-        """
-        if shape <= 0 or scale <= 0:
-            raise ValueError("gamma shape and scale must be positive")
-        if shape == int(shape) and shape <= _GAMMA_INT_SHAPE_MAX:
-            u = self.uniforms(int(shape))
-            return -float(np.log(u).sum()) * scale
-        if shape < 1.0:
-            g = self._gamma_mt(shape + 1.0)
-            return g * self.uniform() ** (1.0 / shape) * scale
-        return self._gamma_mt(shape) * scale
-
-    def _gamma_mt(self, a: float) -> float:
-        # a try reads a Box-Muller normal's two words, then the squeeze's
-        # uniform; a try rejected on v <= 0 gives that uniform back
-        d = a - 1.0 / 3.0
+        """Gamma(shape, scale) for shape >= 1, the engine's jumps of shape
+        above 16, by the Marsaglia-Tsang squeeze: a try reads three words, a
+        Box-Muller normal's two and then a uniform, and gives the uniform
+        back when it is rejected on v <= 0."""
+        if shape < 1.0 or scale <= 0:
+            raise ValueError("gamma needs shape >= 1 and a positive scale")
+        d = shape - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
         while True:
             u = self.uniforms(3)
@@ -294,7 +264,7 @@ class StreamCursor:
                 self.pos -= 1
                 continue
             if math.log(u[2]) < 0.5 * x * x + d - d * v + d * math.log(v):
-                return d * v
+                return d * v * scale
 
 
 def _check_rate_cap(rate: float) -> None:

@@ -22,8 +22,8 @@ takes one tail integral per K and accumulates the round plan's rates
 ``gamma_table`` accumulates the per-round tail terms and log-series sums.
 The scalar routes are the same arithmetic: ``beta_l1_error`` and
 ``beta_marginal_bound`` share the tail integral, and ``gamma_l1_error`` and
-``gamma_expected_atoms`` are row K of ``gamma_table``: they run its
-column generators and keep only the last row.
+``gamma_expected_atoms`` are row K of ``gamma_table``: the closed form at
+infinite H, else its column generators run, keeping only the last row.
 
 Everything in this module is exact arithmetic on the closed forms; Monte
 Carlo validation of the same quantities lives in the test suite, clearly
@@ -188,14 +188,18 @@ def gamma_l1_error(K: int, H: int | float | None = None) -> float:
     """L1 distance left after subrounds k <= K, h <= H: row K of ``gamma_table``."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    return deque(_gamma_l1_column(K, _finite_h(H)), maxlen=1).pop()
+    if (H := _finite_h(H)) is None:
+        return 1.0 / (K + 1)
+    return deque(_gamma_l1_column(K, H), maxlen=1).pop()
 
 
 def gamma_expected_atoms(gamma_mass: float, K: int, H: int | float | None = None):
     """Expected atom count of subrounds k <= K, h <= H: row K of ``gamma_table``."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    return deque(_gamma_expected_column(gamma_mass, K, _finite_h(H)), maxlen=1).pop()
+    if (H := _finite_h(H)) is None:
+        return gamma_mass * math.log(K + 1.0)
+    return deque(_gamma_expected_column(gamma_mass, K, H), maxlen=1).pop()
 
 
 def crossover_ranges(c: float, K_max: int) -> list[tuple[int, int, str]]:

@@ -10,7 +10,9 @@ through the engine.  The comparison tests hold the library to these draws
 bit for bit, and the tests of these functions' own laws keep them right.
 
 ``stream_words`` reads one stream's words from numpy's C Philox, the
-oracle that holds the library's own Philox kernel to Philox4x64-10.
+oracle that holds the library's own Philox kernel to Philox4x64-10, and
+``derive_key`` computes a stream's key in Python integers, the oracle that
+holds the library's array absorb to the key derivation.
 """
 
 from __future__ import annotations
@@ -29,6 +31,34 @@ from levycrm.streams import (
     _check_rate_cap,
     _poisson_invert,
 )
+
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
+_SALT = 0x3C6EF372FE94F82A
+
+
+def _mix64(z: int) -> int:
+    """Finalizer of splitmix64, a bijection on 64-bit integers."""
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def derive_key(seed: int, path: tuple[int, ...]) -> tuple[int, int]:
+    """Key (k0, k1) of the stream at (seed, path).
+
+    The seed is mixed into two words, then each path element ``e`` is
+    absorbed as ``k0 = mix(k0 ^ mix(e + golden))``, ``k1 = mix(k1 +
+    mix(e ^ salt))``, all modulo 2**64.
+    """
+    k0 = _mix64(seed)
+    k1 = _mix64((seed + _GOLDEN) & _MASK64)
+    for e in path:
+        k0 = _mix64(k0 ^ _mix64((e + _GOLDEN) & _MASK64))
+        k1 = _mix64((k1 + _mix64(e ^ _SALT)) & _MASK64)
+    return k0, k1
 
 
 def stream_words(k0: int, k1: int, start: int, n: int) -> np.ndarray:

@@ -269,7 +269,7 @@ def _reference_round(params, k, stream):
     case=piecewise_cases(),
     K=st.integers(0, 30),
     seed=st.integers(0, 2**64 - 1),
-    block=st.sampled_from([1, 4, beta._PLAN_BLOCK]),
+    block=st.sampled_from([1, 4, measures._DRAW_BATCH]),
 )
 def test_round_plan_matches_round_measure(case, K, seed, block):
     c, base = case
@@ -290,7 +290,7 @@ def test_round_plan_matches_round_measure(case, K, seed, block):
     want = PointMeasure.concat(
         p.domain, [part for k in range(K + 1) for part in _reference_round(p, k, s)]
     )
-    with mock.patch.object(beta, "_PLAN_BLOCK", block):
+    with mock.patch.object(measures, "_DRAW_BATCH", block):
         got = beta.simulate_beta_process(p, K, s)
     for a, b in zip(got.columns, want.columns):
         assert np.array_equal(a, b)

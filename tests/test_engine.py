@@ -10,6 +10,7 @@ engine's count pass and table pick, which the posterior resampler shares,
 are checked against one-stream cursors and per-element searches.
 """
 
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -232,6 +233,46 @@ def test_huge_K_gamma_draw_holds_a_block_of_rates_at_a_time():
         tracemalloc.stop()
     assert len(pm) > 10
     assert peak < 4 * 2**20
+
+
+def test_grid_blocks_keep_the_live_cells_of_the_full_grid():
+    # each block is rated over its first round's live sub-rounds only; its
+    # cells are the full grid's live cells, rates bit for bit, in order
+    for mass in (1e-9, 1.0, 2.0, 300.0, 2.0**19):
+        p = gamma.GammaProcessParams.homogeneous(1.0, mass)
+        for (K, H), signed in itertools.product(
+            [(1, None), (199, 40), (3000, 7), (5000, None)], [False, True]
+        ):
+            hs = np.arange(1, (H or gamma.SUBROUND_CAP) + 1)
+            full = gamma._rates_grid(
+                mass * (2.0 if signed else 1.0), np.arange(1, K + 1), hs
+            )
+            ii, jj = np.nonzero(np.exp(-full) < 1.0)
+            with mock.patch.object(measures, "_DRAW_BATCH", 512):
+                blocks = list(gamma._grid(p, K, H, signed))
+            assert len(blocks) == -(-K // (512 // hs.size))
+            ks, hh, rates, width = (np.concatenate(x) for x in zip(
+                *((b.path[0], b.path[1], b.rates, b.width) for b in blocks)
+            ))
+            assert np.array_equal(ks, ii + 1) and np.array_equal(hh, jj + 1)
+            assert rates.tobytes() == full[ii, jj].tobytes()
+            assert np.array_equal(width, np.where(hh <= 16, hh, 0))
+
+
+def test_grid_rates_only_the_live_sub_rounds():
+    # at K = 5000 and all sub-rounds, 320,000 cells would be rated, but
+    # fewer than 23,000 can draw an atom
+    p = gamma.GammaProcessParams.homogeneous(1.0, 2.0)
+    real, rated = gamma._rates_grid, []
+
+    def spy(mass, ks, hs):
+        rated.append(ks.size * hs.size)
+        return real(mass, ks, hs)
+
+    with mock.patch.object(gamma, "_rates_grid", spy):
+        live = sum(b.rates.size for b in gamma._grid(p, 5000, None, False))
+    assert live < 23_000
+    assert sum(rated) <= 40_000
 
 
 @settings(max_examples=60, deadline=None)

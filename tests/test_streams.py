@@ -25,7 +25,7 @@ from levycrm.streams import (
     batch_poisson,
     ragged_words,
 )
-from reference import beta_one, poisson, stream_words
+from reference import beta_one, derive_key, poisson, stream_words
 
 
 def test_philox_blocks_match_numpy():
@@ -57,6 +57,25 @@ def test_frozen_words():
 
 
 _KEY_WORDS = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=_KEY_WORDS,
+    path=st.lists(_KEY_WORDS, max_size=3),
+    more=st.lists(_KEY_WORDS, min_size=1, max_size=3),
+)
+def test_stream_keys_match_the_integer_derivation(seed, path, more):
+    # the array absorb, on one key or on many, computes the key derivation
+    # of Python integers modulo 2**64
+    s = RandomStream(seed, tuple(path))
+    assert s.key == derive_key(seed, tuple(path))
+    assert all(type(w) is int for w in s.key)
+    assert s.child(*more).key == derive_key(seed, tuple(path + more))
+    k0s, k1s = s.child_keys(np.array(more, dtype=np.uint64))
+    assert list(zip(k0s.tolist(), k1s.tolist())) == [
+        derive_key(seed, tuple(path) + (e,)) for e in more
+    ]
 
 
 @settings(max_examples=300, deadline=None)
@@ -381,7 +400,7 @@ def test_beta_one_inverts_cdf():
     assert r.pvalue > 1e-3
 
 
-@pytest.mark.parametrize("shape", [1.0, 4.0, 0.6, 3.7, 20.5])
+@pytest.mark.parametrize("shape", [1.0, 4.0, 3.7, 20.5])
 def test_gamma_draw_distribution(shape):
     cur = RandomStream(303, (int(shape * 10),)).cursor()
     draws = np.array([cur.gamma(shape, 2.0) for _ in range(4000)])
@@ -395,8 +414,7 @@ def _gamma_two_reads(cur, shape):
     # normal's two words, then the uniform in a read of its own, and a try
     # rejected on v <= 0 read no uniform; returns the draw and the number
     # of such rejections
-    a = shape + 1.0 if shape < 1.0 else shape
-    d = a - 1.0 / 3.0
+    d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
     rejected = 0
     while True:
@@ -408,13 +426,10 @@ def _gamma_two_reads(cur, shape):
             continue
         if math.log(cur.uniform()) < 0.5 * x * x + d - d * v + d * math.log(v):
             break
-    g = d * v
-    if shape < 1.0:
-        g *= cur.uniform() ** (1.0 / shape)
-    return g, rejected
+    return d * v, rejected
 
 
-@pytest.mark.parametrize("shape", [0.05, 0.6, 3.7, 17.0, 20.5])
+@pytest.mark.parametrize("shape", [1.0, 3.7, 17.0, 20.5])
 def test_gamma_squeeze_reads_the_words_of_the_two_read_loop(shape):
     # one read of three words per try, one word given back on v <= 0: the
     # same draws at the same stream positions as two reads per try
@@ -426,7 +441,7 @@ def test_gamma_squeeze_reads_the_words_of_the_two_read_loop(shape):
         assert new.gamma(shape) == g
         assert new.pos == old.pos
         rejected += r
-    if shape == 0.05:
+    if shape == 1.0:
         assert rejected > 0
 
 
@@ -436,10 +451,5 @@ def test_gamma_validation():
         cur.gamma(0.0, 1.0)
     with pytest.raises(ValueError):
         cur.gamma(2.0, -1.0)
-
-
-def test_integer_gamma_is_sum_of_exponentials():
-    s = RandomStream(31)
-    u = s.cursor().uniforms(3)
-    x = s.cursor().gamma(3, 2.0)
-    assert x == pytest.approx(-float(np.log(u).sum()) * 2.0, rel=0, abs=0)
+    with pytest.raises(ValueError):
+        cur.gamma(0.6)

@@ -10,6 +10,7 @@ bounds, tying the closed forms to the simulator.
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -254,17 +255,35 @@ def test_gamma_table_rows_equal_scalar_routes(mass, K_max, H):
 
 def test_gamma_scalar_bounds_keep_one_row():
     # row K of the table without the K rows before it: a list of them would
-    # hold 10^5 floats, about 3 MiB
-    tracemalloc.start()
-    try:
-        l1 = truncation.gamma_l1_error(10**5)
-        atoms = truncation.gamma_expected_atoms(2.0, 10**5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert l1 == 1.0 / (10**5 + 1)
-    assert atoms == 2.0 * math.log(10**5 + 1.0)
-    assert peak < 2**18
+    # hold 10^5 floats, about 3 MiB; a finite H walks the rows, keeping one
+    for H in (None, 3):
+        tracemalloc.start()
+        try:
+            l1 = truncation.gamma_l1_error(10**5, H)
+            atoms = truncation.gamma_expected_atoms(2.0, 10**5, H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = truncation.gamma_table(2.0, 10**5, H)
+        assert l1 == table["l1_error"][-1]
+        assert atoms == table["expected_atoms"][-1]
+        assert peak < 2**18
+    assert l1 > 1.0 / (10**5 + 1)
+
+
+def test_gamma_scalar_bounds_at_infinite_H_are_closed_forms():
+    # at H = inf, row K is 1/(K+1) and gamma log(K+1), returned without
+    # walking the K rows before it
+    def walk(*args):
+        raise AssertionError("walked the column")
+
+    with mock.patch.object(truncation, "_gamma_l1_column", walk), \
+            mock.patch.object(truncation, "_gamma_expected_column", walk):
+        for H in (None, math.inf):
+            assert truncation.gamma_l1_error(10**7, H) == 1.0 / (10**7 + 1)
+            assert truncation.gamma_expected_atoms(2.0, 10**7, H) == (
+                2.0 * math.log(10**7 + 1.0)
+            )
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 5.0])
