@@ -12,7 +12,9 @@ It decomposes exactly into subrounds indexed by k >= 1 and h >= 1:
 a finite Poisson process for every (k, h).  Summing over h telescopes the
 exponentials and summing over k recovers nu, so superposing simulated
 subrounds for k <= K, h <= H yields a truncated draw with L1 error
-1/(K+1) plus a small h-tail (see the truncation module).
+1/(K+1) plus a small h-tail (see the truncation module).  H is None or
+``math.inf`` (all subrounds) or an integer >= 1, read by ``_finite_h`` for
+the draws, the moments and the truncation tables alike.
 
 Every subround's rate, location law and jump law is a closed form known
 before any random word is read, so draws run on the draw engine
@@ -58,7 +60,6 @@ from .measures import (
     BaseMeasure,
     Cells,
     Domain,
-    LocationTable,
     PiecewiseConst,
     PointMeasure,
     draw_cells,
@@ -73,6 +74,16 @@ SUBROUND_CAP = 64
 
 # Largest jump shape h drawn as a sum of h exponentials (see ``_cells``).
 _GAMMA_INT_SHAPE_MAX = 16
+
+
+def _finite_h(H) -> int | None:
+    """The subround cutoff H: None for all subrounds (H None or inf), else
+    an int >= 1; a bool, NaN, -inf, H < 1 or a fraction raises."""
+    if H is None or H == math.inf:
+        return None
+    if isinstance(H, bool) or not H >= 1 or H != int(H):
+        raise ValueError(f"H must be an integer >= 1, or None or inf; got {H!r}")
+    return int(H)
 
 
 class GammaProcessParams:
@@ -157,9 +168,8 @@ def subround_spec(params: GammaProcessParams, k: int, h: int) -> GammaSubround:
 def _cells(params: GammaProcessParams, ks, hs, rates) -> Cells:
     # every cell samples from the shape measure's one table; integer shapes
     # up to _GAMMA_INT_SHAPE_MAX take h words per atom, larger ones fall back
-    t = location_table(params.base)
     return Cells(
-        (ks, hs), rates, LocationTable(t.cum[None], t.edges, t.atoms),
+        (ks, hs), rates, location_table(params.base),
         np.zeros(ks.size, np.intp), np.where(hs <= _GAMMA_INT_SHAPE_MAX, hs, 0),
     )
 
@@ -184,10 +194,10 @@ def _draw(params: GammaProcessParams, blocks, roots, signed: bool) -> list:
     return draw_cells(params.domain, roots, blocks, jumps, fallback, signed)
 
 
-def _grid(params: GammaProcessParams, K: int, H: int | None, signed: bool):
+def _grid(params: GammaProcessParams, K: int, H, signed: bool):
     """The cells k = 1..K, h = 1..H of a draw, in (k, h) order: a generator of
     ``Cells`` blocks of floor(``measures._DRAW_BATCH`` / H) rounds (at least
-    one).  K and H are checked at the call, before any block is built.
+    one); H is an int >= 1, or None or inf (SUBROUND_CAP), checked with K at call.
 
     Where exp(-rate) rounds to 1, the Poisson inversion returns 0 for every
     uniform (none exceeds 1), so those cells need no key and no cipher.
@@ -196,10 +206,7 @@ def _grid(params: GammaProcessParams, K: int, H: int | None, signed: bool):
     """
     if K < 1:
         raise ValueError("need at least one round")
-    if H is None:
-        H = SUBROUND_CAP
-    if H < 1:
-        raise ValueError("need at least one subround")
+    H = _finite_h(H) or SUBROUND_CAP
     mass = params.total_base_mass * (2.0 if signed else 1.0)
     hs = np.arange(1, H + 1)
     step = max(1, measures._DRAW_BATCH // H)
@@ -221,11 +228,11 @@ def simulate_gamma_process(
 ) -> PointMeasure:
     """Superpose subrounds k = 1..K, h = 1..H.
 
-    ``H=None`` means all subrounds; rates below one expected atom per 2^70
-    draws are dropped, which caps h at SUBROUND_CAP.  Subround (k, h) reads
-    ``stream.child(k, h)`` (its count, then its locations, then its jumps)
-    and the subrounds run in (k, h) lexicographic order, so raising K only
-    appends atoms.
+    H is an integer >= 1, or None or ``math.inf`` for all subrounds; rates
+    below one expected atom per 2^70 draws are dropped, which caps h at
+    SUBROUND_CAP.  Subround (k, h) reads ``stream.child(k, h)`` (its count,
+    then its locations, then its jumps) and the subrounds run in (k, h)
+    lexicographic order, so raising K only appends atoms.
     """
     return _draw(params, _grid(params, K, H, False), stream.key, signed=False)[0]
 
@@ -318,21 +325,21 @@ def round_mean_and_variance(
     params: GammaProcessParams,
     k: int,
     boxes=None,
-    num_subrounds: int | None = None,
+    num_subrounds=None,
 ) -> tuple[float, float]:
     """Moments of round k's mass, summed over subrounds.
 
-    Over all h the sums close up:
+    Over all h (``num_subrounds`` None or inf) the sums close up:
 
         E   = int_A th/(k(k+1))                a(dw)
         Var = int_A th^2 (1/k^2 - 1/(k+1)^2)   a(dw).
 
-    A finite ``num_subrounds`` sums that many subround terms instead.
+    An integer ``num_subrounds`` >= 1 sums that many subround terms instead.
     """
     if k < 1:
         raise ValueError("round indices start at k = 1")
     th = params.scale
-    if num_subrounds is None:
+    if (num_subrounds := _finite_h(num_subrounds)) is None:
         f_mean = th.map(lambda v: v / (k * (k + 1)))
         f_var = th.map(lambda v: v * v * (1.0 / k**2 - 1.0 / (k + 1) ** 2))
         return (
@@ -351,7 +358,7 @@ def round_mean_and_variance(
 def symmetric_variance(
     params: GammaProcessParams,
     K: int | None = None,
-    H: int | None = None,
+    H=None,
     boxes=None,
 ) -> float:
     """Variance of the symmetric process mass on a region.
@@ -359,9 +366,9 @@ def symmetric_variance(
     The mean is zero by symmetry; the full-process variance is
     2 int_A th^2 a(dw), and truncation scales the round-k contribution
     exactly as in the one-sided process (each subround's rate doubles
-    while signs square away).
+    while signs square away).  H is None, inf or an int >= 1; finite H needs K.
     """
-    if K is None and H is None:
+    if K is None and _finite_h(H) is None:
         f = params.scale.map(lambda v: 2.0 * v * v)
         return params.base.integral_against(f, boxes)
     if K is None:

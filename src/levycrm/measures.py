@@ -48,15 +48,14 @@ class OracleError(RuntimeError):
 class Domain:
     """Axis-aligned box in R^d given by per-dimension (lo, hi) bounds.
 
-    With no arguments this is the unit interval; ``dim`` alone gives the
-    unit box in that many dimensions.
+    With no arguments this is the unit interval.
     """
 
     __slots__ = ("bounds",)
 
-    def __init__(self, bounds=None, dim: int | None = None):
+    def __init__(self, bounds=None):
         if bounds is None:
-            bounds = [(0.0, 1.0)] * (dim if dim is not None else 1)
+            bounds = [(0.0, 1.0)]
         b = np.asarray(bounds, dtype=np.float64)
         if b.ndim == 1 and b.size == 2:
             b = b.reshape(1, 2)
@@ -336,11 +335,7 @@ class BaseMeasure:
 
     def mass_of(self, boxes) -> float:
         """Measure of a union of closed boxes, atoms included."""
-        total = self.density.integral(boxes)
-        if self.atom_masses.size:
-            hit = _in_boxes(self.atom_locations, as_boxes(boxes, self.domain))
-            total += float(self.atom_masses[hit].sum())
-        return total
+        return self.integral_against(PiecewiseConst.constant(self.domain, 1.0), boxes)
 
     def integral_against(self, f: PiecewiseConst, boxes=None) -> float:
         """Exact integral of f against this measure, optionally over boxes."""
@@ -444,12 +439,11 @@ class PointMeasure:
 
 @dataclass(frozen=True)
 class LocationTable:
-    """What locations are drawn from: one measure's cumulative masses.
+    """What locations are drawn from: cumulative masses, one row per table.
 
-    ``cum`` is the running sum of the masses of the grid cells that
-    ``edges`` spans, in C order, then of the fixed atoms at the (m, dim)
-    ``atoms``.  The draw engine stacks several such sums over the same
-    edges and atoms, one row per table, and ``_place`` draws from them.
+    Each row of the 2-D ``cum`` is one measure's running sum of the masses of
+    the grid cells that ``edges`` spans, in C order, then of the fixed atoms
+    at the (m, dim) ``atoms``, which every row shares.  ``_place`` reads it.
     """
 
     cum: np.ndarray
@@ -458,9 +452,9 @@ class LocationTable:
 
 
 def location_table(measure: BaseMeasure) -> LocationTable:
-    """The location table of a base measure."""
-    cell_masses = (measure.density.values * measure.density.cell_volumes()).reshape(-1)
-    cum = np.cumsum(np.concatenate([cell_masses, measure.atom_masses]))
+    """The location table of a base measure: its ``cum`` is one row."""
+    cells = (measure.density.values * measure.density.cell_volumes()).reshape(1, -1)
+    cum = np.cumsum(np.concatenate([cells, measure.atom_masses[None]], axis=1), axis=1)
     return LocationTable(cum, measure.density.edges, measure.atom_locations)
 
 
@@ -545,11 +539,10 @@ class Cells(NamedTuple):
     Cell ``i`` reads stream ``root.child(*(p[i] for p in path))`` of each
     draw's root, where ``path`` holds one int64 array per level: ``(k,)``
     for a beta round, ``(k, h)`` for a gamma sub-round.  Its count has rate
-    ``rates[i]``, its locations follow row ``row[i]`` of ``locations`` (a
-    table whose ``cum`` stacks one row per table), and each of its atoms
-    reads ``width[i]`` jump words, or calls the engine's fallback where
-    that is 0.  Its atoms' ``round_k`` and ``subround_h`` are the path's
-    first and second index (0 where there is none).
+    ``rates[i]``, its locations follow row ``row[i]`` of ``locations``, and
+    each of its atoms reads ``width[i]`` jump words, or calls the engine's
+    fallback where that is 0.  Its atoms' ``round_k`` and ``subround_h``
+    are the path's first and second index (0 where there is none).
     """
 
     path: tuple

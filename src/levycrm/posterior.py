@@ -238,9 +238,9 @@ def sample_new_jumps(
     if draws == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     w = 1.0 / (c + M + np.arange(K + 1, dtype=np.float64))
-    cum = np.cumsum(w)
+    cum = np.cumsum(w[None], axis=1)
     k0s, k1s = stream.child_keys(np.arange(draws))
     words = _words_to_uniform(ragged_words(k0s, k1s, 0, 2)).reshape(draws, 2)
-    ks = _pick(cum[None], np.zeros(draws, np.intp), words[:, 0])
+    ks = _pick(cum, np.zeros(draws, np.intp), words[:, 0])
     jumps = -np.expm1(np.log1p(-words[:, 1]) / (c + M + ks))
     return ks.astype(np.int64), jumps

@@ -8,10 +8,11 @@ are a pure function of that pair, independent of call order, process layout,
 or how many sibling streams exist.
 
 The generator is Philox4x64-10, a counter-based block cipher.  A stream's
-128-bit key is derived by absorbing the path elements one at a time into the
-seed through a 64-bit finalizer; the absorb step is bijective in the path
-element, so sibling streams always receive distinct keys.  The absorb is
-numpy array ops (``_absorb_arr``), on one key or on many.  Block ``j`` of the
+128-bit key has one derivation: the seed is mixed once through a 64-bit
+finalizer, then each path element is absorbed into the key it extends, so
+``child`` and ``child_keys`` absorb only their own indices.  The absorb is
+bijective in the element, so siblings always get distinct keys; it is numpy
+array ops (``_absorb_arr``), on one key or on many.  Block ``j`` of the
 stream is the Philox output for counter ``(j, 0, 0, 0)``, giving random access
 to any position without sequential state.
 
@@ -91,17 +92,6 @@ def _absorb_arr(k0, k1, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _absorb_mixed(k0, k1, *_path_mix(e))
 
 
-def _derive_key(seed: int, path: tuple[int, ...]) -> tuple[int, int]:
-    """Key of stream (seed, path): the seed mixed into two words, then each
-    path element absorbed in turn.  The words are one-element arrays, since
-    the wrapping multiplies warn on overflow for numpy scalars."""
-    k = np.array([seed], np.uint64)
-    k0, k1 = _mix64_arr(k), _mix64_arr(k + _GOLDEN_ARR)
-    for e in path:
-        k0, k1 = _absorb_arr(k0, k1, np.array([e], np.uint64))
-    return int(k0[0]), int(k1[0])
-
-
 def _philox4x64(k0, k1, blocks) -> np.ndarray:
     """Philox4x64-10 output words of counters ``(blocks, 0, 0, 0)``.
 
@@ -176,15 +166,21 @@ class RandomStream:
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         if not isinstance(seed, int) or not (0 <= seed <= _MASK64):
             raise ValueError("seed must be an integer in [0, 2**64)")
-        path = tuple(path)
-        for e in path:
+        # one-element arrays: the wrapping multiplies warn on numpy scalars
+        k = np.array([seed], np.uint64)
+        self._extend(seed, (), _mix64_arr(k), _mix64_arr(k + _GOLDEN_ARR), path)
+
+    def _extend(self, seed: int, path: tuple, k0, k1, more) -> None:
+        """Become (seed, path + more), given (seed, path)'s key as arrays."""
+        more = tuple(more)
+        for e in more:
             if not isinstance(e, int) or e < 0 or e > _MASK64:
                 raise ValueError("path elements must be integers in [0, 2**64)")
+            k0, k1 = _absorb_arr(k0, k1, np.array([e], np.uint64))
         object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "path", path)
-        k0, k1 = _derive_key(seed, path)
-        object.__setattr__(self, "_k0", k0)
-        object.__setattr__(self, "_k1", k1)
+        object.__setattr__(self, "path", path + more)
+        object.__setattr__(self, "_k0", int(k0[0]))
+        object.__setattr__(self, "_k1", int(k1[0]))
 
     def __setattr__(self, name, value):
         raise AttributeError("RandomStream is immutable")
@@ -192,9 +188,13 @@ class RandomStream:
     def child(self, *indices: int) -> "RandomStream":
         """Stream at this path extended by ``indices``.
 
-        ``s.child(a, b)`` equals ``s.child(a).child(b)``.
+        ``s.child(a, b)`` equals ``s.child(a).child(b)``; its key is this
+        stream's with each index absorbed.
         """
-        return RandomStream(self.seed, self.path + tuple(indices))
+        child = object.__new__(RandomStream)
+        k0, k1 = (np.array([k], np.uint64) for k in self.key)
+        child._extend(self.seed, self.path, k0, k1, indices)
+        return child
 
     @property
     def key(self) -> tuple[int, int]:

@@ -24,6 +24,7 @@ The scalar routes are the same arithmetic: ``beta_l1_error`` and
 ``beta_marginal_bound`` share the tail integral, and ``gamma_l1_error`` and
 ``gamma_expected_atoms`` are row K of ``gamma_table``: the closed form at
 infinite H, else its column generators run, keeping only the last row.
+All three read H through ``gamma._finite_h``, as the draws and moments do.
 
 Everything in this module is exact arithmetic on the closed forms; Monte
 Carlo validation of the same quantities lives in the test suite, clearly
@@ -38,6 +39,7 @@ from collections import deque
 import numpy as np
 
 from .beta import BetaProcessParams, _RoundPlan
+from .gamma import _finite_h
 from .measures import UnsupportedParameterError
 
 
@@ -123,15 +125,6 @@ def beta_table(params: BetaProcessParams, K_max: int, M: int | None = None) -> d
             [stick_breaking_bounds(c, mass, K)[0] for K in ks]
         ) if c.is_constant else None,
     }
-
-
-def _finite_h(H: int | float | None) -> int | None:
-    """H as an int >= 1, or None when it is infinite."""
-    if H is None or H == math.inf:
-        return None
-    if int(H) < 1:
-        raise ValueError("H must be >= 1 (or infinite)")
-    return int(H)
 
 
 def _gamma_l1_column(K_max: int, H: int | None):

@@ -115,12 +115,11 @@ def _sample_locations(table: LocationTable, n: int, cursor: StreamCursor) -> np.
     (atoms need no position draw); the cursor ends after the words used.
     The draw engine calls ``_place`` directly, over many streams.
     """
-    if not table.cum[-1] > 0:
+    if not table.cum[0, -1] > 0:
         raise ValueError("cannot sample from a measure with zero mass")
     start = cursor.pos
     u = cursor.uniforms(n * (1 + len(table.edges)))
-    stacked = LocationTable(table.cum[None], table.edges, table.atoms)
-    locs, used = _place(stacked, np.zeros(1, np.intp), np.array([n]), u)
+    locs, used = _place(table, np.zeros(1, np.intp), np.array([n]), u)
     cursor.pos = start + int(used[0])
     return locs
 

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from levycrm import gamma, verify
+from levycrm import gamma, truncation, verify
 from levycrm.measures import (
     BaseMeasure,
     Domain,
@@ -209,6 +209,43 @@ def test_simulate_validation():
         for many in (gamma.simulate_replicas, gamma.replica_masses):
             with pytest.raises(ValueError):
                 many(UNIT_MASS, K, H, RandomStream(1), 0)
+
+
+def test_every_reader_of_h_agrees_on_its_meaning():
+    # the draws, the moments and the truncation tables read H one way:
+    # infinity is None, an integral float is its int, the rest raises
+    p, s = homog(1.0, 2.0), RandomStream(5)
+    for draw in (
+        lambda H: [gamma.simulate_gamma_process(p, 5, H, s)],
+        lambda H: gamma.simulate_replicas(p, 5, H, s, 3),
+    ):
+        for H, same in ((math.inf, None), (np.inf, None), (3.0, 3), (np.int64(3), 3)):
+            for a, b in zip(draw(H), draw(same)):
+                assert all(np.array_equal(x, y) for x, y in zip(a.columns, b.columns))
+    masses = gamma.replica_masses(p, 5, None, s, 3)
+    assert np.array_equal(gamma.replica_masses(p, 5, math.inf, s, 3), masses)
+    closed = gamma.round_mean_and_variance(p, 3)
+    assert gamma.round_mean_and_variance(p, 3, num_subrounds=math.inf) == closed
+    assert gamma.round_mean_and_variance(p, 3, num_subrounds=3.0) == (
+        gamma.round_mean_and_variance(p, 3, num_subrounds=3)
+    )
+    assert truncation.gamma_table(2.0, 3, 3.0)["l1_error"].tolist() == (
+        truncation.gamma_table(2.0, 3, 3)["l1_error"].tolist()
+    )
+    readers = (
+        lambda H: gamma.simulate_gamma_process(p, 5, H, s),
+        lambda H: gamma.simulate_replicas(p, 5, H, s, 3),
+        lambda H: gamma.replica_masses(p, 5, H, s, 3),
+        lambda H: gamma.round_mean_and_variance(p, 3, num_subrounds=H),
+        lambda H: gamma.symmetric_variance(p, 5, H),
+        lambda H: truncation.gamma_table(2.0, 3, H),
+        lambda H: truncation.gamma_l1_error(3, H),
+        lambda H: truncation.gamma_expected_atoms(2.0, 3, H),
+    )
+    for H in (2.7, True, 0, -1, math.nan, -math.inf):
+        for read in readers:
+            with pytest.raises(ValueError):
+                read(H)
 
 
 def test_empty_subround_and_atom_tags():

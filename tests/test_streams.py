@@ -261,6 +261,16 @@ def test_child_path_algebra():
         assert (int(k0s[i]), int(k1s[i])) == s.child(i).key
 
 
+def test_child_absorbs_only_its_own_indices():
+    # a child extends its parent's key: one absorb per new element, none
+    # for the parent's path
+    s = RandomStream(5, (3, 4))
+    with mock.patch.object(streams, "_absorb_arr", wraps=streams._absorb_arr) as spy:
+        child = s.child(7)
+    assert spy.call_count == 1
+    assert child.key == derive_key(5, (3, 4, 7))
+
+
 def test_same_seed_same_draws():
     a = RandomStream(314, (1, 2)).cursor().uniforms(64)
     b = RandomStream(314, (1, 2)).cursor().uniforms(64)
