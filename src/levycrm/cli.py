@@ -18,9 +18,14 @@ run with the same seed is byte-identical.  Every header is built by
 ``_header``: the command, the run's parameters, then the seed (generated
 when not supplied; ``truncation-table`` draws nothing and records null),
 the library version, and the applicable truncation error.
-Data records go out block by block, a block being one record kind's rows
-held as columns and formatted through one template; every block is
-checked before the output opens, so a run that fails writes nothing.
+Records go out block by block, a block being one record kind's rows held
+as columns and formatted through one template; the header is a block of
+constants, JSON in either format.  Every block is checked before the
+output opens, so a run that fails writes nothing.
+
+``posterior`` reads its two input files line by line.  Each prior atom is
+checked and counted, never held, so a big prior file costs constant
+memory; the observations are kept, as they are the update's input.
 
 Replica r always owns stream path [r], so its atoms do not depend on how
 many other replicas are drawn.
@@ -48,7 +53,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__, beta, gamma, posterior, truncation
-from .measures import OracleError, PointMeasure
+from .measures import OracleError
 from .posterior import InvalidPriorError, ObservationSet
 from .streams import RandomStream, RateCapError
 
@@ -63,42 +68,26 @@ def _fmt_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _json_value(v) -> str:
+def _constant(v, jsonl: bool) -> str:
+    """One constant as JSON text, or as a CSV field (lists ``;``-joined)."""
     if v is None:
-        return "null"
+        return "null" if jsonl else ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return _fmt_float(v)
+    if isinstance(v, (list, tuple, np.ndarray)):
+        if jsonl:
+            return "[" + ", ".join(_constant(x, True) for x in v) + "]"
+        return ";".join(_fmt_float(x) for x in v)
+    if not jsonl:
+        s = str(v)
+        return '"' + s.replace('"', '""') + '"' if any(ch in s for ch in ",\"\n") else s
     if isinstance(v, str):
         return json.dumps(v)
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_json_value(x) for x in v) + "]"
     raise TypeError(f"cannot serialize {type(v).__name__}")
-
-
-def _json_line(record: dict) -> str:
-    parts = (f"{json.dumps(k)}: {_json_value(v)}" for k, v in record.items())
-    return "{" + ", ".join(parts) + "}"
-
-
-def _csv_field(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _fmt_float(v)
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return ";".join(_fmt_float(x) for x in v)
-    s = str(v)
-    if any(ch in s for ch in ",\"\n"):
-        s = '"' + s.replace('"', '""') + '"'
-    return s
 
 
 def _block_template(block: dict, columns: list, jsonl: bool):
@@ -120,7 +109,7 @@ def _block_template(block: dict, columns: list, jsonl: bool):
             field = (", " if jsonl else ";").join([fmt] * len(per_dim))
             field = f"[{field}]" if jsonl and v.ndim == 2 else field
         else:
-            field = (_json_value(v) if jsonl else _csv_field(v)).replace("%", "%%")
+            field = _constant(v, jsonl).replace("%", "%%")
         if jsonl:
             field = json.dumps(name).replace("%", "%%") + ": " + field
         fields.append(field)
@@ -130,7 +119,8 @@ def _block_template(block: dict, columns: list, jsonl: bool):
 
 def _emit(args, header: dict, blocks: list, columns: list) -> None:
     jsonl = args.format == "jsonl"
-    head = _json_line(header) + "\n"
+    # the header is a block of constants, written as JSON in either format
+    head = _block_template(header, [], True)[0] % ()
     if not jsonl:
         head = "# " + head + ",".join(columns) + "\n"
     # every block is checked before the output opens, so a failure writes nothing
@@ -306,11 +296,12 @@ def cmd_truncation_table(args) -> int:
 
 
 def _read_jsonl(path):
+    """Yield ``(lineno, record)`` for each data record of a JSONL file, one
+    line at a time; blank lines and header records are skipped."""
     try:
         f = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise CLIError(f"cannot open {path}: {exc.strerror}")
-    records = []
     with f:
         for lineno, line in enumerate(f, 1):
             s = line.strip()
@@ -324,8 +315,8 @@ def _read_jsonl(path):
                 raise CLIError(
                     f"parse error at {path}:{lineno}: expected a JSON object"
                 )
-            records.append((lineno, rec))
-    return records
+            if "command" not in rec:  # a header line names its command
+                yield lineno, rec
 
 
 def _field(path, lineno, rec, name, kinds, kindname):
@@ -339,8 +330,8 @@ def _field(path, lineno, rec, name, kinds, kindname):
     return v
 
 
-def _add_location(path, lineno, rec, locs, domain) -> None:
-    """Append the record's location to ``locs``: a point of ``domain``."""
+def _location(path, lineno, rec, domain) -> list:
+    """The record's location, checked to be a point of ``domain``."""
     loc = _field(path, lineno, rec, "location", list, "an array")
     if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in loc):
         raise CLIError(
@@ -356,15 +347,16 @@ def _add_location(path, lineno, rec, locs, domain) -> None:
         raise CLIError(
             f"parse error at {path}:{lineno}: location {loc} lies outside {domain!r}"
         )
-    locs.append(loc)
+    return loc
 
 
-def _read_prior_draw(path, domain) -> PointMeasure:
-    locs, jumps, ks = [], [], []
+def _read_prior_draw(path, domain) -> range:
+    """Check each atom of a prior draw file as it streams; return the range of
+    their indices, whose length is their count (``bench/tracer.py`` reads it
+    with ``len()``)."""
+    n = 0
     for lineno, rec in _read_jsonl(path):
-        if "command" in rec:  # header line from a simulate run
-            continue
-        _add_location(path, lineno, rec, locs, domain)
+        _location(path, lineno, rec, domain)
         jump = _field(path, lineno, rec, "jump", (int, float), "a number")
         if not 0 < jump < 1:  # compared exactly: a huge integer never reaches float()
             raise InvalidPriorError(
@@ -378,19 +370,16 @@ def _read_prior_draw(path, domain) -> PointMeasure:
                 f"parse error at {path}:{lineno}: "
                 "field 'k' must be a nonnegative integer"
             )
-        jumps.append(float(jump))
-        ks.append(k or 0)
-    if not jumps:
+        n += 1
+    if not n:
         raise CLIError(f"{path} holds no prior atoms")
-    return PointMeasure(domain, locs, jumps, ks)
+    return range(n)
 
 
 def _read_observations(path, M: int, domain) -> ObservationSet:
     locs, counts, seen = [], [], {}
     for lineno, rec in _read_jsonl(path):
-        if "command" in rec:
-            continue
-        _add_location(path, lineno, rec, locs, domain)
+        locs.append(_location(path, lineno, rec, domain))
         first = seen.setdefault(tuple(locs[-1]), lineno)
         if first != lineno:
             raise CLIError(

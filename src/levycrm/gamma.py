@@ -78,10 +78,10 @@ _GAMMA_INT_SHAPE_MAX = 16
 
 def _finite_h(H) -> int | None:
     """The subround cutoff H: None for all subrounds (H None or inf), else
-    an int >= 1; a bool, NaN, -inf, H < 1 or a fraction raises."""
+    an int >= 1; a bool (numpy's too), NaN, -inf, H < 1 or a fraction raises."""
     if H is None or H == math.inf:
         return None
-    if isinstance(H, bool) or not H >= 1 or H != int(H):
+    if isinstance(H, (bool, np.bool_)) or not H >= 1 or H != int(H):
         raise ValueError(f"H must be an integer >= 1, or None or inf; got {H!r}")
     return int(H)
 
@@ -366,8 +366,11 @@ def symmetric_variance(
     The mean is zero by symmetry; the full-process variance is
     2 int_A th^2 a(dw), and truncation scales the round-k contribution
     exactly as in the one-sided process (each subround's rate doubles
-    while signs square away).  H is None, inf or an int >= 1; finite H needs K.
+    while signs square away).  K is None (no round cap) or an int >= 1; H is
+    None, inf or an int >= 1, and a finite H needs K.
     """
+    if K is not None and K < 1:
+        raise ValueError("need at least one round")
     if K is None and _finite_h(H) is None:
         f = params.scale.map(lambda v: 2.0 * v * v)
         return params.base.integral_against(f, boxes)

@@ -13,16 +13,22 @@ bit for bit, and the tests of these functions' own laws keep them right.
 oracle that holds the library's own Philox kernel to Philox4x64-10, and
 ``derive_key`` computes a stream's key in Python integers, the oracle that
 holds the library's array absorb to the key derivation.
+
+``json_line`` and ``csv_field`` write one record, or one CSV field, at a
+time: the row writer that the CLI's block templates, header included, must
+reproduce byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 from numpy.random import Philox
 
 from levycrm import beta, gamma
+from levycrm.cli import _fmt_float
 from levycrm.measures import LocationTable, PointMeasure, _place
 from levycrm.streams import (
     _POISSON_CHUNK,
@@ -203,3 +209,43 @@ def sample_new_jump(
     k = min(int(np.searchsorted(cum, u, side="left")), K)
     jump = beta_one(cur, c + M + k)
     return k, jump
+
+
+def _json_value(v) -> str:
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return _fmt_float(v)
+    if isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(_json_value(x) for x in v) + "]"
+    raise TypeError(f"cannot serialize {type(v).__name__}")
+
+
+def json_line(record: dict) -> str:
+    """One record as a JSON object on one line, without the newline."""
+    parts = (f"{json.dumps(k)}: {_json_value(v)}" for k, v in record.items())
+    return "{" + ", ".join(parts) + "}"
+
+
+def csv_field(v) -> str:
+    """One value as a CSV field; a list is its floats joined by ``;``."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return _fmt_float(v)
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return ";".join(_fmt_float(x) for x in v)
+    s = str(v)
+    if any(ch in s for ch in ",\"\n"):
+        s = '"' + s.replace('"', '""') + '"'
+    return s

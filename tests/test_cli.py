@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -25,7 +26,8 @@ from hypothesis.extra.numpy import arrays
 
 import levycrm
 from levycrm import cli, measures, posterior, streams, truncation
-from levycrm.cli import _csv_field, _emit, _json_line, main
+from levycrm.cli import _emit, main
+from reference import csv_field, json_line
 
 
 def run(tmp_path, name, argv):
@@ -335,6 +337,13 @@ _CONSTANTS = st.one_of(
     st.lists(_FLOATS, min_size=1, max_size=3),
     st.text(',"%\n aé', max_size=8),
 )
+# the header is JSON in either format, so it also holds lists of strings
+# (verify's checks) and keys that need escaping
+_HEADERS = st.dictionaries(
+    st.text('%"\\ aé', max_size=4),
+    st.one_of(_CONSTANTS, st.lists(st.text(',"%\n aé', max_size=8), max_size=3)),
+    max_size=6,
+)
 
 
 @st.composite
@@ -375,10 +384,9 @@ def _bits(x):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_blocks(), jsonl=st.booleans())
-def test_block_templates_match_row_writer(case, jsonl):
+@given(case=_blocks(), header=_HEADERS, jsonl=st.booleans())
+def test_block_templates_match_row_writer(case, header, jsonl):
     blocks, columns = case
-    header = {"command": "test"}
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         _emit(argparse.Namespace(format="jsonl" if jsonl else "csv", out=None),
@@ -386,10 +394,10 @@ def test_block_templates_match_row_writer(case, jsonl):
     rows = [r for b in blocks for r in _block_rows(b)]
     # the reference is the row-at-a-time writer
     if jsonl:
-        lines = [_json_line(header)] + [_json_line(r) for r in rows]
+        lines = [json_line(header)] + [json_line(r) for r in rows]
     else:
-        lines = ["# " + _json_line(header), ",".join(columns)]
-        lines += [",".join(_csv_field(r.get(c)) for c in columns) for r in rows]
+        lines = ["# " + json_line(header), ",".join(columns)]
+        lines += [",".join(csv_field(r.get(c)) for c in columns) for r in rows]
     text = buf.getvalue()
     assert text == "\n".join(lines) + "\n"
     # every number comes back exactly
@@ -525,6 +533,17 @@ def test_posterior_malformed_inputs(tmp_path, capsys):
     ])
     assert code == 2
     assert f"{bad_prior}:2" in capsys.readouterr().err
+    # the file is checked as it streams: a bad jump before broken JSON is named
+    bad_prior.write_text(
+        '{"location": [0.2], "jump": 0.4}\n{"location": [0.6], "jump": 1.5}\n'
+        '{"location": [0.7]\n'
+    )
+    code = main([
+        "posterior", "--c", "1", "--M", "2", "--prior", str(bad_prior),
+        "--obs", str(obs), "--seed", "1", "--out", str(tmp_path / "x.jsonl"),
+    ])
+    assert code == 2
+    assert f"{bad_prior}:2" in capsys.readouterr().err
     # a round index that is not a nonnegative integer, a location entry that
     # is not a number, and a location dimension that changes are each named
     # at their line, in either file
@@ -596,6 +615,28 @@ def test_posterior_malformed_inputs(tmp_path, capsys):
         "--obs", str(obs), "--seed", "1", "--out", str(tmp_path / "x.jsonl"),
     ])
     assert code == 2
+
+
+def test_prior_draw_is_checked_without_being_held(tmp_path):
+    # the update reads only the prior's atom count, so a big prior file costs
+    # constant memory: its records are checked one line at a time
+    prior = tmp_path / "prior.jsonl"
+    n = 5000
+    prior.write_text(
+        '{"command": "simulate"}\n'
+        + "".join(
+            f'{{"location": [{(i + 0.5) / n!r}], "jump": 0.25, "k": {i % 7}}}\n'
+            for i in range(n)
+        )
+    )
+    tracemalloc.start()
+    try:
+        atoms = cli._read_prior_draw(str(prior), measures.Domain())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert len(atoms) == n
 
 
 def test_bad_flags_exit_2(tmp_path, capsys):

@@ -242,10 +242,16 @@ def test_every_reader_of_h_agrees_on_its_meaning():
         lambda H: truncation.gamma_l1_error(3, H),
         lambda H: truncation.gamma_expected_atoms(2.0, 3, H),
     )
-    for H in (2.7, True, 0, -1, math.nan, -math.inf):
+    for H in (2.7, True, np.True_, 0, -1, math.nan, -math.inf):
         for read in readers:
             with pytest.raises(ValueError):
                 read(H)
+    # a round cap below one round is refused like every draw refuses it
+    for K, H in ((0, 3), (-4, 3), (0, 0), (0, None)):
+        with pytest.raises(ValueError):
+            gamma.symmetric_variance(p, K, H)
+    # no round cap is the full variance 2 theta^2 mass
+    assert gamma.symmetric_variance(p, None, math.inf) == pytest.approx(4.0, rel=1e-15)
 
 
 def test_empty_subround_and_atom_tags():
