@@ -33,10 +33,10 @@ for i in hits[np.argsort(-obs.counts[hits], kind="stable")][:8]:
 
 pp = posterior.posterior_params(prior, obs)
 print()
-print(f"posterior concentration c+M = {pp.c_post:g}")
+print(f"posterior concentration c+M = {pp.concentration.values.flat[0]:g}")
 print(f"posterior base: continuous mass "
-      f"{MASS * C / (C + M):.4f} + {pp.base_post.atom_masses.size} fixed atoms "
-      f"= {pp.base_post.total_mass:.4f} total")
+      f"{MASS * C / (C + M):.4f} + {pp.base.atom_masses.size} fixed atoms "
+      f"= {pp.base.total_mass:.4f} total")
 
 # resample the most-observed jump and compare to its truncated mean
 m_i = obs.counts.max()

@@ -229,6 +229,8 @@ def round_mean_and_variance(
         E    = int_A c/((c+k)(c+k+1))          mu(dw)
         Var  = int_A 2c/((c+k)(c+k+1)(c+k+2))  mu(dw).
     """
+    if k < 0:
+        raise ValueError("round index must be >= 0")
     c = params.concentration
     f_mean = c.map(lambda v: v / ((v + k) * (v + k + 1)))
     f_var = c.map(lambda v: 2 * v / ((v + k) * (v + k + 1) * (v + k + 2)))

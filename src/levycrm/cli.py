@@ -174,7 +174,7 @@ def _simulate_config(args):
     if args.rounds is not None:
         if args.rounds < 1:
             raise CLIError("--rounds must be >= 1")
-        K = args.rounds - 1
+        K = args.rounds - (args.family == "beta")  # gamma rounds start at k = 1
     elif args.K is not None:
         K = args.K
     else:
@@ -438,7 +438,6 @@ def cmd_posterior(args) -> int:
                 "value": values,
             }
         )
-        exact = m_i / (c + M)
         a = c + M
         # the undecomposed posterior Beta(m_i, c+M-m_i) exists only for
         # 0 < m_i < c+M; its variance is reported for comparison, never
@@ -454,7 +453,7 @@ def cmd_posterior(args) -> int:
                 "count": m_i,
                 "empirical_mean": float(values.mean()),
                 "empirical_var": float(values.var(ddof=1)) if args.draws > 1 else 0.0,
-                "posterior_mean": exact,
+                "posterior_mean": m_i / a,
                 "beta_ref_var": ref_var,
                 "truncated_mean": posterior.resample_truncated_expectation(
                     c, M, m_i, K
@@ -470,8 +469,8 @@ def cmd_posterior(args) -> int:
     blocks.append(
         {
             "record": "summary",
-            "c_post": pp.c_post,
-            "base_mass": pp.base_post.total_mass,
+            "c_post": c + M,
+            "base_mass": pp.total_base_mass,
             "observed_atoms": len(obs),
             "prior_equivalent": M == 0,
         }
@@ -760,9 +759,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta", type=float, help="gamma scale")
     sp.add_argument("--mass", type=float, default=1.0, help="base measure mass")
     group = sp.add_mutually_exclusive_group()
-    group.add_argument("--K", type=int, help="last round index (rounds 0..K)")
+    group.add_argument("--K", type=int, help="last round index (beta 0..K, gamma 1..K)")
     group.add_argument(
-        "--rounds", type=int, help="number of rounds (equivalent to --K N-1)"
+        "--rounds", type=int, help="number of rounds (--K N-1 for beta, N for gamma)"
     )
     sp.add_argument("--H", default="inf", help="sub-round cutoff or 'inf'")
     sp.add_argument("--replicas", type=int, default=1)

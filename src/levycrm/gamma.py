@@ -202,13 +202,13 @@ def _grid(params: GammaProcessParams, K: int, H, signed: bool):
     Where exp(-rate) rounds to 1, the Poisson inversion returns 0 for every
     uniform (none exceeds 1), so those cells need no key and no cipher.
     Rates fall along a row and down a column, in floats too, so a block is
-    rated only over the sub-rounds its first round keeps live.
+    rated only over its first round's live sub-rounds, all h < log2(mass) + 64.
     """
     if K < 1:
         raise ValueError("need at least one round")
     H = _finite_h(H) or SUBROUND_CAP
     mass = params.total_base_mass * (2.0 if signed else 1.0)
-    hs = np.arange(1, H + 1)
+    hs = np.arange(1, min(H, max(1, math.ceil(math.log2(mass)) + 64)) + 1)
     step = max(1, measures._DRAW_BATCH // H)
 
     def block(ks):

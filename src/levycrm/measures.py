@@ -519,6 +519,18 @@ def _pick(cums: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _marks(k0s, k1s, starts, n, cums, rows) -> tuple:
+    """Every stream's points' marks and jump uniforms, and each stream's first point.
+
+    Stream ``i`` reads ``n[i]`` mark words from word ``starts[i]``, each picking
+    (``_pick``) an entry of row ``rows[i]`` of ``cums``, then ``n[i]`` jump words.
+    """
+    w = _words_to_uniform(ragged_words(k0s, k1s, starts, 2 * n))
+    owner, within, first = _ragged_index(n)
+    pos = 2 * first[owner] + within
+    return _pick(cums, rows[owner], w[pos]), w[pos + n[owner]], first
+
+
 # Stream keys per batch of ``_count_pass``, the draw engine's and the
 # posterior resampler's: each batch's count pass stays this size whatever
 # the replicas.  It also bounds the live streams a yielded run holds, the

@@ -5,12 +5,13 @@ concentration c and base mu leaves B conjugate:
 
     B | data ~ BP(c + M,  c mu/(c+M) + sum_i m_i delta_{w_i}/(c+M)),
 
-where m_i counts how many of the M draws switched atom i on.  Because the
-posterior is again a beta process with a mixed base measure, the round
-decomposition applies verbatim: posterior round k has jump law
-Beta(1, c+M+k) and location measure c mu/(c+M+k) + sum_i m_i/(c+M+k).
+where m_i counts how many of the M draws switched atom i on.  The
+posterior is again a beta process (``posterior_params`` returns its
+``BetaProcessParams``), so the round decomposition applies verbatim:
+posterior round k has jump law Beta(1, c+M+k) and location measure
+c mu/(c+M+k) + sum_i m_i/(c+M+k).
 
-The atomic part supports two samplers:
+The atomic part supports two samplers (both read round marks with ``measures._marks``):
 
 * an observed atom's jump is resampled as a Poisson sum: round k adds
   H_k ~ Poisson(m_i/(c+M+k)) jumps Beta(1, c+M+k).  The rounds superpose
@@ -38,10 +39,10 @@ from .measures import (
     PointMeasure,
     UnsupportedParameterError,
     _count_pass,
-    _pick,
+    _marks,
     _union,
 )
-from .streams import RandomStream, _ragged_index, _words_to_uniform, ragged_words
+from .streams import RandomStream
 
 
 class InvalidPriorError(ValueError):
@@ -77,17 +78,6 @@ class ObservationSet:
         return self.counts.shape[0]
 
 
-@dataclass(frozen=True)
-class PosteriorBetaParams:
-    """Posterior concentration c+M and mixed base measure."""
-
-    c_post: float
-    base_post: BaseMeasure
-
-    def as_process(self) -> BetaProcessParams:
-        return BetaProcessParams(self.c_post, self.base_post)
-
-
 def sample_bernoulli_data(
     prior_draw: PointMeasure, M: int, stream: RandomStream
 ) -> ObservationSet:
@@ -110,20 +100,19 @@ def sample_bernoulli_data(
 
 def posterior_params(
     prior: BetaProcessParams, obs: ObservationSet
-) -> PosteriorBetaParams:
-    """Conjugate posterior parameters given Bernoulli counts.
+) -> BetaProcessParams:
+    """The conjugate posterior beta process given Bernoulli counts.
 
-    Requires constant concentration; the posterior base has continuous
-    part c mu/(c+M) and an atom of mass m_i/(c+M) at each observed
-    location with m_i > 0 (zero-count atoms contribute nothing).
+    Requires constant concentration; the posterior has concentration c+M and
+    a base with continuous part c mu/(c+M) and an atom of mass m_i/(c+M) at
+    each observed location with m_i > 0 (zero-count atoms contribute nothing).
     """
     if not prior.concentration.is_constant:
         raise UnsupportedParameterError(
             "posterior updates require a constant concentration"
         )
     c = float(prior.concentration.values.flat[0])
-    M = obs.M
-    c_post = c + M
+    c_post = c + obs.M
     density = prior.base.density.map(lambda v: v * (c / c_post))
     keep = obs.counts > 0
     if prior.base.atom_masses.size:
@@ -135,7 +124,23 @@ def posterior_params(
         obs.locations[keep],
         obs.counts[keep].astype(np.float64) / c_post,
     )
-    return PosteriorBetaParams(c_post=c_post, base_post=base_post)
+    return BetaProcessParams(c_post, base_post)
+
+
+def _concentration(c: float, M: int, K: int) -> float:
+    """The posterior concentration c + M of rounds 0..K, for c > 0 and M >= 0."""
+    if not c > 0:
+        raise ValueError("c must be > 0")
+    if M < 0:
+        raise ValueError("M must be >= 0")
+    if K < 0:
+        raise ValueError("K must be >= 0")
+    return c + M
+
+
+def _beta1_jump(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Beta(1, b) inverse CDF at u."""
+    return -np.expm1(np.log1p(-u) / b)
 
 
 def resample_observed_jumps(
@@ -154,10 +159,9 @@ def resample_observed_jumps(
     ``stream.child(i, d)``.  A zero count gives 0.0 and reads no word.
     Otherwise, with ``b = c + M + arange(K + 1)`` and rates ``m / b``, the
     entry's stream holds, from word 0: the count's words, a Poisson count
-    ``n`` at the summed rate (chunked as in ``batch_poisson``); ``n`` round
-    words, each picking the first round whose cumulative rate reaches the
-    word's uniform times the total (capped at K); then ``n`` jump words,
-    jump ``j`` the Beta(1, b[k_j]) inverse CDF ``-expm1(log1p(-u) / b[k_j])``.
+    ``n`` at the summed rate (chunked as in ``batch_poisson``); then ``n``
+    points of ``measures._marks``, round ``k_j`` picked from the cumulative
+    rates, jump ``j`` the Beta(1, b[k_j]) inverse CDF ``-expm1(log1p(-u) / b[k_j])``.
     The entry is the sum of its ``n`` jumps, in stream order, as ``np.sum``
     adds one contiguous row.
 
@@ -165,19 +169,15 @@ def resample_observed_jumps(
     count pass (``measures._count_pass``): root ``stream.child(i)`` (or
     ``stream`` for one count), cell ``d``, and the total of the round table
     ``cumsum(m / b)`` as its rate; that table depends on the count alone,
-    so it is built once per distinct count.  The count pass pools the live
-    streams of its batches into runs of up to ``measures._DRAW_BATCH``
-    streams; each run takes one ``ragged_words`` read of its ``2 n`` round
-    and jump words per stream, from where the count's words end, and picks
-    each jump's round in ``measures._pick``.
+    so it is built once per distinct count.  Each run of live streams the
+    count pass yields is one ``measures._marks`` read.
     """
     m = np.asarray(m, dtype=np.int64)
     if draws < 0:
         raise ValueError("draws must be >= 0")
     if np.any(m < 0):
         raise ValueError("m_i must be >= 0")
-    if K < 0:
-        raise ValueError("K must be >= 0")
+    b = _concentration(c, M, K) + np.arange(K + 1, dtype=np.float64)
     out = np.zeros(m.shape + (draws,), dtype=np.float64)
     rows = out.reshape(m.size, draws)
     live = np.flatnonzero(m)
@@ -187,15 +187,11 @@ def resample_observed_jumps(
     ms = m.reshape(-1)[live]
     distinct = _union(ms)
     group = np.searchsorted(distinct, ms)
-    b = c + M + np.arange(K + 1, dtype=np.float64)
     cums = np.cumsum(distinct[:, None] / b, axis=1)
     path = (np.arange(draws),)
     for atom, d, counts, k0s, k1s, used in _count_pass(r0, r1, path, cums[group, -1:]):
-        w = _words_to_uniform(ragged_words(k0s, k1s, used, 2 * counts))
-        key, within, first = _ragged_index(counts)
-        cat_pos = 2 * first[key] + within
-        ks = _pick(cums, group[atom][key], w[cat_pos])
-        vals = -np.expm1(np.log1p(-w[cat_pos + counts[key]]) / b[ks])
+        ks, u, first = _marks(k0s, k1s, used, counts, cums, group[atom])
+        vals = _beta1_jump(u, b[ks])
         # the draws with n jumps form one (draws, n) block; numpy reduces each
         # contiguous row with the pairwise sum a 1-D np.sum uses, so every
         # total is the np.sum of its draw's jumps bit for bit
@@ -213,10 +209,8 @@ def resample_truncated_expectation(c: float, M: int, m_i: int, K: int) -> float:
     """
     if m_i < 0:
         raise ValueError("m_i must be >= 0")
-    if K < 0:
-        raise ValueError("K must be >= 0")
     # grouped as one quotient: 1/a - 1/(a+K+1) cancels badly in floats
-    a = c + M
+    a = _concentration(c, M, K)
     return m_i * (K + 1.0) / (a * (a + K + 1.0))
 
 
@@ -225,22 +219,14 @@ def sample_new_jumps(
 ) -> tuple[np.ndarray, np.ndarray]:
     """New-jump draws, one per child stream of ``stream``.
 
-    Returns (round indices, jumps).  Entry ``d`` reads words 0 and 1 of
-    ``stream.child(d)``: word 0 picks the round k, the first whose
-    cumulative weight, with weights 1/(c+M+k) for k = 0..K, reaches the
-    word's uniform times the total (capped at K); word 1 gives the jump,
-    the Beta(1, c+M+k) inverse CDF ``-expm1(log1p(-u) / (c+M+k))``.
+    Returns (round indices, jumps).  Entry ``d`` is one ``measures._marks``
+    point from word 0 of ``stream.child(d)``: round k picked with weights
+    1/(c+M+k), k = 0..K, and jump the Beta(1, c+M+k) inverse CDF at word 1.
     """
-    if K < 0:
-        raise ValueError("K must be >= 0")
+    b = _concentration(c, M, K) + np.arange(K + 1, dtype=np.float64)
     if draws < 0:
         raise ValueError("draws must be >= 0")
-    if draws == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    w = 1.0 / (c + M + np.arange(K + 1, dtype=np.float64))
-    cum = np.cumsum(w[None], axis=1)
     k0s, k1s = stream.child_keys(np.arange(draws))
-    words = _words_to_uniform(ragged_words(k0s, k1s, 0, 2)).reshape(draws, 2)
-    ks = _pick(cum, np.zeros(draws, np.intp), words[:, 0])
-    jumps = -np.expm1(np.log1p(-words[:, 1]) / (c + M + ks))
-    return ks.astype(np.int64), jumps
+    one = np.ones(draws, np.intp)
+    ks, u, _ = _marks(k0s, k1s, 0, one, np.cumsum(1.0 / b)[None], one - 1)
+    return ks.astype(np.int64), _beta1_jump(u, b[ks])

@@ -51,6 +51,10 @@ def test_round_measure_masses():
     )
     with pytest.raises(ValueError):
         beta.round_measure(homog(1.0, 1.0), -1)
+    # a negative round index would give a negative variance at k = -5
+    for k in (-1, -2, -5):
+        with pytest.raises(ValueError, match="round index must be >= 0"):
+            beta.round_mean_and_variance(homog(1.0, 1.0), k)
 
 
 def test_round_jump_law_fields():

@@ -233,6 +233,12 @@ def test_rounds_flag_matches_K(tmp_path):
     _, via_k = run(tmp_path, "k.jsonl", argv + ["--K", "9"])
     _, via_rounds = run(tmp_path, "r.jsonl", argv + ["--rounds", "10"])
     assert via_k == via_rounds
+    # gamma rounds start at k = 1, so N rounds are k = 1..N
+    argv = ["simulate", "--family", "gamma", "--theta", "1", "--H", "5", "--seed", "4"]
+    for n in (1, 3):
+        code_k, via_k = run(tmp_path, "gk.jsonl", argv + ["--K", str(n)])
+        code_r, via_rounds = run(tmp_path, "gr.jsonl", argv + ["--rounds", str(n)])
+        assert code_k == code_r == 0 and via_k == via_rounds
 
 
 def test_csv_and_jsonl_carry_identical_numbers(tmp_path):
@@ -484,6 +490,19 @@ def test_posterior_flow(tmp_path):
     summary = by_kind["summary"][0]
     assert summary["c_post"] == 3.0
     assert summary["prior_equivalent"] is False
+    # --new-draws sets the new-draw rows apart from --draws
+    argv = [
+        "posterior", "--c", "1", "--M", "2", "--K", "50", "--draws", "3",
+        "--seed", "13", "--prior", str(prior), "--obs", str(obs),
+    ]
+    for new, want in [("0", 0), ("5", 5)]:
+        code, data = run(tmp_path, "n.jsonl", argv + ["--new-draws", new])
+        assert code == 0
+        header, *rows = jsonl_rows(data)
+        assert header["new_draws"] == want
+        assert sum(r["record"] == "new-draw" for r in rows) == want
+        assert sum(r["record"] == "observed-draw" for r in rows) == 2 * 3
+    assert main(argv + ["--new-draws", "-1", "--out", str(tmp_path / "x.jsonl")]) == 2
 
 
 def test_posterior_m0_is_prior_equivalent(tmp_path):

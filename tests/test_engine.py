@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from levycrm import beta, gamma, measures
+from levycrm.cli import main
 from levycrm.measures import PointMeasure
 from levycrm.streams import RandomStream
 from test_beta import _base_2d, _fn_2d, column_digest, piecewise_cases
@@ -273,6 +274,33 @@ def test_grid_rates_only_the_live_sub_rounds():
         live = sum(b.rates.size for b in gamma._grid(p, 5000, None, False))
     assert live < 23_000
     assert sum(rated) <= 40_000
+
+
+def test_grid_rates_no_sub_round_past_the_live_bound(tmp_path):
+    # h >= log2(mass) + 64 rates below 2^-64 in every round, so H = 10^6
+    # rates at most 65 sub-rounds a round, twice: the first round's scan
+    # and the block; the draws past that bound are the H = 64 draws
+    p = gamma.GammaProcessParams.homogeneous(1.0, 2.0)
+    real, rated = gamma._rates_grid, []
+
+    def spy(mass, ks, hs):
+        rated.append(ks.size * hs.size)
+        return real(mass, ks, hs)
+
+    with mock.patch.object(gamma, "_rates_grid", spy):
+        for _ in gamma._grid(p, 3, 10**6, False):
+            pass
+    assert sum(rated) <= 3 * 2 * 65
+    argv = [
+        "simulate", "--family", "gamma", "--theta", "1", "--mass", "2",
+        "--K", "20", "--replicas", "3", "--seed", "9",
+    ]
+    rows = []
+    for H in ("100000", "64"):
+        out = tmp_path / f"h{H}.jsonl"
+        assert main(argv + ["--H", H, "--out", str(out)]) == 0
+        rows.append(out.read_text().splitlines()[1:])
+    assert len(rows[0]) > 3 and rows[0] == rows[1]
 
 
 @settings(max_examples=60, deadline=None)

@@ -53,25 +53,25 @@ def test_observation_set_validation():
 
 def test_posterior_params_update():
     pp = posterior.posterior_params(prior(), obs_at(2, [[0.2], [0.6]], [1, 2]))
-    assert pp.c_post == 3.0
+    assert pp.concentration.values.flat[0] == 3.0
     # continuous part c mu / (c+M)
-    assert pp.base_post.density.values.flat[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert pp.base_post.atom_masses == pytest.approx([1.0 / 3.0, 2.0 / 3.0], rel=1e-15)
+    assert pp.base.density.values.flat[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert pp.base.atom_masses == pytest.approx([1.0 / 3.0, 2.0 / 3.0], rel=1e-15)
     # total mass (c gamma + sum m_i) / (c + M)
-    assert pp.base_post.total_mass == pytest.approx((1.0 + 3.0) / 3.0, rel=1e-12)
+    assert pp.base.total_mass == pytest.approx((1.0 + 3.0) / 3.0, rel=1e-12)
     # zero-count atoms drop out of the atomic part
     pp = posterior.posterior_params(prior(), obs_at(2, [[0.2], [0.6]], [0, 2]))
-    assert pp.base_post.atom_masses.shape == (1,)
-    assert pp.base_post.atom_locations[0, 0] == 0.6
+    assert pp.base.atom_masses.shape == (1,)
+    assert pp.base.atom_locations[0, 0] == 0.6
 
 
 def test_posterior_params_m0_is_prior():
     p = prior(c=2.0, mass=3.0)
     pp = posterior.posterior_params(p, obs_at(0, np.empty((0, 1)), np.empty(0, int)))
-    assert pp.c_post == 2.0
-    assert np.array_equal(pp.base_post.density.values, p.base.density.values)
-    assert pp.base_post.atom_masses.size == 0
-    assert pp.base_post.total_mass == pytest.approx(3.0, rel=1e-15)
+    assert pp.concentration.values.flat[0] == 2.0
+    assert np.array_equal(pp.base.density.values, p.base.density.values)
+    assert pp.base.atom_masses.size == 0
+    assert pp.base.total_mass == pytest.approx(3.0, rel=1e-15)
 
 
 def test_posterior_params_validation():
@@ -93,23 +93,23 @@ def test_posterior_round_measure():
     p = prior(c=2.0, mass=3.0)
     pp = posterior.posterior_params(p, obs_at(0, np.empty((0, 1)), np.empty(0, int)))
     for k in range(4):
-        a = beta.round_measure(pp.as_process(), k)
+        a = beta.round_measure(pp, k)
         b = beta.round_measure(p, k)
         assert a.measure.total_mass == pytest.approx(b.measure.total_mass, rel=1e-14)
         assert float(a.jump_shape_b.values.flat[0]) == float(b.jump_shape_b.values.flat[0])
     # an m_i = 3 atom at c+M = 3 puts unit mass on round 0's atomic part
-    pp = posterior.PosteriorBetaParams(
-        c_post=3.0,
-        base_post=BaseMeasure(
+    pp = beta.BetaProcessParams(
+        3.0,
+        BaseMeasure(
             PiecewiseConst.constant(UNIT, 1.0 / 3.0),
             np.array([[0.4]]),
             np.array([1.0]),
         ),
     )
-    rnd = beta.round_measure(pp.as_process(), 0)
+    rnd = beta.round_measure(pp, 0)
     assert rnd.measure.atom_masses[0] == pytest.approx(1.0, rel=1e-15)
     masses = [
-        beta.round_measure(pp.as_process(), k).measure.total_mass for k in range(11)
+        beta.round_measure(pp, k).measure.total_mass for k in range(11)
     ]
     assert all(b < a for a, b in zip(masses, masses[1:]))
 
@@ -161,6 +161,16 @@ def test_resample_zero_count_and_validation():
         posterior.resample_observed_jumps(1.0, 2, 1, -1, RandomStream(1), 1)
     with pytest.raises(ValueError):
         posterior.resample_observed_jumps(1.0, 2, 1, 5, RandomStream(1), -1)
+    # the prior concentration must be positive and M nonnegative, for both
+    # samplers and the truncated expectation alike
+    s = RandomStream(1)
+    for c, M in [(-1.0, 0), (0.0, 0), (-4.0, 3), (math.nan, 2), (1.0, -1)]:
+        with pytest.raises(ValueError, match="c must be > 0|M must be >= 0"):
+            posterior.sample_new_jumps(c, M, 5, s, 3)
+        with pytest.raises(ValueError, match="c must be > 0|M must be >= 0"):
+            posterior.resample_observed_jumps(c, M, [2], 5, s, 3)
+        with pytest.raises(ValueError, match="c must be > 0|M must be >= 0"):
+            posterior.resample_truncated_expectation(c, M, 2, 5)
 
 
 def test_bulk_resample_matches_single_draws():
@@ -290,8 +300,8 @@ def test_prior_to_posterior_round_trip():
     hit = np.flatnonzero(obs.counts > 0)
     assert hit.size >= 2
     pp = posterior.posterior_params(p, obs)
-    assert pp.c_post == 4.0
-    assert pp.base_post.atom_masses.size == hit.size
+    assert pp.concentration.values.flat[0] == 4.0
+    assert pp.base.atom_masses.size == hit.size
     for idx, i in enumerate(hit):
         m_i = int(obs.counts[i])
         vals = posterior.resample_observed_jumps(
