@@ -203,6 +203,11 @@ class _RoundPlan:
             )
 
 
+def _beta1_jump(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Beta(1, b) inverse CDF at u: round k's jump law, at b = c + k."""
+    return -np.expm1(np.log1p(-u) / b)
+
+
 def _draw(params: BetaProcessParams, k_lo: int, k_hi: int, roots) -> list:
     """Rounds k_lo..k_hi-1 of one draw per root key ``roots = (k0s, k1s)``.
 
@@ -213,7 +218,7 @@ def _draw(params: BetaProcessParams, k_lo: int, k_hi: int, roots) -> list:
 
     def jumps(k, h, locs, u):
         # at(), not the drawn cell: a uniform of 1.0 lands on the next cell's edge
-        return -np.expm1(np.log1p(-u[:, 0]) / (c.at(locs) + k))
+        return _beta1_jump(u[:, 0], c.at(locs) + k)
 
     blocks = _RoundPlan(params).blocks(k_lo, k_hi)
     return draw_cells(params.domain, roots, blocks, jumps)

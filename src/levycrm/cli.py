@@ -31,7 +31,7 @@ Replica r always owns stream path [r], so its atoms do not depend on how
 many other replicas are drawn.
 
 Exit codes: 0 success, 1 verification failure, 2 parameter or file
-errors.
+errors (a closed stdout too), decided in ``main`` alone.
 
 The verify module is imported only by the ``verify`` command's functions,
 so the other commands start without it.  scipy loads only inside the
@@ -132,6 +132,7 @@ def _emit(args, header: dict, blocks: list, columns: list) -> None:
         for template, cols in filled:
             rows = zip(*[c.tolist() for c in cols]) if cols else [()]
             f.write("".join(map(template.__mod__, rows)))
+        f.flush()  # a closed stdout fails here, inside the run, not at exit
 
 
 def _resolve_seed(args) -> int:
@@ -155,16 +156,12 @@ def _header(args, seed, l1=None, **fields) -> dict:
 
 
 def _parse_h(raw) -> int | None:
-    """--H value: a positive integer, or the literal inf (None here)."""
-    if raw is None or raw == "inf":
-        return None
+    """--H value: a positive integer, or the literal inf (None here), as
+    ``gamma._finite_h`` reads it."""
     try:
-        h = int(raw)
+        return gamma._finite_h(math.inf if raw in (None, "inf") else int(raw))
     except ValueError:
         raise CLIError(f"--H must be a positive integer or 'inf', got {raw!r}")
-    if h < 1:
-        raise CLIError("--H must be >= 1")
-    return h
 
 
 # ---------------------------------------------------------------- simulate
@@ -204,7 +201,7 @@ def cmd_simulate(args) -> int:
             K=K, replicas=args.replicas,
         )
         simulate = partial(beta.simulate_replicas, params, K, root, args.replicas)
-    elif family in ("gamma", "symmetric-gamma"):
+    else:  # gamma or symmetric-gamma, the rest of argparse's choices
         if args.theta is None or args.theta <= 0.0:
             raise CLIError("gamma simulation needs --theta > 0")
         if K < 1:
@@ -225,8 +222,6 @@ def cmd_simulate(args) -> int:
             gamma.simulate_replicas, params, K, H, root, args.replicas,
             signed=family != "gamma",
         )
-    else:  # pragma: no cover - argparse choices guard this
-        raise CLIError(f"unknown family {family!r}")
     try:
         draws = simulate()
     except RateCapError as exc:
@@ -272,7 +267,7 @@ def cmd_truncation_table(args) -> int:
             M=args.M, K_max=args.K_max,
         )
         table = truncation.beta_table(params, args.K_max, args.M)
-    elif args.family == "gamma":
+    else:  # gamma, the other of argparse's choices
         H = _parse_h(args.H)
         h = "inf" if H is None else H
         header = _header(
@@ -286,8 +281,6 @@ def cmd_truncation_table(args) -> int:
             "marginal_bound": None,
             "expected_atoms": cols["expected_atoms"],
         }
-    else:  # pragma: no cover - argparse choices guard this
-        raise CLIError(f"unknown family {args.family!r}")
     _emit(args, header, [table], list(table))
     return 0
 
@@ -297,24 +290,22 @@ def cmd_truncation_table(args) -> int:
 
 def _read_jsonl(path):
     """Yield ``(lineno, record)`` for each data record of a JSONL file, one
-    line at a time; blank lines and header records are skipped."""
-    try:
-        f = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise CLIError(f"cannot open {path}: {exc.strerror}")
-    with f:
+    line at a time; blank lines and header records are skipped.  A byte that
+    is not UTF-8 comes through as a lone surrogate, refused at its line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, 1):
             s = line.strip()
             if not s:
                 continue
             try:
+                s.encode("utf-8")
                 rec = json.loads(s)
+            except UnicodeEncodeError:
+                raise CLIError(f"parse error at {path}:{lineno}: not valid UTF-8")
             except json.JSONDecodeError as exc:
                 raise CLIError(f"parse error at {path}:{lineno}: {exc.msg}")
             if not isinstance(rec, dict):
-                raise CLIError(
-                    f"parse error at {path}:{lineno}: expected a JSON object"
-                )
+                raise CLIError(f"parse error at {path}:{lineno}: not a JSON object")
             if "command" not in rec:  # a header line names its command
                 yield lineno, rec
 
@@ -812,7 +803,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # CLIError and every library error subclass it
+    except (ValueError, OSError) as exc:  # CLIError and library errors are ValueErrors
+        if isinstance(exc, BrokenPipeError):  # its unsent rest would fail at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # a run too large for memory is refused, not failed

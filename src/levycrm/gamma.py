@@ -23,9 +23,9 @@ rates the (k, h) cells with ``_rates_grid``, the one evaluator of the
 subround rate, and hands them to the engine floor(``measures._DRAW_BATCH``
 / H) rounds at a time, so a draw's memory does not grow with K.
 Only live cells with h > 16 draw their jumps through a cursor.
-``simulate_replicas`` draws many replicas so, and ``replica_masses`` takes
-their total masses a block of replicas at a time; the one-draw functions
-are the same call over one key.  Subround (k, h) of a draw reads
+``_replica_blocks`` is the one replica loop, ``_MASS_BLOCK`` replicas per
+engine call; ``replica_masses`` keeps only their total masses.  The one-draw
+functions are the same call over one key.  Subround (k, h) of a draw reads
 ``stream.child(k, h)`` and the subrounds run in (k, h) lexicographic
 order, so raising K only appends atoms.
 
@@ -252,6 +252,22 @@ def simulate_symmetric_gamma(
     return _draw(params, _grid(params, K, H, True), stream.key, signed=True)[0]
 
 
+# Replicas per engine call: only one block's draws are in flight at a time,
+# so replica_masses' memory stays bounded whatever the replica count.
+_MASS_BLOCK = 1024
+
+
+def _replica_blocks(params, K: int, H, stream: RandomStream, n: int, signed: bool):
+    """The one replica loop: the draws of replicas 0..n-1, ``_MASS_BLOCK`` per
+    engine call, replica r from ``stream.child(r)``; a bad n, K or H raises at call."""
+    if n < 0:
+        raise ValueError("replicas must be >= 0")
+    _grid(params, K, H, signed)
+    lows = range(0, n, _MASS_BLOCK)
+    keys = (stream.child_keys(np.arange(lo, min(lo + _MASS_BLOCK, n))) for lo in lows)
+    return (_draw(params, _grid(params, K, H, signed), k, signed) for k in keys)
+
+
 def simulate_replicas(
     params: GammaProcessParams,
     K: int,
@@ -265,15 +281,8 @@ def simulate_replicas(
     Replica r equals ``simulate_gamma_process(params, K, H, stream.child(r))``
     (``simulate_symmetric_gamma`` when ``signed``), bit for bit.
     """
-    if replicas < 0:
-        raise ValueError("replicas must be >= 0")
-    keys = stream.child_keys(np.arange(replicas))
-    return _draw(params, _grid(params, K, H, signed), keys, signed)
-
-
-# Replicas per engine call in replica_masses: only one block's draws are
-# held at a time, so its memory stays bounded whatever the replica count.
-_MASS_BLOCK = 1024
+    blocks = _replica_blocks(params, K, H, stream, replicas, signed)
+    return [draw for draws in blocks for draw in draws]
 
 
 def replica_masses(
@@ -287,19 +296,10 @@ def replica_masses(
     """Total mass of each of ``replicas`` draws; replica r reads ``stream.child(r)``.
 
     Equals the masses of ``simulate_replicas(params, K, H, stream, replicas,
-    signed)``, but draws ``_MASS_BLOCK`` replicas per engine call, with the
-    grid's blocks built afresh for each, and keeps only their masses.
+    signed)``, keeping only each block's masses.
     """
-    if replicas < 0:
-        raise ValueError("replicas must be >= 0")
-    _grid(params, K, H, signed)  # a bad K or H raises even at zero replicas
-    masses = np.empty(replicas)
-    for lo in range(0, replicas, _MASS_BLOCK):
-        hi = min(lo + _MASS_BLOCK, replicas)
-        keys = stream.child_keys(np.arange(lo, hi))
-        draws = _draw(params, _grid(params, K, H, signed), keys, signed)
-        masses[lo:hi] = [d.total_mass for d in draws]
-    return masses
+    blocks = _replica_blocks(params, K, H, stream, replicas, signed)
+    return np.fromiter((d.total_mass for ds in blocks for d in ds), float, replicas)
 
 
 def subround_mean_and_variance(

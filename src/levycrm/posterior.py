@@ -11,7 +11,8 @@ posterior is again a beta process (``posterior_params`` returns its
 posterior round k has jump law Beta(1, c+M+k) and location measure
 c mu/(c+M+k) + sum_i m_i/(c+M+k).
 
-The atomic part supports two samplers (both read round marks with ``measures._marks``):
+The atomic part supports two samplers, both reading round marks with
+``measures._marks`` and jumps with the beta round law ``beta._beta1_jump``:
 
 * an observed atom's jump is resampled as a Poisson sum: round k adds
   H_k ~ Poisson(m_i/(c+M+k)) jumps Beta(1, c+M+k).  The rounds superpose
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beta import BetaProcessParams
+from .beta import BetaProcessParams, _beta1_jump
 from .measures import (
     BaseMeasure,
     PointMeasure,
@@ -138,11 +139,6 @@ def _concentration(c: float, M: int, K: int) -> float:
     return c + M
 
 
-def _beta1_jump(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The Beta(1, b) inverse CDF at u."""
-    return -np.expm1(np.log1p(-u) / b)
-
-
 def resample_observed_jumps(
     c: float,
     M: int,
@@ -161,7 +157,7 @@ def resample_observed_jumps(
     entry's stream holds, from word 0: the count's words, a Poisson count
     ``n`` at the summed rate (chunked as in ``batch_poisson``); then ``n``
     points of ``measures._marks``, round ``k_j`` picked from the cumulative
-    rates, jump ``j`` the Beta(1, b[k_j]) inverse CDF ``-expm1(log1p(-u) / b[k_j])``.
+    rates, jump ``j`` the Beta(1, b[k_j]) inverse CDF ``beta._beta1_jump``.
     The entry is the sum of its ``n`` jumps, in stream order, as ``np.sum``
     adds one contiguous row.
 

@@ -586,6 +586,13 @@ def test_posterior_malformed_inputs(tmp_path, capsys):
         '{"location": [7.0, -3.0], "jump": 0.1}',
         '{"location": [0.6], "jump": 1' + "0" * 400 + '}',
     ]
+    # and so are a line of JSON that is not an object, a missing location and
+    # a jump that is not a number
+    prior_lines += [
+        '[0.6, 0.1]',
+        '{"jump": 0.1}',
+        '{"location": [0.6], "jump": "0.1"}',
+    ]
     obs_lines = [
         '{"location": ["x"], "count": 1}',
         '{"location": [false], "count": 1}',
@@ -609,7 +616,33 @@ def test_posterior_malformed_inputs(tmp_path, capsys):
         ])
         assert code == 2
         named = bad_prior if prior_text != good_prior else bad
-        assert f"{named}:2" in capsys.readouterr().err, (prior_text, obs_text)
+        err = capsys.readouterr().err
+        assert f"{named}:2" in err, (prior_text, obs_text)
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.jsonl").exists()
+    # a byte that is not UTF-8 is named at its line, though the reader
+    # decodes the file in chunks
+    bad_prior.write_bytes(
+        good_prior.encode() + b'{"location": [0.6], "jump": 0.1, "note": "\xff"}\n'
+    )
+    code = main([
+        "posterior", "--c", "1", "--M", "2", "--prior", str(bad_prior),
+        "--obs", str(obs), "--seed", "1", "--out", str(tmp_path / "x.jsonl"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: parse error at {bad_prior}:2: not valid UTF-8\n"
+    # a file with no records is refused, prior or observations
+    for prior_text, obs_text, named in (("", good_obs, bad_prior), (good_prior, "\n", bad)):
+        bad_prior.write_text(prior_text)
+        bad.write_text(obs_text)
+        code = main([
+            "posterior", "--c", "1", "--M", "2", "--prior", str(bad_prior),
+            "--obs", str(bad), "--seed", "1", "--out", str(tmp_path / "x.jsonl"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} holds no ") and err.count("\n") == 1
+        assert not (tmp_path / "x.jsonl").exists()
     # locations of one dimension throughout, but not the prior's, in either file
     bad.write_text('{"location": [0.2, 0.7], "count": 1}\n')
     code = main([
@@ -634,6 +667,18 @@ def test_posterior_malformed_inputs(tmp_path, capsys):
         "--obs", str(obs), "--seed", "1", "--out", str(tmp_path / "x.jsonl"),
     ])
     assert code == 2
+    assert str(tmp_path / "nope.jsonl") in capsys.readouterr().err
+
+
+def test_blank_lines_between_records_are_skipped(tmp_path):
+    prior, obs = _write_posterior_inputs(tmp_path)
+    argv = ["posterior", "--c", "1", "--M", "2", "--K", "20", "--draws", "5", "--seed", "3"]
+    _, want = run(tmp_path, "a.jsonl", argv + ["--prior", str(prior), "--obs", str(obs)])
+    for path in (prior, obs):
+        path.write_text("\n" + path.read_text().replace("\n", "\n  \n\n", 1))
+    assert prior.read_text().count("\n") == 5
+    _, got = run(tmp_path, "b.jsonl", argv + ["--prior", str(prior), "--obs", str(obs)])
+    assert got == want
 
 
 def test_prior_draw_is_checked_without_being_held(tmp_path):
@@ -659,20 +704,45 @@ def test_prior_draw_is_checked_without_being_held(tmp_path):
 
 
 def test_bad_flags_exit_2(tmp_path, capsys):
-    out = ["--out", str(tmp_path / "x.jsonl")]
-    assert main(["simulate", "--family", "beta", "--K", "3", "--seed", "1"] + out) == 2
-    assert main(["simulate", "--family", "beta", "--c", "1", "--seed", "1"] + out) == 2
-    assert main([
-        "simulate", "--family", "beta", "--c", "1", "--K", "3",
-        "--mass", "-2", "--seed", "1",
-    ] + out) == 2
-    assert main([
-        "simulate", "--family", "gamma", "--theta", "1", "--K", "0", "--seed", "1",
-    ] + out) == 2
-    assert main([
-        "simulate", "--family", "beta", "--c", "1", "--K", "3", "--seed", "-4",
-    ] + out) == 2
-    capsys.readouterr()
+    out = tmp_path / "x.jsonl"
+    prior, obs = _write_posterior_inputs(tmp_path)
+    beta_run = ["simulate", "--family", "beta", "--c", "1", "--K", "3"]
+    gamma_run = ["simulate", "--family", "gamma", "--theta", "1", "--K", "3"]
+    table = ["truncation-table", "--family", "beta", "--c", "1"]
+    files = ["--prior", str(prior), "--obs", str(obs)]
+    update = ["posterior", "--c", "1", "--M", "2", *files]
+    runs = [
+        ["simulate", "--family", "beta", "--K", "3"],
+        ["simulate", "--family", "beta", "--c", "1"],
+        beta_run + ["--mass", "-2"],
+        ["simulate", "--family", "gamma", "--theta", "1", "--K", "0"],
+        beta_run + ["--seed", "-4"],
+        ["simulate", "--family", "beta", "--c", "1", "--rounds", "0"],
+        beta_run + ["--replicas", "-1"],
+        ["simulate", "--family", "beta", "--c", "1", "--K", "-1"],
+        ["simulate", "--family", "gamma", "--K", "3"],
+        # every --H but inf is read by gamma._finite_h
+        gamma_run + ["--H", "0"],
+        gamma_run + ["--H", "2.5"],
+        gamma_run + ["--H", "x"],
+        table + ["--mass", "0"],
+        table + ["--K-max", "-1"],
+        ["truncation-table", "--family", "beta"],
+        table + ["--M", "0"],
+        ["truncation-table", "--family", "gamma", "--H", "0"],
+        ["posterior", "--c", "0", "--M", "2", *files],
+        update + ["--mass", "0"],
+        ["posterior", "--c", "1", "--M", "-1", *files],
+        update + ["--K", "-1"],
+        update + ["--draws", "0"],
+    ]
+    for argv in runs:
+        # a run's own --seed comes later and wins
+        assert main([argv[0], "--seed", "1", "--out", str(out), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+        assert not out.exists()
 
 
 def test_out_of_memory_exits_2_and_writes_nothing(tmp_path, capsys):
@@ -693,6 +763,65 @@ def test_out_of_memory_exits_2_and_writes_nothing(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == f"error: out of memory{': ' + message if message else ''}\n"
         assert not out.exists()
+
+
+def test_output_errors_exit_2_without_traceback(tmp_path):
+    # an --out that cannot be opened and a stdout closed by its reader are
+    # usage errors: exit 2, one error line, no traceback and no file
+    def run_cli(argv, stdout, unbuffered):
+        # the console script's call; PYTHONUNBUFFERED="" block-buffers stdout,
+        # Python's default on a pipe
+        done = _fresh_python(
+            "import sys; from levycrm.cli import main; sys.exit(main(sys.argv[1:]))",
+            argv, stdout, PYTHONUNBUFFERED="1" if unbuffered else "",
+        )
+        err = done.stderr.decode()
+        assert done.returncode == 2 and not done.stdout, (argv, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        return err
+
+    beta_dense = [
+        "simulate", "--family", "beta", "--c", "1", "--mass", "500", "--K", "20",
+        "--replicas", "4", "--seed", "1",
+    ]
+    (tmp_path / "dir").mkdir()
+    for out in (tmp_path / "missing" / "x.jsonl", tmp_path / "dir"):
+        assert str(out) in run_cli(beta_dense + ["--out", str(out)], subprocess.PIPE, False)
+    assert not (tmp_path / "missing").exists()
+    assert list((tmp_path / "dir").iterdir()) == []
+    # the read end closes before the child writes; block-buffered, the small
+    # run's output fits stdout's buffer and fails only at the run's last flush
+    small = ["simulate", "--family", "beta", "--c", "1", "--K", "2", "--seed", "1"]
+    for argv in (beta_dense, small):
+        for unbuffered in (False, True):
+            r, w = os.pipe()
+            os.close(r)
+            try:
+                assert "Broken pipe" in run_cli(argv, w, unbuffered)
+            finally:
+                os.close(w)
+
+
+def test_verify_reports_an_oracle_error_as_a_failed_row(tmp_path, monkeypatch):
+    # a check whose oracle fails writes one failing row under its own name,
+    # and the checks after it still run
+    def no_convergence(args, root):
+        raise measures.OracleError("quadrature did not converge")
+
+    monkeypatch.setitem(cli._CHECKS, "moment-closure", (no_convergence, False))
+    code, data = run(tmp_path, "vo.jsonl", [
+        "verify", "--check", "moment-closure", "--check", "ibp", "--N", "1000000",
+        "--seed", "1",
+    ])
+    assert code == 1
+    first, *rest = jsonl_rows(data)[1:]
+    assert first == {
+        "name": "moment-closure", "target": 0.0, "computed": 0.0, "tolerance": 0.0,
+        "mode": "abs", "passed": False,
+        "detail": "oracle error: quadrature did not converge",
+    }
+    assert [r["name"] for r in rest] == ["ibp/N=1000000", "ibp/monotone"]
+    assert all(r["passed"] for r in rest)
 
 
 def test_verify_default_passes_with_gate_reported(tmp_path):
@@ -728,16 +857,16 @@ def test_verify_single_checks(tmp_path):
     assert row["computed"] < row["tolerance"]
 
 
-def _fresh_python(code, argv=None):
+def _fresh_python(code, argv=None, stdout=subprocess.PIPE, **env_vars):
     """Run ``code`` in a new interpreter, so modules other tests imported do
     not count; with ``argv`` it gets those arguments and stdout comes back as
-    bytes."""
-    env = dict(os.environ)
+    bytes.  ``env_vars`` are set in its environment."""
+    env = dict(os.environ, **env_vars)
     src = str(Path(levycrm.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", code] + (argv or []),
-        env=env, capture_output=True, text=argv is None, timeout=120,
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=argv is None, timeout=120,
     )
 
 

@@ -157,6 +157,11 @@ def test_gamma_expected_atoms():
     assert truncation.gamma_expected_atoms(2.0, 9) == pytest.approx(
         2.0 * math.log(10.0), rel=1e-15
     )
+    # each round's log series stops once its terms underflow (by h = 1000 at
+    # k = 1), so a deeper H adds nothing and costs no more
+    deep = truncation.gamma_expected_atoms(2.0, 50, 5000)
+    assert truncation.gamma_expected_atoms(2.0, 50, 10**6) == deep
+    assert deep == pytest.approx(2.0 * math.log(51.0), rel=1e-12)
     with pytest.raises(ValueError):
         truncation.gamma_expected_atoms(1.0, 0)
 
