@@ -30,6 +30,12 @@ memory; the observations are kept, as they are the update's input.
 Replica r always owns stream path [r], so its atoms do not depend on how
 many other replicas are drawn.
 
+``simulate`` and ``truncation-table`` read each family's flags from one
+table, ``_FAMILY_FLAGS``, and refuse a flag of another family.  Parameter
+ranges, the seed's too, are the library's checks alone; the CLI checks only
+what the library cannot know: ``--rounds``, the ``--H`` text, ``posterior
+--draws``, the input files and ``verify``'s own flags.
+
 Exit codes: 0 success, 1 verification failure, 2 parameter or file
 errors (a closed stdout too), decided in ``main`` alone.
 
@@ -135,12 +141,11 @@ def _emit(args, header: dict, blocks: list, columns: list) -> None:
         f.flush()  # a closed stdout fails here, inside the run, not at exit
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        if args.seed < 0:
-            raise CLIError("--seed must be nonnegative")
-        return args.seed
-    return int.from_bytes(os.urandom(8), "big") >> 1
+def _root(args) -> RandomStream:
+    """The run's root stream, at --seed or else at a generated seed."""
+    if args.seed is None:
+        return RandomStream(int.from_bytes(os.urandom(8), "big") >> 1)
+    return RandomStream(args.seed)
 
 
 def _header(args, seed, l1=None, **fields) -> dict:
@@ -164,53 +169,59 @@ def _parse_h(raw) -> int | None:
         raise CLIError(f"--H must be a positive integer or 'inf', got {raw!r}")
 
 
+# Each family's flags, per command: flag -> required.  A flag that the chosen
+# family does not read is refused, not ignored; ranges are the library's.
+_FAMILY_FLAGS = {
+    "simulate": {
+        "beta": {"c": True},
+        "gamma": {"theta": True, "H": False},
+        "symmetric-gamma": {"theta": True, "H": False},
+    },
+    "truncation-table": {"beta": {"c": True, "M": False}, "gamma": {"H": False}},
+}
+
+
+def _check_family_flags(args) -> None:
+    table = _FAMILY_FLAGS[args.command]
+    reads = table[args.family]
+    for name in dict.fromkeys(name for flags in table.values() for name in flags):
+        given = getattr(args, name) is not None
+        if given and name not in reads:
+            raise CLIError(f"--{name} does not apply to --family {args.family}")
+        if not given and reads.get(name):
+            raise CLIError(f"--family {args.family} needs --{name}")
+
+
 # ---------------------------------------------------------------- simulate
 
 
-def _simulate_config(args):
+def cmd_simulate(args) -> int:
+    _check_family_flags(args)
+    family = args.family
     if args.rounds is not None:
         if args.rounds < 1:
             raise CLIError("--rounds must be >= 1")
-        K = args.rounds - (args.family == "beta")  # gamma rounds start at k = 1
+        K = args.rounds - (family == "beta")  # gamma rounds start at k = 1
     elif args.K is not None:
         K = args.K
     else:
         raise CLIError("simulate needs --K (last round index) or --rounds")
-    if args.mass <= 0.0:
-        raise CLIError("--mass must be positive")
-    if args.replicas < 0:
-        raise CLIError("--replicas must be >= 0")
-    return K
-
-
-def cmd_simulate(args) -> int:
-    family = args.family
-    K = _simulate_config(args)
-    seed = _resolve_seed(args)
-    root = RandomStream(seed)
+    root = _root(args)
 
     if family == "beta":
-        if args.c is None or args.c <= 0.0:
-            raise CLIError("beta simulation needs --c > 0")
-        if K < 0:
-            raise CLIError("--K must be >= 0 for the beta family")
         params = beta.BetaProcessParams.homogeneous(args.c, args.mass)
         l1 = truncation.beta_l1_error(params, K)
         header = _header(
-            args, seed, l1, family=family, c=float(args.c), mass=float(args.mass),
+            args, root.seed, l1, family=family, c=float(args.c), mass=float(args.mass),
             K=K, replicas=args.replicas,
         )
         simulate = partial(beta.simulate_replicas, params, K, root, args.replicas)
     else:  # gamma or symmetric-gamma, the rest of argparse's choices
-        if args.theta is None or args.theta <= 0.0:
-            raise CLIError("gamma simulation needs --theta > 0")
-        if K < 1:
-            raise CLIError("--K must be >= 1 for the gamma family")
         H = _parse_h(args.H)
         params = gamma.GammaProcessParams.homogeneous(args.theta, args.mass)
         l1 = truncation.gamma_l1_error(K, H)
         header = _header(
-            args, seed, l1, family=family, theta=float(args.theta),
+            args, root.seed, l1, family=family, theta=float(args.theta),
             mass=float(args.mass), K=K, H="inf" if H is None else H,
             replicas=args.replicas,
         )
@@ -250,17 +261,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_truncation_table(args) -> int:
-    if args.mass <= 0.0:
-        raise CLIError("--mass must be positive")
-    if args.K_max < 0:
-        raise CLIError("--K-max must be >= 0")
+    _check_family_flags(args)
     # the table draws nothing: without --seed the header records null
-    seed = None if args.seed is None else _resolve_seed(args)
+    seed = None if args.seed is None else _root(args).seed
     if args.family == "beta":
-        if args.c is None or args.c <= 0.0:
-            raise CLIError("beta tables need --c > 0")
-        if args.M is not None and args.M < 1:
-            raise CLIError("--M must be >= 1 when supplied")
         params = beta.BetaProcessParams.homogeneous(args.c, args.mass)
         header = _header(
             args, seed, family="beta", c=float(args.c), mass=float(args.mass),
@@ -388,22 +392,12 @@ def _read_observations(path, M: int, domain) -> ObservationSet:
 
 
 def cmd_posterior(args) -> int:
-    if args.c is None or args.c <= 0.0:
-        raise CLIError("posterior updates need --c > 0")
-    if args.mass <= 0.0:
-        raise CLIError("--mass must be positive")
-    if args.M < 0:
-        raise CLIError("--M must be >= 0")
-    if args.K < 0:
-        raise CLIError("--K must be >= 0")
-    if args.draws < 1:
+    if args.draws < 1:  # the summary averages over the draws
         raise CLIError("--draws must be >= 1")
     new_draws = args.draws if args.new_draws is None else args.new_draws
-    if new_draws < 0:
-        raise CLIError("--new-draws must be >= 0")
-    seed = _resolve_seed(args)
-    root = RandomStream(seed)
     c, M, K = float(args.c), args.M, args.K
+    a = posterior._concentration(c, M, K)  # checked before either file is read
+    root = _root(args)
 
     prior = beta.BetaProcessParams.homogeneous(c, args.mass)
     prior_draw = _read_prior_draw(args.prior, prior.domain)
@@ -411,7 +405,7 @@ def cmd_posterior(args) -> int:
     pp = posterior.posterior_params(prior, obs)
 
     header = _header(
-        args, seed, family="beta", c=c, mass=float(args.mass), M=M, K=K,
+        args, root.seed, family="beta", c=c, mass=float(args.mass), M=M, K=K,
         draws=args.draws, new_draws=new_draws, prior_atoms=len(prior_draw),
     )
     blocks = []
@@ -429,7 +423,6 @@ def cmd_posterior(args) -> int:
                 "value": values,
             }
         )
-        a = c + M
         # the undecomposed posterior Beta(m_i, c+M-m_i) exists only for
         # 0 < m_i < c+M; its variance is reported for comparison, never
         # asserted, since the round sum matches it in mean alone
@@ -460,7 +453,7 @@ def cmd_posterior(args) -> int:
     blocks.append(
         {
             "record": "summary",
-            "c_post": c + M,
+            "c_post": a,
             "base_mass": pp.total_base_mass,
             "observed_atoms": len(obs),
             "prior_equivalent": M == 0,
@@ -692,8 +685,7 @@ def cmd_verify(args) -> int:
             "verify needs a finite --H: the gamma partial-sum oracle sums "
             "sub-rounds h = 1..H (omit --H for H = 60)"
         )
-    seed = _resolve_seed(args)
-    root = RandomStream(seed)
+    root = _root(args)
     for name in names:
         if name not in _CHECKS:
             raise CLIError(f"unknown check {name!r}")
@@ -720,7 +712,7 @@ def cmd_verify(args) -> int:
 
     columns = ["name", "target", "computed", "tolerance", "mode", "passed", "detail"]
     records = [dataclasses.asdict(rep) for rep in reports]
-    _emit(args, _header(args, seed, checks=names), records, columns)
+    _emit(args, _header(args, root.seed, checks=names), records, columns)
     return 1 if failed else 0
 
 
@@ -754,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--rounds", type=int, help="number of rounds (--K N-1 for beta, N for gamma)"
     )
-    sp.add_argument("--H", default="inf", help="sub-round cutoff or 'inf'")
+    sp.add_argument("--H", help="sub-round cutoff or 'inf' (the default)")
     sp.add_argument("--replicas", type=int, default=1)
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_simulate)
@@ -764,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", type=float)
     sp.add_argument("--mass", type=float, default=1.0)
     sp.add_argument("--K-max", dest="K_max", type=int, default=20)
-    sp.add_argument("--H", default="inf")
+    sp.add_argument("--H")
     sp.add_argument("--M", type=int, help="data size for the marginal bound")
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_truncation_table)

@@ -21,9 +21,9 @@ The atomic part supports two samplers, both reading round marks with
   proportional to its round's rate, then the jumps.  Truncating the
   round sum at K biases the mean down by exactly m_i/(c+M+K+1); the
   truncated expectation m_i (1/(c+M) - 1/(c+M+K+1)) is reported
-  alongside so callers can size K.  The sum is not clamped: it can
-  exceed 1 with small probability, and callers should track that
-  frequency rather than hide it.
+  alongside so callers can size K.  The sum is not clamped: it exceeds 1
+  in a share of draws that grows with m_i/(c+M) (about 11% at m_i = 3 for
+  c = 1, M = 4), which ``cli.cmd_posterior`` reports as ``frac_above_one``.
 * a new (unobserved) jump draws its round index k with weight
   1/(c+M+k), k = 0..K, then the jump from Beta(1, c+M+k).
 """

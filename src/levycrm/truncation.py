@@ -137,6 +137,12 @@ def _gamma_l1_column(K_max: int, H: int | None):
         yield 1.0 / (k + 1) + extra
 
 
+def _gamma_mass(gamma_mass: float) -> float:
+    if not 0 < gamma_mass < math.inf:  # false for NaN as well
+        raise ValueError("total mass must be finite and positive")
+    return gamma_mass
+
+
 def _gamma_expected_column(gamma_mass: float, K_max: int, H: int | None):
     """gamma times the running sum of each round's log series cut at h = H,
     yielded row by row."""
@@ -167,7 +173,7 @@ def gamma_table(gamma_mass: float, K_max: int, H: int | float | None = None) -> 
     """
     if K_max < 0:
         raise ValueError("K_max must be >= 0")
-    H = _finite_h(H)
+    H, gamma_mass = _finite_h(H), _gamma_mass(gamma_mass)
     return {
         "K": np.arange(1, K_max + 1),
         "l1_error": np.fromiter(_gamma_l1_column(K_max, H), float, K_max),
@@ -190,6 +196,7 @@ def gamma_expected_atoms(gamma_mass: float, K: int, H: int | float | None = None
     """Expected atom count of subrounds k <= K, h <= H: row K of ``gamma_table``."""
     if K < 1:
         raise ValueError("K must be >= 1")
+    gamma_mass = _gamma_mass(gamma_mass)
     if (H := _finite_h(H)) is None:
         return gamma_mass * math.log(K + 1.0)
     return deque(_gamma_expected_column(gamma_mass, K, H), maxlen=1).pop()

@@ -735,6 +735,26 @@ def test_bad_flags_exit_2(tmp_path, capsys):
         ["posterior", "--c", "1", "--M", "-1", *files],
         update + ["--K", "-1"],
         update + ["--draws", "0"],
+        # a flag of another family is refused, not ignored
+        ["simulate", "--family", "beta", "--c", "1", "--K", "2", "--H", "x"],
+        ["simulate", "--family", "gamma", "--theta", "1", "--c", "5", "--K", "2"],
+        ["truncation-table", "--family", "beta", "--c", "1", "--H", "0"],
+        ["truncation-table", "--family", "gamma", "--c", "5", "--M", "3"],
+        beta_run + ["--H", "inf"],
+        beta_run + ["--theta", "1"],
+        ["truncation-table", "--family", "gamma", "--M", "3"],
+        # no stream takes a seed of 2**64, drawn or not
+        table + ["--seed", str(2**64)],
+        # ranges are the library's, and NaN fails them all
+        beta_run + ["--c", "nan"],
+        beta_run + ["--mass", "nan"],
+        gamma_run + ["--theta", "nan"],
+        gamma_run + ["--mass", "nan"],
+        table + ["--c", "nan"],
+        table + ["--mass", "nan"],
+        ["truncation-table", "--family", "gamma", "--mass", "nan"],
+        ["posterior", "--c", "nan", "--M", "2", *files],
+        update + ["--mass", "nan"],
     ]
     for argv in runs:
         # a run's own --seed comes later and wins
@@ -743,6 +763,11 @@ def test_bad_flags_exit_2(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
         assert not out.exists()
+    # posterior's flags are checked before either file is read, so a missing
+    # prior file does not hide a bad --M
+    none = str(tmp_path / "none")
+    assert main(["posterior", "--c", "1", "--M", "-1", "--prior", none, "--obs", none]) == 2
+    assert capsys.readouterr().err == "error: M must be >= 0\n"
 
 
 def test_out_of_memory_exits_2_and_writes_nothing(tmp_path, capsys):

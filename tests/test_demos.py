@@ -43,3 +43,25 @@ def test_readme_tour_runs():
         # padded so that a traceback names the README's own line
         code = "\n" * text.count("\n", 0, b.start(1)) + b.group(1)
         exec(compile(code, str(README), "exec"), {})
+
+
+def test_readme_shell_tour_runs(tmp_path, monkeypatch):
+    # each levycrm line of the "Command line" block exits 0 and writes its
+    # --out, so the README shows no flag that the CLI refuses
+    from levycrm.cli import main
+
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [
+        line.split()[1:] for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("levycrm ")
+    ]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "counts.jsonl").write_text(
+        '{"location": [0.25], "count": 3}\n{"location": [0.75], "count": 0}\n'
+    )
+    for argv in lines:
+        assert main(argv) == 0, argv
+        if "--out" in argv:
+            assert (tmp_path / argv[argv.index("--out") + 1]).exists(), argv

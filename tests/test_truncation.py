@@ -164,6 +164,13 @@ def test_gamma_expected_atoms():
     assert deep == pytest.approx(2.0 * math.log(51.0), rel=1e-12)
     with pytest.raises(ValueError):
         truncation.gamma_expected_atoms(1.0, 0)
+    # a bad mass is refused with BaseMeasure.uniform's wording, at every H
+    for mass in (0.0, -1.0, math.nan, math.inf):
+        for H in (None, 3):
+            with pytest.raises(ValueError, match="total mass must be finite"):
+                truncation.gamma_table(mass, 3, H)
+            with pytest.raises(ValueError, match="total mass must be finite"):
+                truncation.gamma_expected_atoms(mass, 3, H)
 
 
 def test_truncation_tables():
