@@ -30,11 +30,12 @@ memory; the observations are kept, as they are the update's input.
 Replica r always owns stream path [r], so its atoms do not depend on how
 many other replicas are drawn.
 
-``simulate`` and ``truncation-table`` read each family's flags from one
-table, ``_FAMILY_FLAGS``, and refuse a flag of another family.  Parameter
-ranges, the seed's too, are the library's checks alone; the CLI checks only
-what the library cannot know: ``--rounds``, the ``--H`` text, ``posterior
---draws``, the input files and ``verify``'s own flags.
+``simulate``, ``truncation-table`` and ``verify`` read the flags of each
+choice (a ``--family``, or a check) and their defaults from one table,
+``_FLAGS``, and refuse a flag that no chosen family or check reads.
+Parameter ranges, the seed's too, are the library's checks alone; the CLI
+checks only what the library cannot know: ``--rounds``, the ``--H`` text,
+``posterior --draws``, the input files and ``verify``'s own flags.
 
 Exit codes: 0 success, 1 verification failure, 2 parameter or file
 errors (a closed stdout too), decided in ``main`` alone.
@@ -169,34 +170,50 @@ def _parse_h(raw) -> int | None:
         raise CLIError(f"--H must be a positive integer or 'inf', got {raw!r}")
 
 
-# Each family's flags, per command: flag -> required.  A flag that the chosen
-# family does not read is refused, not ignored; ranges are the library's.
-_FAMILY_FLAGS = {
+# The flags each choice reads, per command: flag -> default, or ... when the
+# flag is required.  A choice is a --family, or a check that verify runs.
+# ``_check_flags`` refuses a given flag that no chosen row reads, and a
+# missing required one; every other absent flag takes its row's default.
+_FLAGS = {
     "simulate": {
-        "beta": {"c": True},
-        "gamma": {"theta": True, "H": False},
-        "symmetric-gamma": {"theta": True, "H": False},
+        "beta": {"c": ...},
+        "gamma": {"theta": ..., "H": None},
+        "symmetric-gamma": {"theta": ..., "H": None},
     },
-    "truncation-table": {"beta": {"c": True, "M": False}, "gamma": {"H": False}},
+    "truncation-table": {"beta": {"c": ..., "M": None}, "gamma": {"H": None}},
+    "verify": {
+        "beta-density": {"K": None},
+        "stable-beta-density": {"K": None, "sigma": 0.5},
+        "gamma-density": {"K": None, "H": 60},
+        "moment-closure": {},
+        "ibp": {"N": 10**6},
+        "generalized-gate": {},
+        "gamma-marginal": {"replicas": 2000},
+        "symmetric-variance": {"replicas": 2000},
+    },
 }
 
 
-def _check_family_flags(args) -> None:
-    table = _FAMILY_FLAGS[args.command]
-    reads = table[args.family]
+def _check_flags(args, option: str, choices: list) -> None:
+    table = _FLAGS[args.command]
+    reads = {}
+    for choice in choices:
+        reads.update(table[choice])
+    chosen = f"{option} {', '.join(choices)}"
     for name in dict.fromkeys(name for flags in table.values() for name in flags):
-        given = getattr(args, name) is not None
-        if given and name not in reads:
-            raise CLIError(f"--{name} does not apply to --family {args.family}")
-        if not given and reads.get(name):
-            raise CLIError(f"--family {args.family} needs --{name}")
+        if getattr(args, name) is None:
+            if reads.get(name) is ...:
+                raise CLIError(f"{chosen} needs --{name}")
+            setattr(args, name, reads.get(name))
+        elif name not in reads:
+            raise CLIError(f"--{name} does not apply to {chosen}")
 
 
 # ---------------------------------------------------------------- simulate
 
 
 def cmd_simulate(args) -> int:
-    _check_family_flags(args)
+    _check_flags(args, "--family", [args.family])
     family = args.family
     if args.rounds is not None:
         if args.rounds < 1:
@@ -261,7 +278,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_truncation_table(args) -> int:
-    _check_family_flags(args)
+    _check_flags(args, "--family", [args.family])
     # the table draws nothing: without --seed the header records null
     seed = None if args.seed is None else _root(args).seed
     if args.family == "beta":
@@ -493,7 +510,7 @@ def _check_density(args, root, family):
     from . import verify
     log_margin = math.log(1e-7)  # per-point tail used to pick K from the bound
     if family == "gamma":
-        grid, theta, H = np.linspace(0.05, 5.0, 50), 1.0, _parse_h(args.H) or 60
+        grid, theta, H = np.linspace(0.05, 5.0, 50), 1.0, _parse_h(args.H)
         cases = [{"theta": theta}]
         # the k-tail dominates and decays like exp(-p(K+1)/theta)
         k_for = lambda p: max(1, math.ceil(-log_margin * theta / p))
@@ -676,19 +693,21 @@ def cmd_verify(args) -> int:
     for item in args.check or ["default"]:
         names.extend(_GROUPS.get(item, [item]))
     names = list(dict.fromkeys(names))  # first occurrence wins
-    if args.replicas < 2:
-        raise CLIError("--replicas must be >= 2")
-    if not 0.0 <= args.sigma < 1.0:
-        raise CLIError("--sigma must lie in [0, 1)")
-    if args.H is not None and _parse_h(args.H) is None:
-        raise CLIError(
-            "verify needs a finite --H: the gamma partial-sum oracle sums "
-            "sub-rounds h = 1..H (omit --H for H = 60)"
-        )
-    root = _root(args)
     for name in names:
         if name not in _CHECKS:
             raise CLIError(f"unknown check {name!r}")
+    _check_flags(args, "--check", names)
+    # a flag no chosen check reads is None here
+    if args.replicas is not None and args.replicas < 2:
+        raise CLIError("--replicas must be >= 2")
+    if args.sigma is not None and not 0.0 <= args.sigma < 1.0:
+        raise CLIError("--sigma must lie in [0, 1)")
+    if args.H is not None and _parse_h(args.H) is None:
+        raise CLIError(
+            "verify needs a finite --H: the gamma partial-sum oracle sums sub-rounds "
+            f"h = 1..H (omit --H for H = {_FLAGS['verify']['gamma-density']['H']})"
+        )
+    root = _root(args)
 
     reports, failed = [], False
     for name in names:
@@ -780,11 +799,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="check name, 'default' or 'all' (repeatable); checks: "
         + ", ".join(_CHECKS),
     )
-    sp.add_argument("--N", type=int, default=10**6, help="feature-count size")
+    sp.add_argument("--N", type=int, help="feature-count size")
     sp.add_argument("--K", type=int, help="fixed K for density checks")
-    sp.add_argument("--H", help="fixed finite H for gamma density checks (default 60)")
-    sp.add_argument("--sigma", type=float, default=0.5)
-    sp.add_argument("--replicas", type=int, default=2000)
+    sp.add_argument("--H", help="fixed finite H for gamma density checks (default "
+                    f"{_FLAGS['verify']['gamma-density']['H']})")
+    sp.add_argument("--sigma", type=float)
+    sp.add_argument("--replicas", type=int)
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_verify)
     return p

@@ -164,7 +164,7 @@ class RandomStream:
     __slots__ = ("seed", "path", "_k0", "_k1")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
-        if not isinstance(seed, int) or not (0 <= seed <= _MASK64):
+        if type(seed) is not int or not 0 <= seed <= _MASK64:  # a bool is refused
             raise ValueError("seed must be an integer in [0, 2**64)")
         # one-element arrays: the wrapping multiplies warn on numpy scalars
         k = np.array([seed], np.uint64)
@@ -174,7 +174,7 @@ class RandomStream:
         """Become (seed, path + more), given (seed, path)'s key as arrays."""
         more = tuple(more)
         for e in more:
-            if not isinstance(e, int) or e < 0 or e > _MASK64:
+            if type(e) is not int or e < 0 or e > _MASK64:
                 raise ValueError("path elements must be integers in [0, 2**64)")
             k0, k1 = _absorb_arr(k0, k1, np.array([e], np.uint64))
         object.__setattr__(self, "seed", seed)

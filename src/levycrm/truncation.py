@@ -70,16 +70,6 @@ def beta_marginal_bound(params: BetaProcessParams, K: int, M: int) -> float:
     return -math.expm1(-M * _tail_mass(params, K))
 
 
-def _require_constant_c(c) -> float:
-    if hasattr(c, "is_constant"):
-        if not c.is_constant:
-            raise UnsupportedParameterError(
-                "stick-breaking bounds require a constant concentration"
-            )
-        return float(c.values.flat[0])
-    return float(c)
-
-
 def stick_breaking_bounds(
     c, gamma_mass: float, K: int, M: int | None = None
 ) -> tuple[float, float | None]:
@@ -90,7 +80,17 @@ def stick_breaking_bounds(
     """
     if K < 0:
         raise ValueError("K must be >= 0")
-    cv = _require_constant_c(c)
+    if M is not None and M < 1:
+        raise ValueError("M must be >= 1")
+    if hasattr(c, "is_constant"):
+        if not c.is_constant:
+            raise UnsupportedParameterError(
+                "stick-breaking bounds require a constant concentration"
+            )
+        c = c.values.flat[0]
+    if not 0 < c < math.inf:  # false for NaN as well
+        raise ValueError("c must be finite and positive")
+    cv, gamma_mass = float(c), _gamma_mass(gamma_mass)
     l1 = (cv / (cv + 1.0)) ** (K + 1)
     marginal = None if M is None else -math.expm1(-M * gamma_mass * l1)
     return l1, marginal

@@ -96,14 +96,12 @@ def levy_density(family: str, params: dict, jump: float) -> float:
     making a mistake worth surfacing.
     """
     from scipy import special, stats
-    x = float(jump)
+    x = _jump(family, jump)
     if family == "beta":
         c = _req(params, "c")
-        _check_unit_interior(x)
         return c * (1.0 - x) ** (c - 1.0) / x
     if family == "stable-beta":
         c, s = _req(params, "c", "sigma")
-        _check_unit_interior(x)
         return math.exp(
             _stable_log_norm(c, s)
             + (-s - 1.0) * math.log(x)
@@ -111,31 +109,31 @@ def levy_density(family: str, params: dict, jump: float) -> float:
         )
     if family == "gamma":
         theta = _req(params, "theta")
-        if x <= 0.0:
-            raise DomainError("gamma jumps live on (0, inf)")
         return math.exp(-x / theta) / x
     if family == "generalized-gamma":
         theta, s = _req(params, "theta", "sigma")
-        if x <= 0.0:
-            raise DomainError("generalized-gamma jumps live on (0, inf)")
         return math.exp(
             -x / theta - (s + 1.0) * math.log(x) - special.gammaln(1.0 - s)
         )
     if family == "symmetric-gamma":
         theta = _req(params, "theta")
-        if x == 0.0:
-            raise DomainError("symmetric-gamma density is undefined at 0")
         return math.exp(-abs(x) / theta) / abs(x)
     if family == "ibp":
         n, c, mass = _req(params, "num_objects", "c", "mass")
-        _check_unit_interior(x)
         return n / mass * stats.beta.pdf(x, c * mass / n, c)
     raise ValueError(f"unknown family {family!r}")
 
 
-def _check_unit_interior(x):
-    if not 0.0 < x < 1.0:
+def _jump(family: str, jump) -> float:
+    """``jump`` as a float, refused with DomainError outside ``family``'s support."""
+    x = float(jump)
+    if family in ("beta", "stable-beta", "ibp") and not 0.0 < x < 1.0:
         raise DomainError("jump must lie strictly inside (0, 1)")
+    if family in ("gamma", "generalized-gamma") and x <= 0.0:
+        raise DomainError(f"{family} jumps live on (0, inf)")
+    if family == "symmetric-gamma" and x == 0.0:
+        raise DomainError("symmetric-gamma density is undefined at 0")
+    return x
 
 
 def _stable_log_norm(c, s):
@@ -169,10 +167,9 @@ def decomposition_density_partial_sum(
     no simulation machinery or library round code is involved.
     """
     from scipy import special, stats
-    x = float(jump)
+    x = _jump(family, jump)
     if family == "beta":
         c = _req(params, "c")
-        _check_unit_interior(x)
         if K < 0:
             raise ValueError("K must be >= 0")
         ks = np.arange(K + 1, dtype=np.float64)
@@ -182,7 +179,6 @@ def decomposition_density_partial_sum(
         return PartialSum(float(terms.sum()), float(tail))
     if family == "stable-beta":
         c, s = _req(params, "c", "sigma")
-        _check_unit_interior(x)
         if K < 0:
             raise ValueError("K must be >= 0")
         ks = np.arange(K + 1, dtype=np.float64)
@@ -201,18 +197,11 @@ def decomposition_density_partial_sum(
         return PartialSum(float(terms.sum()), float(tail))
     if family in ("gamma", "symmetric-gamma"):
         theta = _req(params, "theta")
-        if family == "symmetric-gamma":
-            if x == 0.0:
-                raise DomainError("symmetric-gamma density is undefined at 0")
-            x = abs(x)
-        elif x <= 0.0:
-            raise DomainError("gamma jumps live on (0, inf)")
+        x = abs(x)  # the symmetric-gamma density is even; gamma jumps are positive
         value = _gamma_partial(theta, x, K, H)
         return PartialSum(value, _gamma_remainder(theta, x, K, H))
     if family == "generalized-gamma":
         theta, s = _req(params, "theta", "sigma")
-        if x <= 0.0:
-            raise DomainError("generalized-gamma jumps live on (0, inf)")
         corrected = bool(params.get("corrected", False))
         value = _generalized_partial(theta, s, x, K, H, corrected)
         if corrected:

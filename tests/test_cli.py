@@ -743,6 +743,12 @@ def test_bad_flags_exit_2(tmp_path, capsys):
         beta_run + ["--H", "inf"],
         beta_run + ["--theta", "1"],
         ["truncation-table", "--family", "gamma", "--M", "3"],
+        # nor is a flag that no chosen check reads
+        ["verify", "--check", "ibp", "--K", "5"],
+        ["verify", "--check", "ibp", "--H", "7"],
+        ["verify", "--check", "moment-closure", "--replicas", "50"],
+        ["verify", "--check", "ibp", "--sigma", "0.9"],
+        ["verify", "--check", "gamma-marginal", "--N", "5", "--replicas", "20"],
         # no stream takes a seed of 2**64, drawn or not
         table + ["--seed", str(2**64)],
         # ranges are the library's, and NaN fails them all
@@ -768,6 +774,47 @@ def test_bad_flags_exit_2(tmp_path, capsys):
     none = str(tmp_path / "none")
     assert main(["posterior", "--c", "1", "--M", "-1", "--prior", none, "--obs", none]) == 2
     assert capsys.readouterr().err == "error: M must be >= 0\n"
+    # verify names an unknown check before it looks at any flag, and a flag
+    # before its range: ibp reads no --replicas
+    for check, err in [
+        ("typo", "unknown check 'typo'"),
+        ("ibp", "--replicas does not apply to --check ibp"),
+    ]:
+        assert main(["verify", "--check", check, "--replicas", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_flag_table_matches_the_parser():
+    # a misspelt flag or choice in cli._FLAGS would refuse a flag its check
+    # reads, or leave a flag that only some choices read unchecked
+    commands = next(
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    # outside the table: the output flags, and each command's flags that
+    # every choice reads
+    common = {"help", "out", "format", "seed"}
+    shared = {
+        "simulate": {"family", "mass", "K", "rounds", "replicas"},
+        "truncation-table": {"family", "mass", "K_max"},
+        "verify": {"check"},
+    }
+    for command, table in cli._FLAGS.items():
+        parser = commands[command]
+        per_choice = {name for row in table.values() for name in row}
+        assert not per_choice & shared[command]
+        dests = {a.dest for a in parser._actions}
+        assert dests == common | shared[command] | per_choice
+        # an absent flag parses as None, so the table alone gives defaults
+        assert all(parser.get_default(name) is None for name in per_choice)
+        # rows that read one flag agree on its default
+        for name in per_choice:
+            assert len({row[name] for row in table.values() if name in row}) == 1
+        if command == "verify":
+            assert list(table) == list(cli._CHECKS)
+        else:
+            family = next(a for a in parser._actions if a.dest == "family")
+            assert list(table) == family.choices
 
 
 def test_out_of_memory_exits_2_and_writes_nothing(tmp_path, capsys):

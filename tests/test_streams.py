@@ -261,6 +261,18 @@ def test_child_path_algebra():
         assert (int(k0s[i]), int(k1s[i])) == s.child(i).key
 
 
+def test_seed_and_path_elements_must_be_integers_in_range():
+    # a bool seed used to equal RandomStream(1), key and all
+    for seed in (True, False, -1, 2**64, 1.0, np.uint64(1)):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            RandomStream(seed)
+    for e in (False, True, -1, 2**64, 2.0, np.int64(2)):
+        with pytest.raises(ValueError, match="path elements must be integers"):
+            RandomStream(1).child(e)
+        with pytest.raises(ValueError, match="path elements must be integers"):
+            RandomStream(1, (0, e))
+
+
 def test_child_absorbs_only_its_own_indices():
     # a child extends its parent's key: one absorb per new element, none
     # for the parent's path

@@ -99,6 +99,21 @@ def test_stick_breaking_bounds():
     )
     with pytest.raises(UnsupportedParameterError):
         truncation.stick_breaking_bounds(piecewise_params().concentration, 1.0, 3)
+    # c = -1 divided by zero, c = 0 returned 0.0, NaN came back, and a
+    # negative mass gave a negative marginal bound
+    for c, mass, M, message in [
+        (-1.0, 1.0, None, "c must be finite and positive"),
+        (0.0, 1.0, None, "c must be finite and positive"),
+        (math.nan, 1.0, None, "c must be finite and positive"),
+        (math.inf, 1.0, None, "c must be finite and positive"),
+        (PiecewiseConst.constant(UNIT, -2.0), 1.0, 3, "c must be finite and positive"),
+        (1.0, -5.0, 3, "total mass must be finite and positive"),
+        (1.0, math.nan, 3, "total mass must be finite and positive"),
+        (1.0, math.inf, None, "total mass must be finite and positive"),
+        (1.0, 1.0, 0, "M must be >= 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            truncation.stick_breaking_bounds(c, mass, 3, M)
 
 
 def test_gamma_l1_examples():
