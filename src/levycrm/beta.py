@@ -54,6 +54,7 @@ from .measures import (
     PiecewiseConst,
     PointMeasure,
     _cell_volumes,
+    _integer,
     common_edges,
     draw_cells,
     positive_function,
@@ -114,8 +115,7 @@ def round_measure(params: BetaProcessParams, k: int) -> BetaRound:
 
     mu_k is row k of ``_RoundPlan.masses``, the one evaluator of the round law.
     """
-    if k < 0:
-        raise ValueError("round index must be >= 0")
+    k = _integer(k, "round index", 0)
     plan = _RoundPlan(params)
     density, atoms = plan.masses(np.array([k]))
     mu_k = BaseMeasure(
@@ -133,8 +133,7 @@ def simulate_beta_process(
     Round k reads ``stream.child(k)`` (its count, then its locations, then
     its jumps) and the rounds run in order, so raising K only appends atoms.
     """
-    if K < 0:
-        raise ValueError("truncation round K must be >= 0")
+    K = _integer(K, "truncation round K", 0)
     return _draw(params, 0, K + 1, stream.key)[0]
 
 
@@ -146,10 +145,8 @@ def simulate_replicas(
     Replica r equals ``simulate_beta_process(params, K, stream.child(r))``,
     bit for bit.
     """
-    if K < 0:
-        raise ValueError("truncation round K must be >= 0")
-    if replicas < 0:
-        raise ValueError("replicas must be >= 0")
+    K = _integer(K, "truncation round K", 0)
+    replicas = _integer(replicas, "replicas", 0)
     return _draw(params, 0, K + 1, stream.child_keys(np.arange(replicas)))
 
 
@@ -234,8 +231,7 @@ def round_mean_and_variance(
         E    = int_A c/((c+k)(c+k+1))          mu(dw)
         Var  = int_A 2c/((c+k)(c+k+1)(c+k+2))  mu(dw).
     """
-    if k < 0:
-        raise ValueError("round index must be >= 0")
+    k = _integer(k, "round index", 0)
     c = params.concentration
     f_mean = c.map(lambda v: v / ((v + k) * (v + k + 1)))
     f_var = c.map(lambda v: 2 * v / ((v + k) * (v + k + 1) * (v + k + 2)))
@@ -257,9 +253,7 @@ def cumulative_round_moments(
 
     recovering int_A mu and the full-process variance as K grows.
     """
-    if K < 0:
-        raise ValueError("truncation round K must be >= 0")
-    kk = K + 1
+    kk = _integer(K, "truncation round K", 0) + 1
     c = params.concentration
     f_mean = c.map(lambda v: 1 - v / (v + kk))
     f_var = c.map(lambda v: 1 / (v + 1) - v / ((v + kk) * (v + kk + 1)))
@@ -295,8 +289,7 @@ def stable_round_measure(params: StableBetaParams, k: int) -> BetaRound:
 
     computed in log space; the factor reduces to c/(c+k) as sigma -> 0.
     """
-    if k < 0:
-        raise ValueError("round index must be >= 0")
+    k = _integer(k, "round index", 0)
     s = params.sigma
     c = params.base.concentration
 
@@ -327,10 +320,9 @@ def ibp_levy_density(num_objects: int, c: float, mass: float, pi):
     converges pointwise to c pi^(-1) (1-pi)^(c-1), the beta process Levy
     density per unit base mass, with error O(1/N).
     """
-    if num_objects < 1:
-        raise ValueError("need at least one object")
-    if c <= 0 or mass <= 0:
-        raise ValueError("c and mass must be positive")
+    num_objects = _integer(num_objects, "num_objects", 1)
+    if not (0 < c < math.inf and 0 < mass < math.inf):  # false for NaN as well
+        raise ValueError("c and mass must be finite and positive")
     pi = np.asarray(pi, dtype=np.float64)
     if np.any((pi <= 0) | (pi >= 1)):
         raise DomainError("pi must lie strictly inside (0, 1)")

@@ -14,7 +14,9 @@ exponentials and summing over k recovers nu, so superposing simulated
 subrounds for k <= K, h <= H yields a truncated draw with L1 error
 1/(K+1) plus a small h-tail (see the truncation module).  H is None or
 ``math.inf`` (all subrounds) or an integer >= 1, read by ``_finite_h`` for
-the draws, the moments and the truncation tables alike.
+the draws, the moments and the truncation tables alike; K, k and h are
+integers >= 1.  Every integer, H too, goes through ``measures._integer``:
+an integral float reads as its int, and a fraction, a bool or NaN raises.
 
 Every subround's rate, location law and jump law is a closed form known
 before any random word is read, so draws run on the draw engine
@@ -62,6 +64,7 @@ from .measures import (
     Domain,
     PiecewiseConst,
     PointMeasure,
+    _integer,
     draw_cells,
     location_table,
     positive_function,
@@ -78,12 +81,8 @@ _GAMMA_INT_SHAPE_MAX = 16
 
 def _finite_h(H) -> int | None:
     """The subround cutoff H: None for all subrounds (H None or inf), else
-    an int >= 1; a bool (numpy's too), NaN, -inf, H < 1 or a fraction raises."""
-    if H is None or H == math.inf:
-        return None
-    if isinstance(H, (bool, np.bool_)) or not H >= 1 or H != int(H):
-        raise ValueError(f"H must be an integer >= 1, or None or inf; got {H!r}")
-    return int(H)
+    ``measures._integer``'s int >= 1."""
+    return None if H is None or H == math.inf else _integer(H, "H", 1)
 
 
 class GammaProcessParams:
@@ -116,8 +115,7 @@ class GammaProcessParams:
 def subround_rate(mass: float, k: int, h: int) -> float:
     """Expected atom count mass / ((k+1)^h h) of subround (k, h): one cell
     of ``_rates_grid``."""
-    if k < 1 or h < 1:
-        raise ValueError("subround indices start at k = 1, h = 1")
+    k, h = _integer(k, "k", 1), _integer(h, "h", 1)
     return float(_rates_grid(mass, np.array([k]), np.array([h]))[0, 0])
 
 
@@ -155,6 +153,7 @@ class GammaSubround:
 
 def subround_spec(params: GammaProcessParams, k: int, h: int) -> GammaSubround:
     """Descriptive record of subround (k, h) of the decomposition."""
+    k, h = _integer(k, "k", 1), _integer(h, "h", 1)
     w = subround_rate(1.0, k, h)
     return GammaSubround(
         k=k,
@@ -204,11 +203,12 @@ def _grid(params: GammaProcessParams, K: int, H, signed: bool):
     Rates fall along a row and down a column, in floats too, so a block is
     rated only over its first round's live sub-rounds, all h < log2(mass) + 64.
     """
-    if K < 1:
-        raise ValueError("need at least one round")
+    K = _integer(K, "K", 1)
     H = _finite_h(H) or SUBROUND_CAP
     mass = params.total_base_mass * (2.0 if signed else 1.0)
-    hs = np.arange(1, min(H, max(1, math.ceil(math.log2(mass)) + 64)) + 1)
+    # frexp's exponent is at least log2(mass), and 0 where the doubled mass
+    # overflows to inf: those rates are inf, refused by the count pass's cap
+    hs = np.arange(1, min(H, max(1, math.frexp(mass)[1] + 64)) + 1)
     step = max(1, measures._DRAW_BATCH // H)
 
     def block(ks):
@@ -260,8 +260,7 @@ _MASS_BLOCK = 1024
 def _replica_blocks(params, K: int, H, stream: RandomStream, n: int, signed: bool):
     """The one replica loop: the draws of replicas 0..n-1, ``_MASS_BLOCK`` per
     engine call, replica r from ``stream.child(r)``; a bad n, K or H raises at call."""
-    if n < 0:
-        raise ValueError("replicas must be >= 0")
+    n = _integer(n, "replicas", 0)
     _grid(params, K, H, signed)
     lows = range(0, n, _MASS_BLOCK)
     keys = (stream.child_keys(np.arange(lo, min(lo + _MASS_BLOCK, n))) for lo in lows)
@@ -299,7 +298,7 @@ def replica_masses(
     signed)``, keeping only each block's masses.
     """
     blocks = _replica_blocks(params, K, H, stream, replicas, signed)
-    return np.fromiter((d.total_mass for ds in blocks for d in ds), float, replicas)
+    return np.fromiter((d.total_mass for ds in blocks for d in ds), float)
 
 
 def subround_mean_and_variance(
@@ -310,8 +309,7 @@ def subround_mean_and_variance(
         E   = int_A th/(k+1)^(h+1)           a(dw)
         Var = int_A (h+1) th^2/(k+1)^(h+2)   a(dw)
     """
-    if k < 1 or h < 1:
-        raise ValueError("subround indices start at k = 1, h = 1")
+    k, h = _integer(k, "k", 1), _integer(h, "h", 1)
     th = params.scale
     f_mean = th.map(lambda v: v * math.exp(-(h + 1) * math.log1p(k)))
     f_var = th.map(lambda v: (h + 1) * v * v * math.exp(-(h + 2) * math.log1p(k)))
@@ -336,8 +334,7 @@ def round_mean_and_variance(
 
     An integer ``num_subrounds`` >= 1 sums that many subround terms instead.
     """
-    if k < 1:
-        raise ValueError("round indices start at k = 1")
+    k = _integer(k, "round index", 1)
     th = params.scale
     if (num_subrounds := _finite_h(num_subrounds)) is None:
         f_mean = th.map(lambda v: v / (k * (k + 1)))
@@ -369,8 +366,7 @@ def symmetric_variance(
     while signs square away).  K is None (no round cap) or an int >= 1; H is
     None, inf or an int >= 1, and a finite H needs K.
     """
-    if K is not None and K < 1:
-        raise ValueError("need at least one round")
+    K = None if K is None else _integer(K, "K", 1)
     if K is None and _finite_h(H) is None:
         f = params.scale.map(lambda v: 2.0 * v * v)
         return params.base.integral_against(f, boxes)
@@ -427,8 +423,7 @@ def generalized_subround(
     ``corrected=True`` it carries ``generalized_weight_correction`` and
     the decomposition is exact.  See the verify module's gate.
     """
-    if k < 1 or h < 1:
-        raise ValueError("subround indices start at k = 1, h = 1")
+    k, h = _integer(k, "k", 1), _integer(h, "h", 1)
     s = params.sigma
     scale = params.base.scale
     w = subround_rate(1.0, k, h) / math.gamma(1.0 - s)

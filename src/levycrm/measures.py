@@ -12,6 +12,9 @@ columns, an (n, dim) array of locations and matching arrays of jumps and of
 the round and subround that produced each atom.  ``draw_cells`` is the draw
 engine both process families run on: it draws the finite Poisson processes
 (cells) of many draws at once, in a few across-keys reads.
+
+``_integer`` is the one reader of every integer parameter of the library,
+from round indices to arrays of observed counts.
 """
 
 from __future__ import annotations
@@ -43,6 +46,29 @@ class UnsupportedParameterError(ValueError):
 
 class OracleError(RuntimeError):
     """A numerical oracle failed to reach its required tolerance."""
+
+
+def _integer(value, name: str, low: int):
+    """An integer parameter (an index, a truncation level or a count) as an int.
+
+    An int, a numpy integer or an integral float passes; a bool (numpy's
+    too), NaN, an infinity, a fraction or a non-number raises ValueError, as
+    does a value below ``low``, with "{name} must be >= {low}".  An array is
+    read entry by entry, into an int64 array of its shape.
+    """
+    if np.ndim(value):
+        # as objects, so a bool in a list of ints is not made an int first
+        a = np.asarray(value, dtype=object)
+        ints = [_integer(v, name, low) for v in a.ravel().tolist()]
+        return np.array(ints, dtype=np.int64).reshape(a.shape)
+    value = np.asarray(value).item()
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return value
 
 
 class Domain:
@@ -247,17 +273,9 @@ def _in_boxes(points: np.ndarray, boxes) -> np.ndarray:
 
 def _covered_cells(edges, boxes: np.ndarray) -> np.ndarray:
     """Boolean grid marking cells whose center lies in some box."""
-    centers = [0.5 * (e[:-1] + e[1:]) for e in edges]
-    shape = tuple(c.size for c in centers)
-    mask = np.zeros(shape, dtype=bool)
-    for box in boxes:
-        per_dim = [
-            (c >= box[d, 0]) & (c <= box[d, 1]) for d, c in enumerate(centers)
-        ]
-        mask |= reduce(np.logical_and.outer, per_dim) if len(
-            per_dim
-        ) > 1 else per_dim[0]
-    return mask
+    centers = np.meshgrid(*[0.5 * (e[:-1] + e[1:]) for e in edges], indexing="ij")
+    points = np.stack([c.ravel() for c in centers], axis=1)
+    return _in_boxes(points, boxes).reshape(centers[0].shape)
 
 
 def positive_function(value, domain: Domain, name: str) -> PiecewiseConst:

@@ -30,6 +30,7 @@ The atomic part supports two samplers, both reading round marks with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ from .measures import (
     PointMeasure,
     UnsupportedParameterError,
     _count_pass,
+    _integer,
     _marks,
     _union,
 )
@@ -65,13 +67,13 @@ class ObservationSet:
 
     def __post_init__(self):
         locs = np.atleast_2d(np.asarray(self.locations, dtype=np.float64))
-        counts = np.atleast_1d(np.asarray(self.counts, dtype=np.int64))
+        counts = np.atleast_1d(_integer(self.counts, "count", 0))
         if locs.shape[0] != counts.shape[0]:
             raise ValueError("locations and counts must align")
-        if self.M < 0:
-            raise ValueError("M must be >= 0")
-        if np.any(counts < 0) or np.any(counts > self.M):
+        M = _integer(self.M, "M", 0)
+        if np.any(counts > M):
             raise ValueError("every count must lie in [0, M]")
+        object.__setattr__(self, "M", M)
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "counts", counts)
 
@@ -88,8 +90,7 @@ def sample_bernoulli_data(
     probability pi_i; the returned counts are the per-atom totals.  Jumps
     outside (0, 1) make the prior invalid for Bernoulli marking.
     """
-    if M < 0:
-        raise ValueError("M must be >= 0")
+    M = _integer(M, "M", 0)
     jumps = prior_draw.jumps
     if jumps.size and (jumps.min() <= 0.0 or jumps.max() >= 1.0):
         raise InvalidPriorError("every prior jump must lie strictly in (0, 1)")
@@ -129,14 +130,12 @@ def posterior_params(
 
 
 def _concentration(c: float, M: int, K: int) -> float:
-    """The posterior concentration c + M of rounds 0..K, for c > 0 and M >= 0."""
-    if not c > 0:
-        raise ValueError("c must be > 0")
-    if M < 0:
-        raise ValueError("M must be >= 0")
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    return c + M
+    """The posterior concentration c + M of rounds 0..K, for finite c > 0,
+    M >= 0 and K >= 0."""
+    if not 0 < c < math.inf:  # false for NaN as well
+        raise ValueError("c must be > 0 and finite")
+    _integer(K, "K", 0)
+    return c + _integer(M, "M", 0)
 
 
 def resample_observed_jumps(
@@ -168,11 +167,8 @@ def resample_observed_jumps(
     so it is built once per distinct count.  Each run of live streams the
     count pass yields is one ``measures._marks`` read.
     """
-    m = np.asarray(m, dtype=np.int64)
-    if draws < 0:
-        raise ValueError("draws must be >= 0")
-    if np.any(m < 0):
-        raise ValueError("m_i must be >= 0")
+    m = np.asarray(_integer(m, "m_i", 0), dtype=np.int64)
+    draws = _integer(draws, "draws", 0)
     b = _concentration(c, M, K) + np.arange(K + 1, dtype=np.float64)
     out = np.zeros(m.shape + (draws,), dtype=np.float64)
     rows = out.reshape(m.size, draws)
@@ -203,8 +199,7 @@ def resample_truncated_expectation(c: float, M: int, m_i: int, K: int) -> float:
 
     Converges to the exact posterior mean m_i/(c+M) as K grows.
     """
-    if m_i < 0:
-        raise ValueError("m_i must be >= 0")
+    m_i = _integer(m_i, "m_i", 0)
     # grouped as one quotient: 1/a - 1/(a+K+1) cancels badly in floats
     a = _concentration(c, M, K)
     return m_i * (K + 1.0) / (a * (a + K + 1.0))
@@ -220,8 +215,7 @@ def sample_new_jumps(
     1/(c+M+k), k = 0..K, and jump the Beta(1, c+M+k) inverse CDF at word 1.
     """
     b = _concentration(c, M, K) + np.arange(K + 1, dtype=np.float64)
-    if draws < 0:
-        raise ValueError("draws must be >= 0")
+    draws = _integer(draws, "draws", 0)
     k0s, k1s = stream.child_keys(np.arange(draws))
     one = np.ones(draws, np.intp)
     ks, u, _ = _marks(k0s, k1s, 0, one, np.cumsum(1.0 / b)[None], one - 1)

@@ -363,10 +363,10 @@ def batch_poisson(
         np.asarray(k0s, dtype=np.uint64),
         np.asarray(k1s, dtype=np.uint64),
     )
+    top = rates.max(initial=0.0)
+    _check_rate_cap(top)  # an infinite rate is above the cap too
     if not np.all((rates >= 0) & (rates < math.inf)):
         raise ValueError("Poisson rates must be finite and >= 0")
-    top = rates.max(initial=0.0)
-    _check_rate_cap(top)
     if top <= _POISSON_CHUNK:
         u = _words_to_uniform(_philox4x64(k0s, k1s, 0)[:, 0])
         counts = _poisson_invert(rates.ravel(), u).reshape(rates.shape)

@@ -40,13 +40,12 @@ import numpy as np
 
 from .beta import BetaProcessParams, _RoundPlan
 from .gamma import _finite_h
-from .measures import UnsupportedParameterError
+from .measures import UnsupportedParameterError, _integer
 
 
 def _tail_mass(params: BetaProcessParams, K: int) -> float:
     """int c/(c+K+1) mu(dw), the tail integral behind both beta bounds."""
-    if K < 0:
-        raise ValueError("K must be >= 0")
+    K = _integer(K, "K", 0)
     # v + K + 1 adds as (v + K) + 1, which is not always round K+1's v + (K+1)
     f = params.concentration.map(lambda v: v / (v + K + 1))
     return params.base.integral_against(f)
@@ -65,8 +64,7 @@ def beta_marginal_bound(params: BetaProcessParams, K: int, M: int) -> float:
 
         1 - exp(-M int c/(c+K+1) mu(dw))
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    M = _integer(M, "M", 1)
     return -math.expm1(-M * _tail_mass(params, K))
 
 
@@ -78,10 +76,8 @@ def stick_breaking_bounds(
     Returns the L1 distance (c/(c+1))^(K+1) and, when M is given, the
     marginal bound 1 - exp(-M gamma (c/(c+1))^(K+1)).  Constant c only.
     """
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    if M is not None and M < 1:
-        raise ValueError("M must be >= 1")
+    K = _integer(K, "K", 0)
+    M = None if M is None else _integer(M, "M", 1)
     if hasattr(c, "is_constant"):
         if not c.is_constant:
             raise UnsupportedParameterError(
@@ -105,10 +101,8 @@ def beta_table(params: BetaProcessParams, K_max: int, M: int | None = None) -> d
     for piecewise c as well.  ``stick_breaking_l1`` is the stick-breaking
     construction's L1 distance, None unless c is constant.
     """
-    if K_max < 0:
-        raise ValueError("K_max must be >= 0")
-    if M is not None and M < 1:
-        raise ValueError("M must be >= 1")
+    K_max = _integer(K_max, "K_max", 0)
+    M = None if M is None else _integer(M, "M", 1)
     ks = range(K_max + 1)
     tails = [_tail_mass(params, K) for K in ks]
     c, mass = params.concentration, params.total_base_mass
@@ -171,8 +165,7 @@ def gamma_table(gamma_mass: float, K_max: int, H: int | float | None = None) -> 
     finite H keeps a running sum of each round's log series cut at h = H,
     accumulated term by term until it underflows.
     """
-    if K_max < 0:
-        raise ValueError("K_max must be >= 0")
+    K_max = _integer(K_max, "K_max", 0)
     H, gamma_mass = _finite_h(H), _gamma_mass(gamma_mass)
     return {
         "K": np.arange(1, K_max + 1),
@@ -185,8 +178,7 @@ def gamma_table(gamma_mass: float, K_max: int, H: int | float | None = None) -> 
 
 def gamma_l1_error(K: int, H: int | float | None = None) -> float:
     """L1 distance left after subrounds k <= K, h <= H: row K of ``gamma_table``."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    K = _integer(K, "K", 1)
     if (H := _finite_h(H)) is None:
         return 1.0 / (K + 1)
     return deque(_gamma_l1_column(K, H), maxlen=1).pop()
@@ -194,8 +186,7 @@ def gamma_l1_error(K: int, H: int | float | None = None) -> float:
 
 def gamma_expected_atoms(gamma_mass: float, K: int, H: int | float | None = None):
     """Expected atom count of subrounds k <= K, h <= H: row K of ``gamma_table``."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    K = _integer(K, "K", 1)
     gamma_mass = _gamma_mass(gamma_mass)
     if (H := _finite_h(H)) is None:
         return gamma_mass * math.log(K + 1.0)
@@ -212,6 +203,7 @@ def crossover_ranges(c: float, K_max: int) -> list[tuple[int, int, str]]:
     'stick-breaking', or 'tie').  No global ordering holds; the label can
     change with K.
     """
+    K_max = _integer(K_max, "K_max", 0)
     table = beta_table(BetaProcessParams.homogeneous(c, 1.0), K_max)
     sup, stick = table["l1_error"], table["stick_breaking_l1"]
     labels = np.where(sup < stick, "superposition",

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import DomainError, OracleError
+from .measures import DomainError, OracleError, _integer
 
 KS_SIGNIFICANCE = 1e-3
 CHI2_SIGNIFICANCE = 1e-3
@@ -170,8 +170,7 @@ def decomposition_density_partial_sum(
     x = _jump(family, jump)
     if family == "beta":
         c = _req(params, "c")
-        if K < 0:
-            raise ValueError("K must be >= 0")
+        K = _integer(K, "K", 0)
         ks = np.arange(K + 1, dtype=np.float64)
         terms = (c / (c + ks)) * stats.beta.pdf(x, 1.0, c + ks)
         # remaining terms form an exact geometric series with ratio 1-x
@@ -179,8 +178,7 @@ def decomposition_density_partial_sum(
         return PartialSum(float(terms.sum()), float(tail))
     if family == "stable-beta":
         c, s = _req(params, "c", "sigma")
-        if K < 0:
-            raise ValueError("K must be >= 0")
+        K = _integer(K, "K", 0)
         ks = np.arange(K + 1, dtype=np.float64)
         logw = (
             special.gammaln(c + s + ks)
@@ -213,10 +211,9 @@ def decomposition_density_partial_sum(
 
 
 def _kh_grid(K, H):
-    if K < 1 or H is None or H < 1:
-        raise ValueError("gamma truncations need K >= 1 and finite H >= 1")
-    ks = np.arange(1, K + 1, dtype=np.float64)
-    hs = np.arange(1, H + 1, dtype=np.float64)
+    # gamma truncations need K >= 1 and a finite H >= 1
+    ks = np.arange(1, _integer(K, "K", 1) + 1, dtype=np.float64)
+    hs = np.arange(1, _integer(H, "H", 1) + 1, dtype=np.float64)
     return ks[:, None], hs[None, :]
 
 
@@ -464,9 +461,9 @@ def ks_distance(samples, cdf) -> KSResult:
     sqrt(ln(2/a)/2)/sqrt(n) at significance a = ``KS_SIGNIFICANCE``.
     """
     x = np.sort(np.asarray(samples, dtype=np.float64))
-    n = x.size
-    if n < 2:
-        raise ValueError("need at least 2 samples")
+    # below 4 samples the critical value is at least 1, which no statistic
+    # (at most 1) reaches: such a test could not fail
+    n = _integer(x.size, "KS sample size", 4)
     f = np.asarray(cdf(x), dtype=np.float64)
     grid = np.arange(1, n + 1, dtype=np.float64) / n
     d_plus = float(np.max(grid - f))

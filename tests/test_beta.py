@@ -139,6 +139,10 @@ def test_ibp_density_limit():
         beta.ibp_levy_density(10, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         beta.ibp_levy_density(0, 1.0, 1.0, 0.5)
+    # a NaN or infinite c or mass is refused, not turned into a NaN density
+    for c, mass in [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]:
+        with pytest.raises(ValueError, match="c and mass must be finite and positive"):
+            beta.ibp_levy_density(10, c, mass, 0.5)
 
 
 def test_simulate_round_empty_and_tags():

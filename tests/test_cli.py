@@ -715,6 +715,9 @@ def test_bad_flags_exit_2(tmp_path, capsys):
         ["simulate", "--family", "beta", "--K", "3"],
         ["simulate", "--family", "beta", "--c", "1"],
         beta_run + ["--mass", "-2"],
+        # the signed family's doubled rate overflows to inf, above the rate cap
+        ["simulate", "--family", "symmetric-gamma", "--theta", "1", "--mass", "1e308",
+         "--K", "1"],
         ["simulate", "--family", "gamma", "--theta", "1", "--K", "0"],
         beta_run + ["--seed", "-4"],
         ["simulate", "--family", "beta", "--c", "1", "--rounds", "0"],
@@ -749,6 +752,8 @@ def test_bad_flags_exit_2(tmp_path, capsys):
         ["verify", "--check", "moment-closure", "--replicas", "50"],
         ["verify", "--check", "ibp", "--sigma", "0.9"],
         ["verify", "--check", "gamma-marginal", "--N", "5", "--replicas", "20"],
+        # a KS test of 3 samples has a critical value above 1 and could not fail
+        ["verify", "--check", "gamma-marginal", "--replicas", "3"],
         # no stream takes a seed of 2**64, drawn or not
         table + ["--seed", str(2**64)],
         # ranges are the library's, and NaN fails them all

@@ -5,6 +5,7 @@ densities must be exact cell sums, not quadrature; the sampling side is
 checked with Monte Carlo intervals and a chi-square uniformity test.
 """
 
+import dataclasses
 import math
 from functools import reduce
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from levycrm import beta, gamma, posterior, truncation, verify
 from levycrm.measures import (
     BaseMeasure,
     Domain,
@@ -363,3 +365,168 @@ def test_boxed_integrals_match_reference_loops(case):
     assert base.integral_against(f, boxes) == _ref_integral_against(base, f, boxes)
     hit = _ref_hits(pm.locations, as_boxes(boxes, pm.domain))
     assert pm.mass_in(boxes) == float(pm.jumps[hit].sum())
+
+
+# Every integer parameter of the library, each read by ``measures._integer``:
+# name -> (call with the parameter at x, the least legal x).
+_BP = beta.BetaProcessParams.homogeneous(2.0, 1.5)
+_GP = gamma.GammaProcessParams.homogeneous(1.0, 2.0)
+_GG = gamma.GeneralizedGammaParams(_GP, 0.3)
+_S = RandomStream(5)
+_PRIOR = beta.simulate_beta_process(_BP, 3, _S)
+INTEGER_PARAMETERS = {
+    "beta.round_measure k": (lambda x: beta.round_measure(_BP, x), 0),
+    "beta.simulate_beta_process K": (lambda x: beta.simulate_beta_process(_BP, x, _S), 0),
+    "beta.simulate_replicas K": (lambda x: beta.simulate_replicas(_BP, x, _S, 2), 0),
+    "beta.simulate_replicas replicas": (lambda x: beta.simulate_replicas(_BP, 2, _S, x), 0),
+    "beta.round_mean_and_variance k": (lambda x: beta.round_mean_and_variance(_BP, x), 0),
+    "beta.cumulative_round_moments K": (
+        lambda x: beta.cumulative_round_moments(_BP, x), 0
+    ),
+    "beta.stable_round_measure k": (
+        lambda x: beta.stable_round_measure(beta.StableBetaParams(_BP, 0.3), x), 0
+    ),
+    "beta.ibp_levy_density num_objects": (
+        lambda x: beta.ibp_levy_density(x, 1.0, 1.0, 0.5), 1
+    ),
+    "gamma.subround_rate k": (lambda x: gamma.subround_rate(2.0, x, 2), 1),
+    "gamma.subround_rate h": (lambda x: gamma.subround_rate(2.0, 2, x), 1),
+    "gamma.subround_spec k": (lambda x: gamma.subround_spec(_GP, x, 2), 1),
+    "gamma.subround_spec h": (lambda x: gamma.subround_spec(_GP, 2, x), 1),
+    "gamma.simulate_gamma_process K": (
+        lambda x: gamma.simulate_gamma_process(_GP, x, 3, _S), 1
+    ),
+    "gamma.simulate_symmetric_gamma K": (
+        lambda x: gamma.simulate_symmetric_gamma(_GP, x, None, _S), 1
+    ),
+    "gamma.simulate_replicas replicas": (
+        lambda x: gamma.simulate_replicas(_GP, 2, 3, _S, x), 0
+    ),
+    "gamma.replica_masses replicas": (lambda x: gamma.replica_masses(_GP, 2, 3, _S, x), 0),
+    "gamma.subround_mean_and_variance k": (
+        lambda x: gamma.subround_mean_and_variance(_GP, x, 2), 1
+    ),
+    "gamma.subround_mean_and_variance h": (
+        lambda x: gamma.subround_mean_and_variance(_GP, 2, x), 1
+    ),
+    "gamma.round_mean_and_variance k": (lambda x: gamma.round_mean_and_variance(_GP, x), 1),
+    "gamma.round_mean_and_variance num_subrounds": (
+        lambda x: gamma.round_mean_and_variance(_GP, 2, None, x), 1
+    ),
+    "gamma.symmetric_variance K": (lambda x: gamma.symmetric_variance(_GP, x, 3), 1),
+    "gamma.generalized_subround k": (lambda x: gamma.generalized_subround(_GG, x, 2), 1),
+    "gamma.generalized_subround h": (lambda x: gamma.generalized_subround(_GG, 2, x), 1),
+    "posterior.ObservationSet M": (
+        lambda x: posterior.ObservationSet(x, [[0.5]], [0]), 0
+    ),
+    "posterior.ObservationSet counts": (
+        lambda x: posterior.ObservationSet(3, [[0.5]], x), 0
+    ),
+    "posterior.sample_bernoulli_data M": (
+        lambda x: posterior.sample_bernoulli_data(_PRIOR, x, _S), 0
+    ),
+    "posterior._concentration M": (lambda x: posterior._concentration(1.0, x, 5), 0),
+    "posterior._concentration K": (lambda x: posterior._concentration(1.0, 2, x), 0),
+    "posterior.resample_observed_jumps m": (
+        lambda x: posterior.resample_observed_jumps(1.0, 2, x, 5, _S, 3), 0
+    ),
+    "posterior.resample_observed_jumps K": (
+        lambda x: posterior.resample_observed_jumps(1.0, 2, [1, 2], x, _S, 3), 0
+    ),
+    "posterior.resample_observed_jumps draws": (
+        lambda x: posterior.resample_observed_jumps(1.0, 2, [1, 2], 5, _S, x), 0
+    ),
+    "posterior.sample_new_jumps K": (
+        lambda x: posterior.sample_new_jumps(1.0, 2, x, _S, 3), 0
+    ),
+    "posterior.sample_new_jumps draws": (
+        lambda x: posterior.sample_new_jumps(1.0, 2, 5, _S, x), 0
+    ),
+    "posterior.resample_truncated_expectation m_i": (
+        lambda x: posterior.resample_truncated_expectation(1.0, 2, x, 5), 0
+    ),
+    "truncation.beta_l1_error K": (lambda x: truncation.beta_l1_error(_BP, x), 0),
+    "truncation.beta_marginal_bound M": (
+        lambda x: truncation.beta_marginal_bound(_BP, 2, x), 1
+    ),
+    "truncation.stick_breaking_bounds K": (
+        lambda x: truncation.stick_breaking_bounds(2.0, 1.5, x, 3), 0
+    ),
+    "truncation.stick_breaking_bounds M": (
+        lambda x: truncation.stick_breaking_bounds(2.0, 1.5, 3, x), 1
+    ),
+    "truncation.beta_table K_max": (lambda x: truncation.beta_table(_BP, x, 3), 0),
+    "truncation.beta_table M": (lambda x: truncation.beta_table(_BP, 3, x), 1),
+    "truncation.gamma_table K_max": (lambda x: truncation.gamma_table(2.0, x, 3), 0),
+    "truncation.gamma_l1_error K": (lambda x: truncation.gamma_l1_error(x, 3), 1),
+    "truncation.gamma_expected_atoms K": (
+        lambda x: truncation.gamma_expected_atoms(2.0, x, 3), 1
+    ),
+    "truncation.crossover_ranges K_max": (lambda x: truncation.crossover_ranges(2.0, x), 0),
+    "verify.decomposition_density_partial_sum beta K": (
+        lambda x: verify.decomposition_density_partial_sum("beta", {"c": 2.0}, 0.3, x), 0
+    ),
+    "verify.decomposition_density_partial_sum stable-beta K": (
+        lambda x: verify.decomposition_density_partial_sum(
+            "stable-beta", {"c": 2.0, "sigma": 0.3}, 0.3, x
+        ),
+        0,
+    ),
+    "verify.decomposition_density_partial_sum gamma K": (
+        lambda x: verify.decomposition_density_partial_sum("gamma", {"theta": 1}, 0.3, x, 4), 1
+    ),
+    "verify.decomposition_density_partial_sum gamma H": (
+        lambda x: verify.decomposition_density_partial_sum("gamma", {"theta": 1}, 0.3, 4, x), 1
+    ),
+}
+
+
+def _canon(obj):
+    """A comparable form of a library result that tells an int from a float."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, (tuple, list)):
+        return tuple(map(_canon, obj))
+    if isinstance(obj, dict):
+        return tuple((k, _canon(v)) for k, v in obj.items())
+    if dataclasses.is_dataclass(obj):
+        return _canon([getattr(obj, f.name) for f in dataclasses.fields(obj)])
+    if hasattr(type(obj), "__slots__"):
+        return _canon([getattr(obj, name) for name in type(obj).__slots__])
+    return type(obj).__name__, repr(obj)
+
+
+@pytest.mark.parametrize("name", list(INTEGER_PARAMETERS))
+def test_integer_parameters_share_one_rule(name):
+    call, low = INTEGER_PARAMETERS[name]
+    # a fraction, a bool, NaN, an infinity or a value below range is refused,
+    # never truncated; inf is legal only as a sub-round cutoff H
+    bad = [2.5, math.nan, -math.inf, True, np.True_, np.float64(0.5), low - 1]
+    if not name.endswith("num_subrounds"):
+        bad.append(math.inf)
+    for x in bad:
+        with pytest.raises(ValueError):
+            call(x)
+    with pytest.raises(ValueError, match=f"must be >= {low}$"):
+        call(low - 1)
+    # an int, a numpy integer and an integral float give the same result
+    want = _canon(call(low + 1))
+    assert _canon(call(np.int64(low + 1))) == want
+    assert _canon(call(float(low + 1))) == want
+
+
+def test_fractional_count_arrays_are_refused():
+    locs = [[0.25], [0.75]]
+    got = posterior.ObservationSet(3, locs, [1.0, 2.0]).counts
+    assert got.dtype == np.int64 and got.tolist() == [1, 2]
+    for counts in ([1.5, 2.0], [1.0, 2.9], [1, math.nan], [1, True], np.array([True, False])):
+        with pytest.raises(ValueError):
+            posterior.ObservationSet(3, locs, counts)
+        with pytest.raises(ValueError):
+            posterior.resample_observed_jumps(1.0, 3, counts, 5, _S, 2)
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        posterior.ObservationSet(3, locs, [1, -1])
+    want = posterior.resample_observed_jumps(1.0, 3, [1, 2], 5, _S, 4)
+    for m in (np.array([1, 2]), [1.0, 2.0], np.array([1.0, 2.0], np.float32)):
+        got = posterior.resample_observed_jumps(1.0, 3, m, 5, _S, 4)
+        assert _canon(got) == _canon(want)

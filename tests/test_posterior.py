@@ -164,7 +164,7 @@ def test_resample_zero_count_and_validation():
     # the prior concentration must be positive and M nonnegative, for both
     # samplers and the truncated expectation alike
     s = RandomStream(1)
-    for c, M in [(-1.0, 0), (0.0, 0), (-4.0, 3), (math.nan, 2), (1.0, -1)]:
+    for c, M in [(-1.0, 0), (0.0, 0), (-4.0, 3), (math.nan, 2), (math.inf, 2), (1.0, -1)]:
         with pytest.raises(ValueError, match="c must be > 0|M must be >= 0"):
             posterior.sample_new_jumps(c, M, 5, s, 3)
         with pytest.raises(ValueError, match="c must be > 0|M must be >= 0"):

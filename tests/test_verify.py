@@ -190,6 +190,12 @@ def test_ks_distance():
     assert res.statistic >= 0.5 and not res.passed
     with pytest.raises(ValueError):
         verify.ks_distance(np.array([1.0]), lambda x: x)
+    # below 4 samples the critical value is at least 1, which no statistic
+    # reaches, so the test is refused; at 4 it is 0.975 and can fail
+    with pytest.raises(ValueError, match="must be >= 4"):
+        verify.ks_distance(np.array([0.2, 0.5, 0.8]), lambda x: x)
+    res = verify.ks_distance(np.full(4, 0.999), lambda x: x)
+    assert res.critical_value < 1.0 and not res.passed
 
 
 def test_gamma2_cdf_equals_scipy_gammainc_bit_for_bit():
