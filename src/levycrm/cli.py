@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Four subcommands:
+Four commands:
 
 * ``simulate``          draw truncated beta / gamma / symmetric-gamma
                         processes, one JSONL record per atom
@@ -30,15 +30,18 @@ memory; the observations are kept, as they are the update's input.
 Replica r always owns stream path [r], so its atoms do not depend on how
 many other replicas are drawn.
 
-``simulate``, ``truncation-table`` and ``verify`` read the flags of each
-choice (a ``--family``, or a check) and their defaults from one table,
-``_FLAGS``, and refuse a flag that no chosen family or check reads.
+Each command declares each flag once, in ``_COMMANDS``, and ``_parse``
+alone reads ``argv`` against it: ``--name value`` or ``--name=value``,
+spelled out in full.  ``simulate``, ``truncation-table`` and ``verify`` read
+the flags of each choice (a ``--family``, or a check) and their defaults
+from ``_FLAGS``, and refuse a flag that no chosen family or check reads.
 Parameter ranges, the seed's too, are the library's checks alone; the CLI
 checks only what the library cannot know: ``--rounds``, the ``--H`` text,
 ``posterior --draws``, the input files and ``verify``'s own flags.
 
-Exit codes: 0 success, 1 verification failure, 2 parameter or file
-errors (a closed stdout too), decided in ``main`` alone.
+Exit codes: 0 success (``--help`` too), 1 verification failure, 2 usage,
+parameter or file errors (a closed stdout too), each one ``error:`` line,
+decided in ``main`` alone.
 
 The verify module is imported only by the ``verify`` command's functions,
 so the other commands start without it.  scipy loads only inside the
@@ -48,14 +51,13 @@ checks that need it (the density, moment-closure, ibp and gate checks);
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import os
 import sys
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -216,6 +218,8 @@ def cmd_simulate(args) -> int:
     _check_flags(args, "--family", [args.family])
     family = args.family
     if args.rounds is not None:
+        if args.K is not None:
+            raise CLIError("--K and --rounds exclude each other")
         if args.rounds < 1:
             raise CLIError("--rounds must be >= 1")
         K = args.rounds - (family == "beta")  # gamma rounds start at k = 1
@@ -233,7 +237,7 @@ def cmd_simulate(args) -> int:
             K=K, replicas=args.replicas,
         )
         simulate = partial(beta.simulate_replicas, params, K, root, args.replicas)
-    else:  # gamma or symmetric-gamma, the rest of argparse's choices
+    else:  # gamma or symmetric-gamma, the rest of the --family choices
         H = _parse_h(args.H)
         params = gamma.GammaProcessParams.homogeneous(args.theta, args.mass)
         l1 = truncation.gamma_l1_error(K, H)
@@ -288,7 +292,7 @@ def cmd_truncation_table(args) -> int:
             M=args.M, K_max=args.K_max,
         )
         table = truncation.beta_table(params, args.K_max, args.M)
-    else:  # gamma, the other of argparse's choices
+    else:  # gamma, the other --family choice
         H = _parse_h(args.H)
         h = "inf" if H is None else H
         header = _header(
@@ -547,16 +551,10 @@ def _check_moment_closure(args, root):
             mean, var = beta.cumulative_round_moments(params, K, A)
             for r, kind, computed in ((1, "mean", mean), (2, "variance", var)):
                 target = verify.moment_oracle("beta", params, A, r)
-                rows.append(
-                    verify.make_report(
-                        f"moment-closure/c={c:g},A={label},{kind}",
-                        target,
-                        computed,
-                        1e-3,
-                        "rel",
-                        f"round sum K={K} vs quadrature",
-                    )
-                )
+                name = f"moment-closure/c={c:g},A={label},{kind}"
+                rows.append(verify.make_report(
+                    name, target, computed, 1e-3, "rel", f"round sum K={K} vs quadrature"
+                ))
     return rows
 
 
@@ -575,22 +573,10 @@ def _check_ibp(args, root):
         errs.append(worst)
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))
     return [
-        verify.make_report(
-            f"ibp/N={args.N}",
-            0.0,
-            errs[ns.index(args.N)],
-            1e-3,
-            "abs",
-            "max relative error over pi in {0.1,...,0.9}",
-        ),
-        verify.make_report(
-            "ibp/monotone",
-            1.0,
-            1.0 if decreasing else 0.0,
-            0.0,
-            "abs",
-            "errors " + ", ".join(_fmt_float(e) for e in errs),
-        ),
+        verify.make_report(f"ibp/N={args.N}", 0.0, errs[ns.index(args.N)], 1e-3, "abs",
+                           "max relative error over pi in {0.1,...,0.9}"),
+        verify.make_report("ibp/monotone", 1.0, 1.0 if decreasing else 0.0, 0.0, "abs",
+                           "errors " + ", ".join(_fmt_float(e) for e in errs)),
     ]
 
 
@@ -626,22 +612,11 @@ def _check_symmetric_variance(args, root):
     mom = verify.monte_carlo_moments(masses)
     target_var = gamma.symmetric_variance(params, K, H)
     return [
-        verify.make_report(
-            "symmetric-gamma/mean",
-            0.0,
-            mom.mean,
-            4.0 * mom.se_mean,
-            "abs",
-            f"signed mass over {mom.n} replicas",
-        ),
-        verify.make_report(
-            "symmetric-gamma/variance",
-            target_var,
-            mom.variance,
-            4.0 * mom.se_variance,
-            "abs",
-            f"truncation-adjusted target at K={K}, H={H}",
-        ),
+        verify.make_report("symmetric-gamma/mean", 0.0, mom.mean, 4.0 * mom.se_mean,
+                           "abs", f"signed mass over {mom.n} replicas"),
+        verify.make_report("symmetric-gamma/variance", target_var, mom.variance,
+                           4.0 * mom.se_variance, "abs",
+                           f"truncation-adjusted target at K={K}, H={H}"),
     ]
 
 
@@ -697,9 +672,11 @@ def cmd_verify(args) -> int:
         if name not in _CHECKS:
             raise CLIError(f"unknown check {name!r}")
     _check_flags(args, "--check", names)
-    # a flag no chosen check reads is None here
-    if args.replicas is not None and args.replicas < 2:
-        raise CLIError("--replicas must be >= 2")
+    # a flag no chosen check reads is None here; below 4 samples the KS
+    # critical value exceeds 1, so the KS test could not fail
+    for name, floor in (("gamma-marginal", 4), ("symmetric-variance", 2)):
+        if name in names and args.replicas < floor:
+            raise CLIError(f"--replicas must be >= {floor} for --check {name}")
     if args.sigma is not None and not 0.0 <= args.sigma < 1.0:
         raise CLIError("--sigma must lie in [0, 1)")
     if args.H is not None and _parse_h(args.H) is None:
@@ -715,105 +692,127 @@ def cmd_verify(args) -> int:
         try:
             rows = run(args, root)
         except OracleError as exc:
-            rows = [
-                verify.VerificationReport(
-                    name=name,
-                    target=0.0,
-                    computed=0.0,
-                    tolerance=0.0,
-                    mode="abs",
-                    passed=False,
-                    detail=f"oracle error: {exc}",
-                )
-            ]
+            detail = f"oracle error: {exc}"
+            rows = [verify.VerificationReport(name, 0.0, 0.0, 0.0, "abs", False, detail)]
         reports.extend(rows)
         failed = failed or not (gated or all(rep.passed for rep in rows))
 
-    columns = ["name", "target", "computed", "tolerance", "mode", "passed", "detail"]
-    records = [dataclasses.asdict(rep) for rep in reports]
+    records = [rep._asdict() for rep in reports]
+    columns = list(verify.VerificationReport._fields)
     _emit(args, _header(args, root.seed, checks=names), records, columns)
     return 1 if failed else 0
 
 
 # --------------------------------------------------------------- arg wiring
 
+# Each command's handler, help and flags, each flag once: name -> (kind,
+# default or ... if required, help).  A kind is int, float, str, a tuple of
+# choices, or list (repeatable).  A flag that _FLAGS reads per choice is None
+# here, so its row alone gives its default.  --K-max sets attribute K_max.
+_OUTPUT_FLAGS = {
+    "out": (str, None, "output path (default: stdout)"),
+    "format": (("jsonl", "csv"), "jsonl", "output format"),
+    "seed": (int, None, "stream seed; generated if absent"),
+}
+_COMMANDS = {
+    "simulate": (cmd_simulate, "draw truncated processes", {
+        "family": (tuple(_FLAGS["simulate"]), ..., "process family"),
+        "c": (float, None, "beta concentration"),
+        "theta": (float, None, "gamma scale"),
+        "mass": (float, 1.0, "base measure mass"),
+        "K": (int, None, "last round index (beta 0..K, gamma 1..K)"),
+        "rounds": (int, None, "number of rounds (--K N-1 for beta, N for gamma)"),
+        "H": (str, None, "sub-round cutoff or 'inf' (the default)"),
+        "replicas": (int, 1, "independent draws, replica r on stream [r]"),
+    }),
+    "truncation-table": (cmd_truncation_table, "closed-form error tables", {
+        "family": (tuple(_FLAGS["truncation-table"]), ..., "process family"),
+        "c": (float, None, "beta concentration"),
+        "mass": (float, 1.0, "base measure mass"),
+        "K-max": (int, 20, "last truncation level"),
+        "H": (str, None, "sub-round cutoff or 'inf' (the default)"),
+        "M": (int, None, "data size for the marginal bound"),
+    }),
+    "posterior": (cmd_posterior, "posterior resampling workflow", {
+        "c": (float, ..., "prior concentration"),
+        "mass": (float, 1.0, "base measure mass"),
+        "M": (int, ..., "Bernoulli draw count"),
+        "K": (int, 1000, "round truncation"),
+        "draws": (int, 1000, "draws of each observed jump"),
+        "new-draws": (int, None, "draws of a new jump (default: --draws)"),
+        "prior": (str, ..., "prior draw JSONL file"),
+        "obs": (str, ..., "observation-count JSONL file"),
+    }),
+    "verify": (cmd_verify, "run the numerical check suite", {
+        "check": (list, None, "check name, 'default' or 'all' (repeatable); "
+                  "checks: " + ", ".join(_CHECKS)),
+        "N": (int, None, "feature-count size"),
+        "K": (int, None, "fixed K for density checks"),
+        "H": (str, None, "fixed finite H for gamma density checks"),
+        "sigma": (float, None, "stable-beta discount"),
+        "replicas": (int, None, "simulated replicas"),
+    }),
+}
 
-def _add_output_flags(sp):
-    sp.add_argument("--out", help="output path (default: stdout)")
-    sp.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-    sp.add_argument("--seed", type=int, help="stream seed; generated if absent")
+
+def _usage(command) -> str:
+    """--help's text: a known command's flags, else the command list."""
+    if command not in _COMMANDS:
+        return "usage: levycrm COMMAND [--flag value ...]\n\n" + "".join(
+            f"  {name:<18}{text}\n" for name, (_, text, _) in _COMMANDS.items())
+    _, text, flags = _COMMANDS[command]
+    out = f"usage: levycrm {command} [--flag value ...]\n\n{text}\n\n"
+    for name, (kind, default, help_) in {**flags, **_OUTPUT_FLAGS}.items():
+        rows = {row.get(name) for row in _FLAGS.get(command, {}).values()} - {None, ...}
+        default = rows.pop() if default is None and len(rows) == 1 else default
+        kind = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else kind.__name__.upper()
+        note = {...: " (required)", None: ""}.get(default, f" (default {default})")
+        out += f"  --{name} {kind}\n      {help_}{note}\n"
+    return out
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="levycrm",
-        description="Round-decomposed beta/gamma random measure toolkit",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("simulate", help="draw truncated processes")
-    sp.add_argument(
-        "--family",
-        required=True,
-        choices=["beta", "gamma", "symmetric-gamma"],
-    )
-    sp.add_argument("--c", type=float, help="beta concentration")
-    sp.add_argument("--theta", type=float, help="gamma scale")
-    sp.add_argument("--mass", type=float, default=1.0, help="base measure mass")
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--K", type=int, help="last round index (beta 0..K, gamma 1..K)")
-    group.add_argument(
-        "--rounds", type=int, help="number of rounds (--K N-1 for beta, N for gamma)"
-    )
-    sp.add_argument("--H", help="sub-round cutoff or 'inf' (the default)")
-    sp.add_argument("--replicas", type=int, default=1)
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("truncation-table", help="closed-form error tables")
-    sp.add_argument("--family", required=True, choices=["beta", "gamma"])
-    sp.add_argument("--c", type=float)
-    sp.add_argument("--mass", type=float, default=1.0)
-    sp.add_argument("--K-max", dest="K_max", type=int, default=20)
-    sp.add_argument("--H")
-    sp.add_argument("--M", type=int, help="data size for the marginal bound")
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_truncation_table)
-
-    sp = sub.add_parser("posterior", help="posterior resampling workflow")
-    sp.add_argument("--c", type=float, required=True)
-    sp.add_argument("--mass", type=float, default=1.0)
-    sp.add_argument("--M", type=int, required=True, help="Bernoulli draw count")
-    sp.add_argument("--K", type=int, default=1000, help="round truncation")
-    sp.add_argument("--draws", type=int, default=1000)
-    sp.add_argument("--new-draws", dest="new_draws", type=int)
-    sp.add_argument("--prior", required=True, help="prior draw JSONL file")
-    sp.add_argument("--obs", required=True, help="observation-count JSONL file")
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_posterior)
-
-    sp = sub.add_parser("verify", help="run the numerical check suite")
-    sp.add_argument(
-        "--check",
-        action="append",
-        help="check name, 'default' or 'all' (repeatable); checks: "
-        + ", ".join(_CHECKS),
-    )
-    sp.add_argument("--N", type=int, help="feature-count size")
-    sp.add_argument("--K", type=int, help="fixed K for density checks")
-    sp.add_argument("--H", help="fixed finite H for gamma density checks (default "
-                    f"{_FLAGS['verify']['gamma-density']['H']})")
-    sp.add_argument("--sigma", type=float)
-    sp.add_argument("--replicas", type=int)
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_verify)
-    return p
+def _parse(argv) -> SimpleNamespace:
+    """The handlers' namespace from ``argv``: the command, then each flag as
+    ``--name value`` or ``--name=value``, spelled out in full.  A repeated
+    flag's last value wins, and a list flag appends."""
+    command = argv[0] if argv else None
+    if "-h" in argv or "--help" in argv:
+        print(_usage(command), end="")
+        raise SystemExit(0)
+    if command not in _COMMANDS:
+        what = f"unknown command {command!r}" if argv else "no command"
+        raise CLIError(f"{what}; the first argument is one of {', '.join(_COMMANDS)}")
+    func, _, flags = _COMMANDS[command]
+    flags = {**flags, **_OUTPUT_FLAGS}
+    values = {name: default for name, (_, default, _) in flags.items()}
+    rest = iter(argv[1:])
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        name = flag[2:]
+        if not flag.startswith("--") or name not in flags:
+            raise CLIError(f"unknown flag {flag!r} for {command}" if arg.startswith("-")
+                           else f"unexpected argument {arg!r}")
+        kind = flags[name][0]
+        if not eq and (value := next(rest, "--")).startswith("--"):
+            raise CLIError(f"{flag} needs a value")
+        if isinstance(kind, tuple) and value not in kind:
+            raise CLIError(f"{flag} must be one of {', '.join(kind)}, got {value!r}")
+        try:
+            values[name] = [*(values[name] or []), value] if kind is list else (
+                value if isinstance(kind, tuple) else kind(value))
+        except ValueError:
+            kind = "an integer" if kind is int else "a number"
+            raise CLIError(f"{flag} must be {kind}, got {value!r}") from None
+    for name, value in values.items():
+        if value is ...:
+            raise CLIError(f"{command} needs --{name}")
+    values = {name.replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(command=command, func=func, **values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except (ValueError, OSError) as exc:  # CLIError and library errors are ValueErrors
         if isinstance(exc, BrokenPipeError):  # its unsent rest would fail at exit

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ GATE_THETA, GATE_K, GATE_H = 1.0, 200, 60
 GATE_PRINTED_TOL, GATE_CORRECTED_TOL = 1e-3, 1e-6
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """One named check: target vs computed under a flagged tolerance."""
 
     name: str
@@ -142,8 +141,7 @@ def _stable_log_norm(c, s):
     return special.gammaln(c + 1.0) - special.gammaln(1.0 - s) - special.gammaln(c + s)
 
 
-@dataclass(frozen=True)
-class PartialSum:
+class PartialSum(NamedTuple):
     """Truncated component-density sum plus its analytic tail when known.
 
     For the beta, stable-beta, gamma, symmetric-gamma, and corrected
@@ -372,8 +370,7 @@ def _cellwise_moment(base, fn, A, jump_integral):
     return base.integral_against(fn.map(jvals), A)
 
 
-@dataclass(frozen=True)
-class KSResult:
+class KSResult(NamedTuple):
     statistic: float
     critical_value: float
     n: int
@@ -473,8 +470,7 @@ def ks_distance(samples, cdf) -> KSResult:
     return KSResult(statistic=stat, critical_value=crit, n=n)
 
 
-@dataclass(frozen=True)
-class ChiSquareResult:
+class ChiSquareResult(NamedTuple):
     statistic: float
     critical_value: float
     dof: int
@@ -501,8 +497,7 @@ def chi_square_gof(counts, probs) -> ChiSquareResult:
     return ChiSquareResult(statistic=stat, critical_value=crit, dof=dof)
 
 
-@dataclass(frozen=True)
-class MomentSummary:
+class MomentSummary(NamedTuple):
     mean: float
     variance: float
     se_mean: float
@@ -534,8 +529,7 @@ def monte_carlo_moments(values) -> MomentSummary:
     )
 
 
-@dataclass(frozen=True)
-class GatePoint:
+class GatePoint(NamedTuple):
     jump: float
     target: float
     printed: float
@@ -546,8 +540,7 @@ class GatePoint:
     corrected_ok: bool
 
 
-@dataclass(frozen=True)
-class GateReport:
+class GateReport(NamedTuple):
     """Printed vs corrected generalized-gamma sums against the target.
 
     The printed component weights do not reproduce the displayed density
@@ -566,7 +559,7 @@ class GateReport:
     max_rel_err_corrected: float
     printed_all_ok: bool
     corrected_all_ok: bool
-    points: tuple = field(default=())
+    points: tuple = ()
 
 
 def generalized_gamma_gate(sigma, grid=None) -> GateReport:

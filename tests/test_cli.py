@@ -703,7 +703,7 @@ def test_prior_draw_is_checked_without_being_held(tmp_path):
     assert len(atoms) == n
 
 
-def test_bad_flags_exit_2(tmp_path, capsys):
+def test_bad_flags_exit_2(tmp_path, capsys, monkeypatch):
     out = tmp_path / "x.jsonl"
     prior, obs = _write_posterior_inputs(tmp_path)
     beta_run = ["simulate", "--family", "beta", "--c", "1", "--K", "3"]
@@ -766,7 +766,23 @@ def test_bad_flags_exit_2(tmp_path, capsys):
         ["truncation-table", "--family", "gamma", "--mass", "nan"],
         ["posterior", "--c", "nan", "--M", "2", *files],
         update + ["--mass", "nan"],
+        # the reader's own refusals: each is one error line, not a usage block
+        ["simulat", "--family", "beta", "--c", "1", "--K", "3"],
+        ["verify", "--check", "gamma-marginal", "--rep", "8"],
+        ["simulate", "--family", "beta", "--c", "1", "--K", "x"],
+        ["simulate", "--family", "beta", "--c", "1", "--K"],
+        ["simulate", "--family", "foo", "--c", "1", "--K", "3"],
+        beta_run + ["--format", "xml"],
+        beta_run + ["--rounds", "3"],
+        ["posterior", "--c", "1", "--M", "2", "--obs", str(obs)],
+        beta_run + ["stray"],
     ]
+    for argv in [[], ["--seed", "1", "--out", str(out)]]:  # no command
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+        assert not out.exists()
     for argv in runs:
         # a run's own --seed comes later and wins
         assert main([argv[0], "--seed", "1", "--out", str(out), *argv[1:]]) == 2
@@ -787,39 +803,74 @@ def test_bad_flags_exit_2(tmp_path, capsys):
     ]:
         assert main(["verify", "--check", check, "--replicas", "1"]) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
+    # the --replicas floor of each chosen check is checked before any check runs
+    monkeypatch.setattr(cli, "_CHECKS", {
+        name: (_must_not_run, gated) for name, (_, gated) in cli._CHECKS.items()
+    })
+    for argv, err in [
+        (["--check", "all", "--replicas", "3"], "4 for --check gamma-marginal"),
+        (["--check", "symmetric-variance", "--replicas", "1"],
+         "2 for --check symmetric-variance"),
+    ]:
+        assert main(["verify", *argv, "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --replicas must be >= {err}\n"
+        assert not out.exists()
+
+
+def test_flags_take_name_equals_value(tmp_path):
+    spaced = ["simulate", "--family", "beta", "--c", "1", "--K", "3", "--seed", "1"]
+    joined = ["simulate", "--family=beta", "--c=1", "--K=3", "--seed=1"]
+    assert run(tmp_path, "a.jsonl", spaced) == run(tmp_path, "b.jsonl", joined)
+
+
+@pytest.mark.parametrize("command,flags", [
+    (None, ["simulate", "truncation-table", "posterior", "verify"]),
+    ("simulate", ["family", "c", "theta", "mass", "K", "rounds", "H", "replicas"]),
+    ("truncation-table", ["family", "c", "mass", "K-max", "H", "M"]),
+    ("posterior", ["c", "mass", "M", "K", "draws", "new-draws", "prior", "obs"]),
+    ("verify", ["check", "N", "K", "H", "sigma", "replicas"]),
+])
+def test_help_names_every_flag(capsys, command, flags):
+    # --help is read before any flag, wherever it stands, and exits 0
+    argv = [command, "--K", "x", "--help"] if command else ["-h"]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command:
+        flags = [f"--{name}" for name in flags + ["out", "format", "seed"]]
+    for name in flags:
+        assert f"  {name} " in captured.out, name
 
 
 def test_flag_table_matches_the_parser():
     # a misspelt flag or choice in cli._FLAGS would refuse a flag its check
     # reads, or leave a flag that only some choices read unchecked
-    commands = next(
-        a for a in cli.build_parser()._actions
-        if isinstance(a, argparse._SubParsersAction)
-    ).choices
-    # outside the table: the output flags, and each command's flags that
+    common = {"out", "format", "seed"}
+    assert set(cli._OUTPUT_FLAGS) == common
+    # outside the rows: the output flags, and each command's flags that
     # every choice reads
-    common = {"help", "out", "format", "seed"}
     shared = {
         "simulate": {"family", "mass", "K", "rounds", "replicas"},
-        "truncation-table": {"family", "mass", "K_max"},
+        "truncation-table": {"family", "mass", "K-max"},
         "verify": {"check"},
     }
     for command, table in cli._FLAGS.items():
-        parser = commands[command]
+        _, _, flags = cli._COMMANDS[command]
         per_choice = {name for row in table.values() for name in row}
         assert not per_choice & shared[command]
-        dests = {a.dest for a in parser._actions}
-        assert dests == common | shared[command] | per_choice
-        # an absent flag parses as None, so the table alone gives defaults
-        assert all(parser.get_default(name) is None for name in per_choice)
+        assert not set(flags) & common
+        assert set(flags) | common == common | shared[command] | per_choice
+        # an absent flag parses as None, so the rows alone give defaults
+        assert all(flags[name][1] is None for name in per_choice)
         # rows that read one flag agree on its default
         for name in per_choice:
             assert len({row[name] for row in table.values() if name in row}) == 1
         if command == "verify":
             assert list(table) == list(cli._CHECKS)
         else:
-            family = next(a for a in parser._actions if a.dest == "family")
-            assert list(table) == family.choices
+            assert list(table) == list(flags["family"][0])
 
 
 def test_out_of_memory_exits_2_and_writes_nothing(tmp_path, capsys):
@@ -971,6 +1022,27 @@ def test_beta_and_posterior_runs_do_not_load_numpy_ma(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+def test_runs_do_not_load_argparse(tmp_path):
+    # argparse's first parser imports gettext and locale, about half of a
+    # small run's time inside main; the flag reader needs none of them
+    prior, obs = _write_posterior_inputs(tmp_path)
+    out = str(tmp_path / "x.jsonl")
+    res = _fresh_python(
+        "import sys\n"
+        "from levycrm.cli import main\n"
+        "assert main(['simulate', '--family', 'beta', '--c', '1', '--K', '5',\n"
+        f"             '--seed', '1', '--out', {out!r}]) == 0\n"
+        "assert main(['posterior', '--c', '1', '--M', '2', '--K', '5', '--seed', '1',\n"
+        f"             '--prior', {str(prior)!r}, '--obs', {str(obs)!r},\n"
+        f"             '--out', {out!r}]) == 0\n"
+        "assert main(['verify', '--check', 'gamma-marginal', '--replicas', '20',\n"
+        f"             '--seed', '1', '--out', {out!r}]) == 0\n"
+        "loaded = [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    assert res.returncode == 0, res.stderr
+
+
 def test_replica_checks_do_not_load_scipy(tmp_path):
     # gamma-marginal takes its Gamma(2, 1) CDF from verify.gamma2_cdf; no
     # word read loads numpy.random either
@@ -1035,12 +1107,13 @@ def test_verify_failure_and_bad_check(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_verify_checks_every_name_before_running_any(tmp_path, monkeypatch, capsys):
-    def must_not_run(args, root):
-        raise AssertionError("a check ran before every name was validated")
+def _must_not_run(args, root):
+    raise AssertionError("a check ran before every name and flag was validated")
 
+
+def test_verify_checks_every_name_before_running_any(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_CHECKS", {
-        name: (must_not_run, gated) for name, (_, gated) in cli._CHECKS.items()
+        name: (_must_not_run, gated) for name, (_, gated) in cli._CHECKS.items()
     })
     out = tmp_path / "x.jsonl"
     assert main([
