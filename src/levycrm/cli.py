@@ -19,9 +19,10 @@ run with the same seed is byte-identical.  Every header is built by
 when not supplied; ``truncation-table`` draws nothing and records null),
 the library version, and the applicable truncation error.
 Records go out block by block, a block being one record kind's rows held
-as columns and formatted through one template; the header is a block of
-constants, JSON in either format.  Every block is checked before the
-output opens, so a run that fails writes nothing.
+as columns and filled once per block: one ``%`` of its row template,
+repeated once per row; the header is a block of constants, JSON in either
+format.  Every block is checked before the output opens, so a run that
+fails writes nothing.
 
 ``posterior`` reads its two input files line by line.  Each prior atom is
 checked and counted, never held, so a big prior file costs constant
@@ -56,7 +57,7 @@ import json
 import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -99,6 +100,12 @@ def _constant(v, jsonl: bool) -> str:
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
+@cache
+def _json_key(name: str) -> str:
+    """A field's ``%``-escaped JSON key text, made once per name."""
+    return json.dumps(name).replace("%", "%%") + ": "
+
+
 def _block_template(block: dict, columns: list, jsonl: bool):
     """A block's ``%`` template and the 1-D arrays that fill it row by row.
 
@@ -120,7 +127,7 @@ def _block_template(block: dict, columns: list, jsonl: bool):
         else:
             field = _constant(v, jsonl).replace("%", "%%")
         if jsonl:
-            field = json.dumps(name).replace("%", "%%") + ": " + field
+            field = _json_key(name) + field
         fields.append(field)
     line = "{" + ", ".join(fields) + "}" if jsonl else ",".join(fields)
     return line + "\n", cols
@@ -139,8 +146,13 @@ def _emit(args, header: dict, blocks: list, columns: list) -> None:
     ) as f:
         f.write(head)
         for template, cols in filled:
-            rows = zip(*[c.tolist() for c in cols]) if cols else [()]
-            f.write("".join(map(template.__mod__, rows)))
+            # one % fills the block: the template repeated once per row, and
+            # the columns' values interleaved row by row
+            n = len(cols[0]) if cols else 1
+            flat = [None] * (n * len(cols))
+            for j, c in enumerate(cols):
+                flat[j::len(cols)] = c.tolist()
+            f.write((template * n) % tuple(flat))
         f.flush()  # a closed stdout fails here, inside the run, not at exit
 
 
@@ -434,15 +446,19 @@ def cmd_posterior(args) -> int:
     resampled = posterior.resample_observed_jumps(
         c, M, obs.counts, K, root.child(0), args.draws
     )
-    for i, values in enumerate(resampled):
-        m_i = int(obs.counts[i])
+    # numpy reduces each contiguous row with the pairwise sum a 1-D call
+    # uses, so each atom's summaries are its row's own, bit for bit
+    means = resampled.mean(axis=1)
+    variances = resampled.var(axis=1, ddof=1) if args.draws > 1 else np.zeros(len(obs))
+    above = (resampled > 1.0).mean(axis=1)
+    truncated = {
+        m: posterior.resample_truncated_expectation(c, M, m, K)
+        for m in set(obs.counts.tolist())
+    }
+    draw = np.arange(args.draws)
+    for i, (values, m_i) in enumerate(zip(resampled, obs.counts.tolist())):
         blocks.append(
-            {
-                "record": "observed-draw",
-                "atom": i,
-                "draw": np.arange(args.draws),
-                "value": values,
-            }
+            {"record": "observed-draw", "atom": i, "draw": draw, "value": values}
         )
         # the undecomposed posterior Beta(m_i, c+M-m_i) exists only for
         # 0 < m_i < c+M; its variance is reported for comparison, never
@@ -456,14 +472,12 @@ def cmd_posterior(args) -> int:
                 "atom": i,
                 "location": obs.locations[i].tolist(),
                 "count": m_i,
-                "empirical_mean": float(values.mean()),
-                "empirical_var": float(values.var(ddof=1)) if args.draws > 1 else 0.0,
+                "empirical_mean": float(means[i]),
+                "empirical_var": float(variances[i]),
                 "posterior_mean": m_i / a,
                 "beta_ref_var": ref_var,
-                "truncated_mean": posterior.resample_truncated_expectation(
-                    c, M, m_i, K
-                ),
-                "frac_above_one": float((values > 1.0).mean()),
+                "truncated_mean": truncated[m_i],
+                "frac_above_one": float(above[i]),
             }
         )
     new_ks, new_vals = posterior.sample_new_jumps(c, M, K, root.child(1), new_draws)

@@ -29,6 +29,7 @@ from .streams import (
     StreamCursor,
     _absorb_mixed,
     _path_mix,
+    _ragged_blocks,
     _ragged_index,
     _words_to_uniform,
     batch_poisson,
@@ -521,20 +522,39 @@ def _pick(cums: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The entry each uniform picks from its row of stacked cumulative sums.
 
     ``u[i]`` picks, from row ``row[i]`` of ``cums``, the first entry at or
-    above ``u[i]`` times that row's total, capped at the last entry.  One
-    ``searchsorted`` runs per distinct row, over the uniforms that use it.
+    above ``x = u[i]`` times that row's total, capped at the last entry.
+    With ``G`` the power of two at or above the width, and at least 16:
+    where the rows times ``G`` are no more than the uniforms, a guide table
+    (Chen and Asau, 1974) holds each row's pick at ``g / G`` of its total,
+    and a uniform starts from its bucket's, ``g = min(floor(u G), G - 1)``,
+    then steps up while its entry is below ``x`` and not the last.  The
+    start is never past the pick: ``g / G <= u`` exactly, and rounding is
+    monotone.  Otherwise one ``searchsorted`` runs per distinct row, over
+    the uniforms that use it.
     """
-    width = cums.shape[1]
-    out = np.zeros(u.size, np.intp)
-    if width > 1:
-        x = u * cums[row, -1]
-        order = np.argsort(row, kind="stable")
-        ends = np.searchsorted(row[order], np.arange(cums.shape[0] + 1))
-        for r in np.flatnonzero(np.diff(ends)):
-            sel = order[ends[r]:ends[r + 1]]
-            out[sel] = np.searchsorted(cums[r], x[sel], side="left")
-        out = np.minimum(out, width - 1)
-    return out
+    rows, width = cums.shape
+    if width == 1:
+        return np.zeros(u.size, np.intp)
+    x = cums[row, -1]
+    x *= u  # in place: one array of the uniforms' size, not two
+    g = max(16, 1 << (width - 1).bit_length())
+    if rows * g <= u.size:
+        at = cums[:, -1:] * (np.arange(g) / g)
+        guide = np.array([np.searchsorted(c, t, side="left") for c, t in zip(cums, at)])
+        k = guide[row, np.minimum(u * g, g - 1).astype(np.intp)]
+        go = np.flatnonzero((cums[row, k] < x) & (k < width - 1))
+        while go.size:
+            k[go] += 1
+            r, kg = row[go], k[go]
+            go = go[(cums[r, kg] < x[go]) & (kg < width - 1)]
+        return k
+    out = np.empty(u.size, np.intp)
+    order = np.argsort(row, kind="stable")
+    ends = np.searchsorted(row[order], np.arange(rows + 1))
+    for r in np.flatnonzero(np.diff(ends)):
+        sel = order[ends[r]:ends[r + 1]]
+        out[sel] = np.searchsorted(cums[r], x[sel], side="left")
+    return np.minimum(out, width - 1)
 
 
 def _marks(k0s, k1s, starts, n, cums, rows) -> tuple:
@@ -542,11 +562,18 @@ def _marks(k0s, k1s, starts, n, cums, rows) -> tuple:
 
     Stream ``i`` reads ``n[i]`` mark words from word ``starts[i]``, each picking
     (``_pick``) an entry of row ``rows[i]`` of ``cums``, then ``n[i]`` jump words.
+    The arguments are 1-D arrays of one length.  Both kinds of word are read
+    in place from the Philox blocks, and the blocks are freed before the pick.
     """
-    w = _words_to_uniform(ragged_words(k0s, k1s, starts, 2 * n))
-    owner, within, first = _ragged_index(n)
-    pos = 2 * first[owner] + within
-    return _pick(cums, rows[owner], w[pos]), w[pos + n[owner]], first
+    words, base = _ragged_blocks(k0s, k1s, starts, 2 * n)
+    owner, pos, first = _ragged_index(n)
+    pos += base[owner]
+    marks = _words_to_uniform(words[pos])
+    pos += n[owner]
+    jumps = _words_to_uniform(words[pos])
+    rows = rows[owner]
+    del words, pos, owner
+    return _pick(cums, rows, marks), jumps, first
 
 
 # Stream keys per batch of ``_count_pass``, the draw engine's and the

@@ -217,6 +217,6 @@ def sample_new_jumps(
     b = _concentration(c, M, K) + np.arange(K + 1, dtype=np.float64)
     draws = _integer(draws, "draws", 0)
     k0s, k1s = stream.child_keys(np.arange(draws))
-    one = np.ones(draws, np.intp)
-    ks, u, _ = _marks(k0s, k1s, 0, one, np.cumsum(1.0 / b)[None], one - 1)
+    zero = np.zeros(draws, np.intp)
+    ks, u, _ = _marks(k0s, k1s, zero, zero + 1, np.cumsum(1.0 / b)[None], zero)
     return ks.astype(np.int64), _beta1_jump(u, b[ks])

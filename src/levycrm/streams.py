@@ -19,8 +19,9 @@ to any position without sequential state.
 Every word comes from one implementation of the cipher, ``_philox4x64``,
 which runs it as numpy array ops: its state is two lanes, ``(x0, x2)`` and
 ``(x1, x3)``, each a ``(2, m)`` array updated in place, over passes of at most
-8,192 blocks.  ``ragged_words`` reads any ranges of any keys through one call
-of it, and a cursor read is that call over the cursor's own key.
+8,192 blocks.  ``_ragged_blocks`` evaluates the blocks that any ranges of any
+keys touch through one call of it, ``ragged_words`` gathers the ranges'
+words from them, and a cursor read is that call over the cursor's own key.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def _philox4x64(k0, k1, blocks) -> np.ndarray:
     Returns an ``(n, 4)`` array whose row ``i`` is block ``blocks[i]`` under
     key ``(k0[i], k1[i])``; the arguments are uint64 scalars or 1-D arrays,
     broadcast to one length.  Every word the package reads comes from here,
-    through ``ragged_words`` or ``batch_poisson``'s one-word read.
+    through ``_ragged_blocks`` or ``batch_poisson``'s one-word read.
 
     The state runs as two lanes, ``(x0, x2)`` and ``(x1, x3)``, each a
     ``(2, m)`` array whose rows take their own multiplier (``_M``), so one
@@ -279,26 +280,26 @@ def _poisson_invert(rates: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     Counts satisfy ``P(N <= n) >= u`` minimally.  The loop runs to the
     largest count drawn, so callers keep rates small by splitting them into
-    chunks (see ``batch_poisson``).
+    chunks (see ``batch_poisson``).  An entry stops when ``u <= cdf`` or
+    when its term underflows to 0 (its CDF can grow no more), and a stopped
+    entry never restarts, so each pass runs only over the entries still
+    going, with the float operations a full-array pass gives them.
     """
-    lam = np.asarray(rates, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
+    lam = np.asarray(rates, dtype=np.float64).ravel()
+    u = np.asarray(u, dtype=np.float64).ravel()
     p = np.exp(-lam)
-    cdf = p.copy()
     n = np.zeros(lam.shape, dtype=np.int64)
+    go = np.flatnonzero((u > p) & (p > 0.0))
+    lam, u, cdf, p = lam[go], u[go], p[go], p[go]
     k = 0
-    while True:
-        active = u > cdf
-        # Once the term underflows the CDF can no longer grow; stop rather
-        # than loop forever on a pathological uniform.
-        active &= p > 0.0
-        if not active.any():
-            break
-        n[active] += 1
+    while go.size:
         k += 1
         p = p * (lam / k)
-        cdf = cdf + np.where(active, p, 0.0)
-    return n
+        cdf = cdf + p
+        more = (u > cdf) & (p > 0.0)
+        n[go[~more]] = k
+        go, lam, u, cdf, p = go[more], lam[more], u[more], cdf[more], p[more]
+    return n.reshape(np.shape(rates))
 
 
 def _ragged_index(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -317,14 +318,30 @@ def _ragged_index(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return owner, np.arange(owner.size) - first[owner], first
 
 
+def _ragged_blocks(k0s, k1s, starts, counts) -> tuple[np.ndarray, np.ndarray]:
+    """The words of every Philox block that word ranges touch, and where
+    each range's first word lies among them.
+
+    The arguments are 1-D arrays of one length, ``counts`` nonnegative.
+    Range ``i`` is words ``starts[i] .. starts[i]+counts[i]-1`` of stream
+    ``(k0s[i], k1s[i])``: word ``j`` of a stream is word ``j % 4`` of its
+    block with counter ``j // 4``.  One ``_philox4x64`` call evaluates the
+    blocks, each range's in order after the previous range's, so word ``j``
+    of range ``i`` is ``words[base[i] + j]``.
+    """
+    b0 = starts >> 2
+    n_blocks = np.where(counts > 0, ((starts + counts - 1) >> 2) - b0 + 1, 0)
+    key, block, first_block = _ragged_index(n_blocks)
+    words = _philox4x64(k0s[key], k1s[key], b0[key] + block).reshape(-1)
+    return words, 4 * first_block + (starts & 3)
+
+
 def ragged_words(k0s, k1s, starts, counts) -> np.ndarray:
     """Words ``starts[i] .. starts[i]+counts[i]-1`` of every keyed stream.
 
-    The segments are concatenated in key order; word ``j`` of a stream is
-    word ``j % 4`` of its Philox block with counter ``j // 4``, and
-    nonpositive counts give empty segments.  Arguments broadcast to one
-    shape, read in C order.  One ``_philox4x64`` call evaluates exactly the
-    blocks the ranges touch, for one key or for many.
+    The segments are concatenated in key order, gathered from the blocks
+    that ``_ragged_blocks`` reads; nonpositive counts give empty segments.
+    Arguments broadcast to one shape, read in C order.
     """
     k0s, k1s, starts, counts = (a.ravel() for a in np.broadcast_arrays(
         np.asarray(k0s, dtype=np.uint64),
@@ -332,12 +349,9 @@ def ragged_words(k0s, k1s, starts, counts) -> np.ndarray:
         np.asarray(starts, dtype=np.int64),
         np.maximum(np.asarray(counts, dtype=np.int64), 0),
     ))
-    b0 = starts >> 2
-    n_blocks = np.where(counts > 0, ((starts + counts - 1) >> 2) - b0 + 1, 0)
-    key, block, first_block = _ragged_index(n_blocks)
-    words = _philox4x64(k0s[key], k1s[key], b0[key] + block).reshape(-1)
+    words, base = _ragged_blocks(k0s, k1s, starts, counts)
     seg, j, _ = _ragged_index(counts)
-    return words[4 * first_block[seg] + (starts[seg] & 3) + j]
+    return words[base[seg] + j]
 
 
 def batch_poisson(

@@ -14,6 +14,10 @@ oracle that holds the library's own Philox kernel to Philox4x64-10, and
 ``derive_key`` computes a stream's key in Python integers, the oracle that
 holds the library's array absorb to the key derivation.
 
+``poisson_invert`` inverts the Poisson CDF over the full arrays, pass
+after pass: the oracle that holds the library's shrinking inversion to the
+same counts.
+
 ``json_line`` and ``csv_field`` write one record, or one CSV field, at a
 time: the row writer that the CLI's block templates, header included, must
 reproduce byte for byte.
@@ -35,7 +39,6 @@ from levycrm.streams import (
     RandomStream,
     StreamCursor,
     _check_rate_cap,
-    _poisson_invert,
 )
 
 
@@ -87,6 +90,31 @@ def stream_words(k0: int, k1: int, start: int, n: int) -> np.ndarray:
     return words[off:off + n]
 
 
+def poisson_invert(rates: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Poisson CDF inversion over the full arrays, one uniform per entry.
+
+    Every pass updates every entry, stopped or not; the count of an entry
+    is the passes it stayed active, active meaning ``u > cdf`` with a
+    nonzero term.  The library's inversion runs each pass over the entries
+    still going, and must return the same counts.
+    """
+    lam = np.asarray(rates, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    p = np.exp(-lam)
+    cdf = p.copy()
+    n = np.zeros(lam.shape, dtype=np.int64)
+    k = 0
+    while True:
+        active = (u > cdf) & (p > 0.0)
+        if not active.any():
+            break
+        n[active] += 1
+        k += 1
+        p = p * (lam / k)
+        cdf = cdf + np.where(active, p, 0.0)
+    return n
+
+
 def poisson(cursor: StreamCursor, rate: float) -> int:
     """Poisson count by CDF inversion.
 
@@ -101,7 +129,7 @@ def poisson(cursor: StreamCursor, rate: float) -> int:
         return 0
     m = max(1, math.ceil(rate / _POISSON_CHUNK))
     u = cursor.uniforms(m)
-    return int(_poisson_invert(np.full(m, rate / m), u).sum())
+    return int(poisson_invert(np.full(m, rate / m), u).sum())
 
 
 def beta_one(cursor: StreamCursor, b: float) -> float:

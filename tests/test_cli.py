@@ -522,6 +522,84 @@ def test_posterior_m0_is_prior_equivalent(tmp_path):
     assert summary["base_mass"] == pytest.approx(1.5, rel=1e-12)
 
 
+def _bench_posterior_inputs(tmp_path):
+    """The posterior-resample workload's inputs at seed 1, built as the
+    benchmark builds them: a beta prior draw (c = 1, mass 20, K = 30),
+    Binomial(4, jump) counts from numpy's ``default_rng(1)``, and
+    ``--draws`` sized for about 32,000 observed-draw rows.  Returns the two
+    files, the counts and the draws."""
+    prior, obs = tmp_path / "bench-prior.jsonl", tmp_path / "bench-obs.jsonl"
+    assert main([
+        "simulate", "--family", "beta", "--c", "1", "--mass", "20", "--K", "30",
+        "--replicas", "1", "--seed", "1", "--out", str(prior),
+    ]) == 0
+    atoms = jsonl_rows(prior.read_bytes())[1:]
+    counts = np.random.default_rng(1).binomial(4, np.array([a["jump"] for a in atoms]))
+    obs.write_text("".join(
+        json.dumps({"location": a["location"], "count": int(m)}) + "\n"
+        for a, m in zip(atoms, counts)
+    ))
+    return prior, obs, counts, max(1, round(32000 / len(atoms)))
+
+
+def _bench_posterior_argv(prior, obs, draws):
+    return [
+        "posterior", "--c", "1", "--M", "4", "--K", "1000", "--prior", str(prior),
+        "--obs", str(obs), "--draws", str(draws), "--seed", "1",
+    ]
+
+
+def test_posterior_bytes_are_pinned_at_benchmark_scale(tmp_path):
+    # the benchmark's seed-1 digest of posterior-resample: about 100k round
+    # marks per count-pass run, so the pick's guide table, the in-place mark
+    # reads and the one-% block fill all run at scale
+    prior, obs, counts, draws = _bench_posterior_inputs(tmp_path)
+    assert (len(counts), draws) == (93, 344)
+    code, data = run(tmp_path, "p.jsonl", _bench_posterior_argv(prior, obs, draws))
+    assert code == 0
+    assert hashlib.sha256(data).hexdigest() == (
+        "3ea95ec6c2a519e238a414f4a863ee24e982b1bb6ca350b539d880c7988206e7"
+    )
+
+
+@pytest.mark.parametrize("draws", [1, 7, 344])
+def test_atom_summaries_are_each_rows_own(tmp_path, draws):
+    # the summaries reduce all atoms' rows at once; each must be its row's
+    # own mean, variance (0.0 for one draw) and share above 1, bit for bit
+    prior, obs, counts, _ = _bench_posterior_inputs(tmp_path)
+    assert (counts == 0).any()
+    code, data = run(tmp_path, "p.jsonl", _bench_posterior_argv(prior, obs, draws))
+    assert code == 0
+    summaries = [r for r in jsonl_rows(data) if r.get("record") == "atom-summary"]
+    rows = posterior.resample_observed_jumps(
+        1.0, 4, counts, 1000, streams.RandomStream(1).child(0), draws
+    )
+    assert len(summaries) == len(rows)
+    for got, values in zip(summaries, rows):
+        want = [
+            values.mean(), values.var(ddof=1) if draws > 1 else 0.0, (values > 1.0).mean()
+        ]
+        assert _bits([got["empirical_mean"], got["empirical_var"],
+                      got["frac_above_one"]]) == _bits(want)
+
+
+def test_resampler_frees_its_words_before_the_pick(tmp_path):
+    # at the benchmark's size a count-pass run holds about 100k points; the
+    # resampler's peak of numpy allocations was 13,482,416 bytes when each
+    # run's words were gathered into one ragged array before the pick, and
+    # is about 10.1 MB with the words read in place and freed before it
+    _, _, counts, draws = _bench_posterior_inputs(tmp_path)
+    stream = streams.RandomStream(1).child(0)
+    tracemalloc.start()
+    try:
+        out = posterior.resample_observed_jumps(1.0, 4, counts, 1000, stream, draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (93, 344)
+    assert peak < 12_000_000
+
+
 def test_posterior_malformed_inputs(tmp_path, capsys):
     prior, obs = _write_posterior_inputs(tmp_path)
     bad = tmp_path / "bad.jsonl"

@@ -404,3 +404,46 @@ def test_pick_equals_per_element_search(data, n_rows, width):
         for r, x in zip(row, u)
     ]
     assert got.tolist() == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_rows=st.integers(1, 4), width=st.integers(2, 40))
+def test_pick_guide_equals_per_element_search(data, n_rows, width):
+    # with G the power of two at or above the width (at least 16), rows * G
+    # uniforms or more take the guide table and fewer the per-row search;
+    # both must give every uniform the per-element search's entry
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    masses = np.empty((n_rows, width))
+    for r in range(n_rows):
+        kind = data.draw(st.sampled_from(["ties", "zero", "skewed", "spread"]))
+        if kind == "ties":  # zero masses tie neighbouring sums
+            masses[r] = rng.choice([0.0, 0.0, 0.5, 1.0, 3.0], width)
+        elif kind == "zero":
+            masses[r] = 0.0
+        elif kind == "skewed":  # one bucket holds the tiny masses: long steps
+            masses[r] = 1e-9 * rng.random(width)
+            masses[r, rng.integers(width)] = 1e9
+        else:
+            masses[r] = rng.exponential(size=width)
+    cums = np.cumsum(masses, axis=1)
+    g = max(16, 1 << (width - 1).bit_length())
+    n = n_rows * g + data.draw(st.integers(0, 300))
+    row = rng.integers(0, n_rows, n)
+    u = 1.0 - rng.random(n)  # in (0, 1]
+    special = rng.integers(0, 4, n)
+    u[special == 1] = 1.0
+    edges = special == 2  # bucket edges g / G
+    u[edges] = rng.integers(1, g + 1, edges.sum()) / g
+    u[special == 3] *= 2.0**-40
+    want = np.empty(n, np.intp)
+    for r in range(n_rows):
+        sel = row == r
+        want[sel] = np.searchsorted(cums[r], u[sel] * cums[r, -1], side="left")
+    want = np.minimum(want, width - 1)
+    m = n_rows * g - 1
+    # only the per-row search sorts the uniforms by row
+    with mock.patch.object(measures.np, "argsort", wraps=np.argsort) as search:
+        assert measures._pick(cums, row, u).tolist() == want.tolist()
+        search.assert_not_called()
+        assert measures._pick(cums, row[:m], u[:m]).tolist() == want[:m].tolist()
+        search.assert_called_once()

@@ -25,7 +25,7 @@ from levycrm.streams import (
     batch_poisson,
     ragged_words,
 )
-from reference import beta_one, derive_key, poisson, stream_words
+from reference import beta_one, derive_key, poisson, poisson_invert, stream_words
 
 
 def test_philox_blocks_match_numpy():
@@ -407,6 +407,59 @@ def test_poisson_inversion_is_quantile():
     above = _poisson_invert(lam[:6], q + 1e-12)
     assert np.array_equal(below, np.arange(6))
     assert np.array_equal(above, np.arange(1, 7))
+
+
+# rates where the inversion stops early or late: none, about 1e-300 (where
+# exp(-rate) rounds to 1), one full chunk, past 745 (where exp(-rate)
+# underflows to 0), and the rest
+_INVERT_RATES = st.one_of(
+    st.just(0.0),
+    st.floats(1e-301, 1e-299),
+    st.just(16.0),
+    st.floats(746.0, 1e4),
+    st.floats(0.0, 40.0),
+)
+
+
+def _cdf_step(rate: float, k: int) -> float:
+    """P(N <= k) at the rate, summed as the inversion sums it."""
+    lam = np.array([rate])
+    p = np.exp(-lam)
+    cdf = p
+    for i in range(1, k + 1):
+        p = p * (lam / i)
+        cdf = cdf + p
+    return float(cdf[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_shrinking_inversion_equals_the_full_array_loop(data):
+    # each pass runs only over the entries still going; every count must be
+    # the full-array loop's, for uniforms of 1.0, at or below exp(-rate),
+    # and on or just above a CDF step
+    n = data.draw(st.integers(0, 24))
+    rates = data.draw(st.lists(_INVERT_RATES, min_size=n, max_size=n))
+    u = []
+    for rate in rates:
+        kind = data.draw(st.sampled_from(["any", "one", "first", "step", "above"]))
+        if kind == "any":
+            u.append(data.draw(st.floats(0.0, 1.0, exclude_min=True)))
+        elif kind == "one":
+            u.append(1.0)
+        elif kind == "first":
+            below = data.draw(st.floats(0.0, 1.0, exclude_min=True)) * math.exp(-rate)
+            u.append(max(below, 5e-324))
+        else:
+            step = _cdf_step(rate, data.draw(st.integers(0, 30)))
+            u.append(min(np.nextafter(step, 2.0), 1.0) if kind == "above" else step)
+    lam, u = np.array(rates, dtype=np.float64), np.array(u, dtype=np.float64)
+    got, want = _poisson_invert(lam, u), poisson_invert(lam, u)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tolist() == want.tolist()
+    for i in range(min(n, 3)):
+        one = _poisson_invert(lam[i], u[i])
+        assert one.shape == () and one == want[i]
 
 
 def test_beta_one_inverts_cdf():
